@@ -52,7 +52,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--grid", type=int, default=None, help="grid points per axis (default: by dimension)")
     parser.add_argument("--starts", type=int, default=None, help="override every multistart budget")
     parser.add_argument("--seed", type=int, default=0, help="64-bit master seed (default 0)")
-    parser.add_argument("--threads", type=int, default=1, help="parallelism degree (default 1)")
     parser.add_argument(
         "--format", choices=("json", "csv", "text"), default="json", help="output format (default json)"
     )
@@ -63,7 +62,6 @@ def _config(args) -> RunConfig:
         "tol": args.tol,
         "grid": args.grid,
         "seed": args.seed,
-        "threads": args.threads,
         "format": args.format,
     }
     if args.starts is not None:

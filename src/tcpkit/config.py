@@ -3,20 +3,15 @@
 Every routine that samples random starting points draws them from a
 substream derived from ``RunConfig.seed`` and a task label, so identical
 configuration plus identical inputs give identical results no matter in
-which order (or on how many threads) tasks execute.
+which order tasks execute.
 """
 
 from __future__ import annotations
 
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
-from typing import Callable, Sequence, TypeVar
 
 import numpy as np
-
-_T = TypeVar("_T")
-_U = TypeVar("_U")
 
 
 @dataclass(frozen=True)
@@ -46,7 +41,6 @@ class RunConfig:
     merit_tol: float = 1e-10
     norm_starts: int = 64            # random starts for operator-norm ascent
     seed: int = 0
-    threads: int = 1
     format: str = "json"
 
     def grid_for(self, n: int) -> int:
@@ -74,12 +68,3 @@ class RunConfig:
 
 DEFAULT_CONFIG = RunConfig()
 
-
-def parallel_map(
-    fn: Callable[[_T], _U], items: Sequence[_T], threads: int = 1
-) -> list[_U]:
-    """Order-preserving map; results do not depend on the schedule."""
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))

@@ -26,13 +26,14 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import linprog
 
-from .config import RunConfig, DEFAULT_CONFIG, parallel_map
-from .optimize import damped_newton, minimize_nonneg_sphere
+from .config import RunConfig, DEFAULT_CONFIG
+# damped_newton is unused here but stays bound: perfbench's tracer expects it
+from .optimize import damped_newton, minimize_nonneg_sphere, newton_lanes  # noqa: F401
 from .tensor import (
     Tensor,
     contract_m1,
     contract_m1_batch,
-    jacobian_m1,
+    jacobian_m1_batch,
     principal_subtensor,
 )
 
@@ -192,25 +193,24 @@ def _newton_support_candidates(
     2-sphere inside the iteration, strict positivity enforced afterwards."""
     r, m = A_sub.n, A_sub.m
 
-    def residual(z: np.ndarray) -> np.ndarray:
-        y, lam = z[:r], z[r]
-        core = contract_m1(A_sub, y)
-        eig_part = core - lam * (y ** (m - 1) if kind == "H" else y)
-        return np.concatenate([eig_part, [y @ y - 1.0]])
+    def residual(Z: np.ndarray) -> np.ndarray:
+        Y, lam = Z[:, :r], Z[:, r:]
+        core = contract_m1_batch(A_sub, Y)
+        eig_part = core - lam * (Y ** (m - 1) if kind == "H" else Y)
+        return np.hstack([eig_part, np.sum(Y * Y, axis=1, keepdims=True) - 1.0])
 
-    def jac(z: np.ndarray) -> np.ndarray:
-        y, lam = z[:r], z[r]
-        J_top = jacobian_m1(A_sub, y)
+    def jac(Z: np.ndarray) -> np.ndarray:
+        Y, lam = Z[:, :r], Z[:, r]
+        out = np.zeros((Z.shape[0], r + 1, r + 1))
+        out[:, :r, :r] = jacobian_m1_batch(A_sub, Y)
+        diag = np.arange(r)
         if kind == "H":
-            J_top = J_top - lam * (m - 1) * np.diag(y ** (m - 2))
-            dlam = -(y ** (m - 1))
+            out[:, diag, diag] -= lam[:, None] * (m - 1) * Y ** (m - 2)
+            out[:, :r, r] = -(Y ** (m - 1))
         else:
-            J_top = J_top - lam * np.eye(r)
-            dlam = -y
-        out = np.zeros((r + 1, r + 1))
-        out[:r, :r] = J_top
-        out[:r, r] = dlam
-        out[r, :r] = 2.0 * y
+            out[:, diag, diag] -= lam[:, None]
+            out[:, :r, r] = -Y
+        out[:, r, :r] = 2.0 * Y
         return out
 
     rng = cfg.substream("eigen", kind, tag)
@@ -222,27 +222,24 @@ def _newton_support_candidates(
         y0 = row / np.linalg.norm(row)
         starts.append((y0, _rayleigh(A_sub, y0, kind)))
 
-    found: list[tuple[float, np.ndarray]] = []
-    for y0, lam0 in starts:
-        z0 = np.concatenate([y0, [lam0]])
-        z, ok = damped_newton(residual, jac, z0, cfg)
-        if not ok:
-            continue
-        y, lam = z[:r], float(z[r])
-        # roots with dust components are boundary solutions of this support;
-        # their true (smaller) support enumerates them separately
-        if np.min(y) <= cfg.eigen_interior_floor:
-            continue
-        nrm = float(np.linalg.norm(y))
-        if abs(nrm - 1.0) > 1e-6:
-            continue
-        y = y / nrm
-        if kind == "Z":
-            lam = float(y @ contract_m1(A_sub, y))
-        resid = float(np.linalg.norm(residual(np.concatenate([y, [lam]]))))
-        if resid > 1e-9 * (1.0 + abs(lam)):
-            continue
-        found.append((lam, y))
+    Z0 = np.array([np.append(y0, lam0) for y0, lam0 in starts])
+    Z, ok = newton_lanes(residual, jac, Z0, cfg)
+    Y, lam = Z[:, :r], Z[:, r]
+    nrm = np.linalg.norm(Y, axis=1)
+    # roots with dust components are boundary solutions of this support;
+    # their true (smaller) support enumerates them separately
+    keep = ok & (np.min(Y, axis=1) > cfg.eigen_interior_floor) & (np.abs(nrm - 1.0) <= 1e-6)
+    if not keep.any():
+        return []
+    Y, lam = Y[keep] / nrm[keep, None], lam[keep]
+    if kind == "Z":
+        lam = np.sum(Y * contract_m1_batch(A_sub, Y), axis=1)
+    resid = np.linalg.norm(residual(np.column_stack([Y, lam])), axis=1)
+    found = [
+        (float(l), y)
+        for l, y, good in zip(lam, Y, resid <= 1e-9 * (1.0 + np.abs(lam)))
+        if good
+    ]
     return _cluster_pairs(found, cfg.cluster_tol)
 
 
@@ -293,13 +290,10 @@ def _interior_candidates(
     extra_seeds: dict[tuple[int, ...], list[tuple[np.ndarray, float]]] | None = None,
 ) -> dict[tuple[int, ...], list[tuple[float, np.ndarray]]]:
     extra_seeds = extra_seeds or {}
-    supports = _supports(A.n)
-    chunks = parallel_map(
-        lambda J: _support_candidates(A, J, kind, cfg, extra_seeds.get(J)),
-        supports,
-        cfg.threads,
-    )
-    return dict(zip(supports, chunks))
+    return {
+        J: _support_candidates(A, J, kind, cfg, extra_seeds.get(J))
+        for J in _supports(A.n)
+    }
 
 
 # ---------------------------------------------------------------------------

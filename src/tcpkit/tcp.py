@@ -17,15 +17,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import RunConfig, DEFAULT_CONFIG, parallel_map
+from .config import RunConfig, DEFAULT_CONFIG
 from .operators import OP_SCALED, norm_bound
-from .optimize import damped_newton
+from .optimize import damped_newton, newton_lanes
 from .tensor import (
     Tensor,
     TensorFormatError,
     as_vector,
     contract_m1,
+    contract_m1_batch,
     jacobian_m1,
+    jacobian_m1_batch,
     pos_part,
     power_component,
     principal_subtensor,
@@ -151,27 +153,26 @@ def _support_roots(inst: TcpInstance, J: tuple[int, ...], cfg: RunConfig) -> lis
             return []
         return [y] if np.min(y) > cfg.positivity_floor else []
 
-    def residual(y: np.ndarray) -> np.ndarray:
-        return contract_m1(sub, y) + qJ
+    def residual(Y: np.ndarray) -> np.ndarray:
+        return contract_m1_batch(sub, Y) + qJ
 
-    def jac(y: np.ndarray) -> np.ndarray:
-        return jacobian_m1(sub, y)
+    def jac(Y: np.ndarray) -> np.ndarray:
+        return jacobian_m1_batch(sub, Y)
 
     rng = cfg.substream("tcp", tuple(J))
-    starts = []
+    starts = rng.uniform(0.1, 1.0, size=(cfg.tcp_newton_starts, r))
     heuristic = power_component(pos_part(-qJ), 1.0 / (m - 1))
     if np.min(heuristic) > 0:
-        starts.append(heuristic)
-    starts.extend(rng.uniform(0.1, 1.0, size=(cfg.tcp_newton_starts, r)))
+        starts = np.vstack([heuristic, starts])
 
+    Y, ok = newton_lanes(residual, jac, starts, cfg)
+    Y = Y[ok & (np.min(Y, axis=1) > cfg.positivity_floor)]
+    if Y.shape[0] == 0:
+        return []
     scale = 1.0 + float(np.abs(qJ).max(initial=0.0))
+    certified = np.linalg.norm(residual(Y), axis=1) <= 1e-9 * scale
     roots: list[np.ndarray] = []
-    for y0 in starts:
-        y, ok = damped_newton(residual, jac, np.asarray(y0, dtype=float), cfg)
-        if not ok or np.min(y) <= cfg.positivity_floor:
-            continue
-        if float(np.linalg.norm(residual(y))) > 1e-9 * scale:
-            continue
+    for y in Y[certified]:
         if any(np.max(np.abs(y - seen)) <= cfg.cluster_tol for seen in roots):
             continue
         roots.append(y)
@@ -200,11 +201,8 @@ def solve_enumeration(inst: TcpInstance, cfg: RunConfig = DEFAULT_CONFIG) -> lis
     supports = [
         J for size in range(1, n + 1) for J in itertools.combinations(range(n), size)
     ]
-    per_support = parallel_map(
-        lambda J: _support_roots(inst, J, cfg), supports, cfg.threads
-    )
-    for J, roots in zip(supports, per_support):
-        for y in roots:
+    for J in supports:
+        for y in _support_roots(inst, J, cfg):
             x = np.zeros(n)
             x[list(J)] = y
             sol = _make_solution(inst, x, "enumeration", cfg)

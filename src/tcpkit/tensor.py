@@ -28,6 +28,7 @@ __all__ = [
     "contract_m1_batch",
     "contract_full",
     "jacobian_m1",
+    "jacobian_m1_batch",
     "principal_subtensor",
     "validate_index_set",
     "identity_tensor",
@@ -50,15 +51,11 @@ class TensorFormatError(ValueError):
 
 
 def _is_symmetric_array(data: np.ndarray, rtol: float = 1e-12, atol: float = 1e-12) -> bool:
-    m = data.ndim
-    if m > 5:
-        # spot-check a sample of permutations; full check is factorial in m
-        perms = list(itertools.islice(itertools.permutations(range(m)), 1, 25))
-    else:
-        perms = list(itertools.permutations(range(m)))[1:]
+    # the adjacent transpositions generate the symmetric group, so invariance
+    # under these m-1 swaps is invariance under every index permutation
     return all(
-        np.allclose(data, np.transpose(data, axes=p), rtol=rtol, atol=atol)
-        for p in perms
+        np.allclose(data, np.swapaxes(data, k, k + 1), rtol=rtol, atol=atol)
+        for k in range(data.ndim - 1)
     )
 
 
@@ -171,6 +168,39 @@ def contract_m1_batch(A: Tensor, X: np.ndarray) -> np.ndarray:
     # path planning only pays off on big batches (grid evaluations)
     optimize = X.shape[0] >= 1000
     return np.einsum(subs, A.data, *([X] * (A.m - 1)), optimize=optimize)
+
+
+_JACOBIAN_SUBSCRIPTS: dict[int, list[str]] = {}
+
+
+def jacobian_m1_batch(A: Tensor, X: np.ndarray) -> np.ndarray:
+    """jacobian_m1 for a batch of vectors, shape (B, n) -> (B, n, n).
+
+    One einsum per trailing mode p contracts the batch into every trailing
+    mode except p, which becomes the column index.
+    """
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] != A.n:
+        raise ValueError(f"expected batch of shape (B, {A.n})")
+    if A.m == 2:
+        return np.broadcast_to(A.data, (X.shape[0], A.n, A.n)).copy()
+    subs = _JACOBIAN_SUBSCRIPTS.get(A.m)
+    if subs is None:
+        letters = "ijklmnopqr"[: A.m]
+        subs = [
+            letters
+            + ","
+            + ",".join("b" + c for c in letters[1:] if c != letters[p])
+            + "->b"
+            + letters[0]
+            + letters[p]
+            for p in range(1, A.m)
+        ]
+        _JACOBIAN_SUBSCRIPTS[A.m] = subs
+    total = np.einsum(subs[0], A.data, *([X] * (A.m - 2)))
+    for sub in subs[1:]:
+        total += np.einsum(sub, A.data, *([X] * (A.m - 2)))
+    return total
 
 
 def contract_full(A: Tensor, x) -> float:

@@ -180,3 +180,44 @@ def lemke_lcp(M: np.ndarray, q: np.ndarray, max_iter: int = 200) -> np.ndarray |
                     z[b - n] = T[i, -1]
             return z
     return None
+
+
+def reference_newton(res_fn, jac_fn, z0, max_iter: int = 200, step_tol: float = 1e-12):
+    """One start of damped Newton at a time, written as a plain scalar loop.
+
+    Same stop rules as the library's lane kernel: converged below a residual
+    norm of 1e-14; a singular or exploding solve (non-finite, or a step
+    longer than 1e8) falls back to least squares, and a non-finite
+    least-squares step fails; halving line search from t = 1 to 1e-12; no
+    accepted step ends the run at 1e-10, a short step at 1e-8, and the
+    iteration budget at 1e-10.
+    """
+    z = np.array(z0, dtype=float)
+    r = res_fn(z)
+    rnorm = float(np.linalg.norm(r))
+    for _ in range(max_iter):
+        if rnorm < 1e-14:
+            return z, True
+        J = jac_fn(z)
+        try:
+            dz = np.linalg.solve(J, -r)
+            if not np.all(np.isfinite(dz)) or np.linalg.norm(dz) > 1e8:
+                raise np.linalg.LinAlgError
+        except np.linalg.LinAlgError:
+            dz = np.linalg.lstsq(J, -r, rcond=None)[0]
+            if not np.all(np.isfinite(dz)):
+                return z, False
+        t = 1.0
+        while t >= 1e-12:
+            z_new = z + t * dz
+            r_new = res_fn(z_new)
+            rnorm_new = float(np.linalg.norm(r_new))
+            if rnorm_new < rnorm:
+                z, r, rnorm = z_new, r_new, rnorm_new
+                break
+            t *= 0.5
+        else:
+            return z, rnorm < 1e-10
+        if t * float(np.linalg.norm(dz)) < step_tol * (1.0 + float(np.linalg.norm(z))):
+            return z, rnorm < 1e-8
+    return z, rnorm < 1e-10

@@ -236,4 +236,4 @@ def test_config_echoed_for_provenance(capsys, ident32):
     cfgd = json.loads(out)["config"]
     assert cfgd["seed"] == 42
     assert cfgd["grid"] == 9
-    assert "tol" in cfgd and "threads" in cfgd
+    assert "tol" in cfgd

@@ -223,6 +223,16 @@ def test_tensor_is_immutable():
         A.data[0, 0] = 5.0
 
 
+def test_symmetry_detection_is_exact_at_order_six():
+    # a single off-diagonal entry that swapping the last axes cannot move
+    data = np.zeros((2,) * 6)
+    data[0, 1, 1, 1, 1, 1] = 1.0
+    assert not Tensor(data).symmetric
+    with pytest.raises(ValueError):
+        Tensor(data, symmetric=True)
+    assert Tensor(symmetrize(Tensor(data)).data).symmetric
+
+
 def test_symmetric_detection_under_permutations():
     S = symmetrize(random_tensor(3, 2, seed=8))
     for p in itertools.permutations(range(3)):
