@@ -168,8 +168,7 @@ def estimate_norm(
 
     best_val = -math.inf
     best_x: np.ndarray | None = None
-    for s in starts:
-        val, x = pattern_search_min(neg_obj, s, project)
+    for val, x in zip(*pattern_search_min(neg_obj, np.vstack(starts), project)):
         gain = -val
         if gain > best_val + 1e-12 or (
             abs(gain - best_val) <= 1e-12 and best_x is not None and tuple(x) < tuple(best_x)

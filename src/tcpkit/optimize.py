@@ -6,9 +6,22 @@ over the nonnegative unit infinity-sphere ``{x >= 0, max_i x_i = 1}``
 damped Newton iteration for small square systems.  Both are deterministic
 given the caller-supplied random generator.
 
-The Newton iteration runs lane-masked (:func:`newton_lanes`): all B starts
-of one system form a ``(B, r)`` array, and each lane follows exactly the
-rules a lone start would.
+Both kernels run lane-masked: all B starts of one problem form a (B, n)
+array, and each lane follows exactly the rules a lone start would.
+
+The pattern search (:func:`pattern_search_min`) keeps a step per lane,
+starting at ``step0``.
+
+- The start points are projected and evaluated in one batch.
+- A sweep tries the 2n axis moves ``[+step*e_0 .. +step*e_{n-1},
+  -step*e_0 .. -step*e_{n-1}]`` of every live lane, with one ``project``
+  call and one objective call over all of their rows.
+- A lane takes the first of its smallest moves, and only when it is
+  strictly below its current value; otherwise its step halves.
+- A lane retires once its step is below ``step_floor``, and its rows leave
+  the later batches; every lane stops after ``max_iter`` sweeps.
+
+The Newton iteration (:func:`newton_lanes`) runs on a (B, r) array.
 
 - A lane converges as soon as its residual norm drops below 1e-14.
 - Steps come from one batched linear solve.  A lane whose Jacobian is
@@ -43,35 +56,43 @@ BatchObjective = Callable[[np.ndarray], np.ndarray]
 
 def pattern_search_min(
     batch_fn: BatchObjective,
-    x0: np.ndarray,
+    X0: np.ndarray,
     project: Callable[[np.ndarray], np.ndarray],
     step0: float = 0.25,
     step_floor: float = 1e-9,
     max_iter: int = 300,
-) -> tuple[float, np.ndarray]:
-    """Coordinate pattern search with shrinking steps.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Coordinate pattern search run on B independent starts at once.
 
-    All 2n axis moves are evaluated per sweep as a single batch; the step
-    halves whenever no move improves, down to ``step_floor``.  ``project``
-    maps raw trial points back onto the feasible set.
+    ``X0`` is a (B, n) array of starts, one lane per row; ``project`` maps
+    raw points back onto the feasible set, row by row.  Returns the (B,)
+    final values and the (B, n) final points; each lane's result is the one
+    a lone run from its start gives.  Every sweep makes one ``project`` and
+    one ``batch_fn`` call over the 2n trial moves of every live lane.
     """
-    x = project(np.asarray(x0, dtype=float)[None, :])[0]
-    fx = float(batch_fn(x[None, :])[0])
-    n = x.size
+    X = project(np.array(X0, dtype=float, ndmin=2))
+    F = np.array(batch_fn(X), dtype=float)
+    B, n = X.shape
     eye = np.eye(n)
-    step = step0
+    step = np.full(B, float(step0))
+    live = np.arange(B)
     for _ in range(max_iter):
-        if step < step_floor:
+        live = live[step[live] >= step_floor]
+        if live.size == 0:
             break
-        trials = project(np.vstack([x + step * eye, x - step * eye]))
-        vals = batch_fn(trials)
-        j = int(np.argmin(vals))
-        if vals[j] < fx:
-            x = trials[j]
-            fx = float(vals[j])
-        else:
-            step *= 0.5
-    return fx, x
+        L = live.size
+        S = step[live][:, None, None]
+        Xl = X[live][:, None, :]
+        trials = project(np.concatenate([Xl + S * eye, Xl - S * eye], axis=1).reshape(-1, n))
+        vals = np.asarray(batch_fn(trials)).reshape(L, 2 * n)
+        j = np.argmin(vals, axis=1)  # the first of the smallest moves
+        best = vals[np.arange(L), j]
+        moved = best < F[live]
+        won = live[moved]
+        X[won] = trials.reshape(L, 2 * n, n)[moved, j[moved]]
+        F[won] = best[moved]
+        step[live[~moved]] *= 0.5
+    return F, X
 
 
 @dataclass
@@ -120,10 +141,8 @@ def _face_candidates(
     R[:, k] = 1.0
     starts.extend(R)
 
-    project = _face_project(k)
-    for s in starts:
-        val, x = pattern_search_min(batch_fn, s, project)
-        out.append((val, x))
+    vals, X = pattern_search_min(batch_fn, np.vstack(starts), _face_project(k))
+    out.extend(zip(vals, X))
     return out
 
 

@@ -221,3 +221,32 @@ def reference_newton(res_fn, jac_fn, z0, max_iter: int = 200, step_tol: float = 
         if t * float(np.linalg.norm(dz)) < step_tol * (1.0 + float(np.linalg.norm(z))):
             return z, rnorm < 1e-8
     return z, rnorm < 1e-10
+
+
+def reference_pattern_search(batch_fn, x0, project, step0=0.25, step_floor=1e-9, max_iter=300):
+    """One start of the coordinate pattern search at a time, as a plain loop.
+
+    Same rules as the library's lane kernel: the 2n axis moves
+    ``[+step*e_0 .. +step*e_{n-1}, -step*e_0 .. -step*e_{n-1}]`` are
+    projected and evaluated as one batch; the first of the smallest moves is
+    taken only when it is strictly below the current value, else the step
+    halves; the run ends once the step is below ``step_floor`` or after
+    ``max_iter`` sweeps.
+    """
+    x = project(np.asarray(x0, dtype=float)[None, :])[0]
+    fx = float(batch_fn(x[None, :])[0])
+    n = x.size
+    eye = np.eye(n)
+    step = step0
+    for _ in range(max_iter):
+        if step < step_floor:
+            break
+        trials = project(np.vstack([x + step * eye, x - step * eye]))
+        vals = batch_fn(trials)
+        j = int(np.argmin(vals))
+        if vals[j] < fx:
+            x = trials[j]
+            fx = float(vals[j])
+        else:
+            step *= 0.5
+    return fx, x

@@ -1,13 +1,17 @@
-"""The lane-masked Newton kernel against a one-start-at-a-time reference."""
+"""The lane-masked Newton and pattern-search kernels against
+one-start-at-a-time references."""
+
+import math
 
 import numpy as np
 import pytest
 
-from tcpkit import RunConfig, Tensor
-from tcpkit.optimize import damped_newton, newton_lanes
+from tcpkit import RunConfig, Tensor, beta, estimate_norm, symmetrize
+from tcpkit import eigen, operators, optimize
+from tcpkit.optimize import damped_newton, minimize_nonneg_sphere, newton_lanes, pattern_search_min
 from tcpkit.tensor import contract_m1_batch, jacobian_m1, jacobian_m1_batch
 
-from oracles import reference_newton
+from oracles import reference_newton, reference_pattern_search
 
 CFG = RunConfig()
 
@@ -124,3 +128,167 @@ def test_jacobian_batch_matches_stacked_jacobian(m):
     )
     with pytest.raises(ValueError):
         jacobian_m1_batch(A, X[:, :3])
+
+
+# ---------------------------------------------------------------------------
+# pattern search lanes
+# ---------------------------------------------------------------------------
+
+SMALL = RunConfig(grid=5, face_starts=3, refine_top=2)
+
+
+@pytest.fixture
+def searches(monkeypatch):
+    """Every pattern_search_min call made through the library, with its
+    arguments, its results and the row count of each objective call."""
+    calls = []
+
+    def spy(batch_fn, X0, project, *args, **kwargs):
+        rows = []
+
+        def counted(X):
+            rows.append(len(X))
+            return batch_fn(X)
+
+        F, X = pattern_search_min(counted, X0, project, *args, **kwargs)
+        calls.append(dict(batch_fn=batch_fn, X0=np.array(X0), project=project, args=args,
+                          kwargs=kwargs, F=F.copy(), X=X.copy(), rows=rows))
+        return F, X
+
+    monkeypatch.setattr(optimize, "pattern_search_min", spy)
+    monkeypatch.setattr(operators, "pattern_search_min", spy)
+    return calls
+
+
+def assert_lanes_bit_identical(call):
+    assert call["F"].shape == (len(call["X0"]),) and call["X"].shape == call["X0"].shape
+    for x0, f, x in zip(call["X0"], call["F"], call["X"]):
+        f_ref, x_ref = reference_pattern_search(
+            call["batch_fn"], x0, call["project"], *call["args"], **call["kwargs"]
+        )
+        np.testing.assert_array_equal(f, f_ref)
+        np.testing.assert_array_equal(x, x_ref)
+
+
+def mixed_tensor(m, n, seed):
+    rng = np.random.default_rng([seed, m, n])
+    data = rng.uniform(-1.0, 1.0, size=(n,) * m)
+    data[tuple([np.arange(n)] * m)] += 0.5
+    return Tensor(data)
+
+
+SHAPES = [(m, n) for m in (2, 3, 4) for n in range(1, 7)]
+
+
+@pytest.mark.parametrize("m,n", SHAPES)
+def test_sphere_objectives_lanes_match_reference(searches, m, n):
+    A = mixed_tensor(m, n, 3)
+    beta(A, SMALL)  # activity objective
+
+    def rows_max(X):
+        return np.max(contract_m1_batch(A, X), axis=1)
+
+    minimize_nonneg_sphere(rows_max, n, SMALL, "violation")
+    S = symmetrize(A)
+    for kind in ("H", "Z"):  # Pareto ratio objectives
+        eigen._variational_seed(S, kind, SMALL)
+    # a face with no free axis is the vertex alone: no search runs at n = 1
+    assert len(searches) == (0 if n == 1 else 4 * n)
+    for call in searches:
+        assert_lanes_bit_identical(call)
+
+
+@pytest.mark.parametrize("m,n", SHAPES)
+def test_norm_objectives_lanes_match_reference(searches, m, n):
+    A = mixed_tensor(m, n, 4)
+    ops = ["T"] + (["F"] if m % 2 == 0 else [])
+    for op in ops:
+        for p in (1.0, 3.0, math.inf):
+            estimate_norm(A, op, p, budget=5, cfg=SMALL)
+    assert len(searches) == 3 * len(ops)
+    for call in searches:
+        assert len(call["X0"]) == 2 * n + 5
+        assert_lanes_bit_identical(call)
+
+
+def quadratic(center):
+    return lambda X: np.sum((X - center) ** 2, axis=1)
+
+
+def identity(P):
+    return P
+
+
+def test_single_lane_matches_reference():
+    fn = quadratic(np.array([0.3, -0.7, 0.1]))
+    x0 = np.array([1.0, 1.0, -1.0])
+    F, X = pattern_search_min(fn, x0[None, :], identity)
+    f_ref, x_ref = reference_pattern_search(fn, x0, identity)
+    assert F.shape == (1,) and X.shape == (1, 3)
+    assert F[0] == f_ref and np.array_equal(X[0], x_ref)
+
+
+def test_lane_stops_at_max_iter():
+    fn = lambda X: X[:, 0]  # noqa: E731 - every sweep improves by one step
+    X0 = np.array([[0.0, 0.0], [5.0, 1.0]])
+    F, X = pattern_search_min(fn, X0, identity, max_iter=5)
+    assert F.tolist() == [-1.25, 3.75]
+    for x0, f, x in zip(X0, F, X):
+        f_ref, x_ref = reference_pattern_search(fn, x0, identity, max_iter=5)
+        assert f == f_ref and np.array_equal(x, x_ref)
+
+
+def test_step_below_floor_returns_the_projected_start():
+    rows = []
+
+    def fn(X):
+        rows.append(len(X))
+        return np.sum(X, axis=1)
+
+    X0 = np.array([[2.0, -1.0], [0.5, 0.5], [-3.0, 4.0]])
+    project = lambda P: np.clip(P, -1.0, 1.0)  # noqa: E731
+    F, X = pattern_search_min(fn, X0, project, step0=1e-10)
+    assert rows == [3]
+    np.testing.assert_array_equal(X, project(X0))
+    np.testing.assert_array_equal(F, np.sum(project(X0), axis=1))
+    f_ref, x_ref = reference_pattern_search(fn, X0[0], project, step0=1e-10)
+    assert F[0] == f_ref and np.array_equal(X[0], x_ref)
+
+
+def test_tied_moves_take_the_first_index():
+    fn = lambda X: -np.abs(X[:, 1])  # noqa: E731 - +e_1 and -e_1 tie at x = 0
+    F, X = pattern_search_min(fn, np.zeros((1, 2)), identity, max_iter=1)
+    assert F[0] == -0.25 and X[0].tolist() == [0.0, 0.25]
+    f_ref, x_ref = reference_pattern_search(fn, np.zeros(2), identity, max_iter=1)
+    assert F[0] == f_ref and np.array_equal(X[0], x_ref)
+
+
+def test_retired_lanes_leave_the_batch():
+    fn = quadratic(np.zeros(2))
+    rows = []
+
+    def counted(X):
+        rows.append(len(X))
+        return fn(X)
+
+    # the first lane starts at the minimum and only halves; the others travel
+    X0 = np.array([[0.0, 0.0], [3.0, -2.0], [-7.0, 5.0]])
+    pattern_search_min(counted, X0, identity)
+    sweeps = rows[1:]
+    assert rows[0] == 3 and sweeps[0] == 3 * 4
+    assert all(r % 4 == 0 for r in sweeps)
+    assert sweeps == sorted(sweeps, reverse=True) and sweeps[-1] == 4
+    assert 8 in sweeps
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_default_config_batches_stay_below_einsum_path_planning(searches, n):
+    # contract_m1_batch plans an einsum path from 1000 rows, which can move
+    # the last bits; every search batch stays below that at desk scale
+    A = mixed_tensor(3, n, 6)
+    cfg = RunConfig()
+    beta(A, cfg)
+    estimate_norm(A, "T", 2.0, cfg=cfg)
+    eigen._variational_seed(symmetrize(A), "H", cfg)
+    assert searches
+    assert max(max(c["rows"]) for c in searches) < 1000
