@@ -270,14 +270,20 @@ def zero_tensor(m: int, n: int) -> Tensor:
 
 
 def symmetrize(A: Tensor) -> Tensor:
-    """Average over all index permutations; preserves x -> full contraction."""
+    """Average over all index permutations; preserves x -> full contraction.
+
+    The sum runs in a different order for each cell, so every cell then
+    takes the value of its sorted-index cell, which makes the result
+    exactly permutation invariant.
+    """
     if A.symmetric:
         return A
     acc = np.zeros_like(A.data)
     perms = list(itertools.permutations(range(A.m)))
     for p in perms:
         acc += np.transpose(A.data, axes=p)
-    return Tensor(acc / len(perms), symmetric=True)
+    sorted_cell = np.sort(np.indices(A.data.shape), axis=0)
+    return Tensor((acc / len(perms))[tuple(sorted_cell)], symmetric=True)
 
 
 def e_apply(x, m: int) -> np.ndarray:

@@ -239,6 +239,24 @@ def test_symmetric_detection_under_permutations():
         np.testing.assert_allclose(S.data, np.transpose(S.data, p), atol=1e-12)
 
 
+@pytest.mark.parametrize("m,n", [(2, 4), (3, 3), (4, 3), (5, 2)])
+def test_symmetrize_is_exactly_permutation_invariant(m, n):
+    S = symmetrize(random_tensor(m, n, seed=21))
+    for p in itertools.permutations(range(m)):
+        np.testing.assert_array_equal(S.data, np.transpose(S.data, p))
+
+
+def test_symmetrized_tensors_survive_save_and_load(tmp_path):
+    path = tmp_path / "s.json"
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        S = symmetrize(Tensor(rng.uniform(0.0, 1.0, size=(3, 3, 3))))
+        save_tensor(S, path)
+        B = load_tensor(path)
+        assert B.symmetric
+        np.testing.assert_array_equal(B.data, S.data)
+
+
 # --- JSON interchange -------------------------------------------------------
 
 
