@@ -229,7 +229,9 @@ def test_single_lane_matches_reference():
 
 
 def test_lane_stops_at_max_iter():
-    fn = lambda X: X[:, 0]  # noqa: E731 - every sweep improves by one step
+    def fn(X):  # every sweep improves by one step
+        return X[:, 0]
+
     X0 = np.array([[0.0, 0.0], [5.0, 1.0]])
     F, X = pattern_search_min(fn, X0, identity, max_iter=5)
     assert F.tolist() == [-1.25, 3.75]
@@ -245,8 +247,10 @@ def test_step_below_floor_returns_the_projected_start():
         rows.append(len(X))
         return np.sum(X, axis=1)
 
+    def project(P):
+        return np.clip(P, -1.0, 1.0)
+
     X0 = np.array([[2.0, -1.0], [0.5, 0.5], [-3.0, 4.0]])
-    project = lambda P: np.clip(P, -1.0, 1.0)  # noqa: E731
     F, X = pattern_search_min(fn, X0, project, step0=1e-10)
     assert rows == [3]
     np.testing.assert_array_equal(X, project(X0))
@@ -256,7 +260,9 @@ def test_step_below_floor_returns_the_projected_start():
 
 
 def test_tied_moves_take_the_first_index():
-    fn = lambda X: -np.abs(X[:, 1])  # noqa: E731 - +e_1 and -e_1 tie at x = 0
+    def fn(X):  # +e_1 and -e_1 tie at x = 0
+        return -np.abs(X[:, 1])
+
     F, X = pattern_search_min(fn, np.zeros((1, 2)), identity, max_iter=1)
     assert F[0] == -0.25 and X[0].tolist() == [0.0, 0.25]
     f_ref, x_ref = reference_pattern_search(fn, np.zeros(2), identity, max_iter=1)
@@ -279,6 +285,19 @@ def test_retired_lanes_leave_the_batch():
     assert all(r % 4 == 0 for r in sweeps)
     assert sweeps == sorted(sweeps, reverse=True) and sweeps[-1] == 4
     assert 8 in sweeps
+
+
+@pytest.mark.parametrize("m", [3, 4])
+def test_contraction_rows_do_not_depend_on_the_batch(m):
+    # what lets a lane of a big batch reproduce a lone run bit for bit; at
+    # order 2 a one-row product can differ in the last bit from the same row
+    # in a larger batch, while batches of two rows or more agree
+    rng = np.random.default_rng([8, m])
+    for n in range(1, 7):
+        A = Tensor(rng.uniform(-1.0, 1.0, size=(n,) * m))
+        X = rng.uniform(-1.0, 1.0, size=(999, n))
+        rows = np.vstack([contract_m1_batch(A, x[None, :]) for x in X[:200]])
+        np.testing.assert_array_equal(contract_m1_batch(A, X)[:200], rows)
 
 
 @pytest.mark.parametrize("n", [5, 6])

@@ -1,6 +1,6 @@
 """Seeded CLI outputs of one checkout, written to a directory for diffing.
 
-    python3 tools/golden_outputs.py --out DIR [--only PREFIX]
+    python3 tools/golden_outputs.py --out DIR
 
 Run it from any directory; tcpkit is imported from the ``src`` next to
 this file.  It writes the input tensors and instances it makes, then runs
@@ -11,8 +11,7 @@ list of m2-4, n2-6 tensors, every ``eigen`` kind on m3/m4, n3/n4 tensors,
 ``solve`` by both methods, and ``verify-bounds`` (with its full report) for
 every family at m3/m4, n3/n4 (order 2 for ``matrix_m2``).  Every input is
 drawn from a fixed seed, so two checkouts whose outputs agree give
-directories that ``diff -r`` finds equal.  ``--only`` keeps the commands
-whose output name starts with PREFIX.
+directories that ``diff -r`` finds equal.
 """
 
 from __future__ import annotations
@@ -126,14 +125,12 @@ def run(name: str, argv: list[str]) -> None:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", required=True, help="directory to write into (created)")
-    parser.add_argument("--only", default="", help="run only the commands with this name prefix")
     args = parser.parse_args()
     os.makedirs(args.out, exist_ok=True)
     os.chdir(args.out)  # relative file names keep the outputs free of DIR
     for name, argv in commands():
-        if name.startswith(args.only):
-            run(name, argv)
-            print(name, flush=True)
+        run(name, argv)
+        print(name, flush=True)
 
 
 if __name__ == "__main__":
