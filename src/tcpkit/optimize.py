@@ -125,7 +125,7 @@ def _face_candidates(
         out.append((float(batch_fn(vertex[None, :])[0]), vertex))
         return out
 
-    starts = [vertex]
+    starts = [vertex[None, :]]
     if G >= 2:
         axes = np.linspace(0.0, 1.0, G)
         mesh = np.meshgrid(*([axes] * len(free)), indexing="ij")
@@ -134,12 +134,11 @@ def _face_candidates(
         X[:, free] = pts
         vals = batch_fn(X)
         best = np.argsort(vals, kind="stable")[: cfg.refine_top]
-        for i in best:
-            out.append((float(vals[i]), X[i].copy()))
-            starts.append(X[i].copy())
+        out.extend((float(vals[i]), X[i].copy()) for i in best)
+        starts.append(X[best])
     R = rng.uniform(0.0, 1.0, size=(cfg.face_starts, n))
     R[:, k] = 1.0
-    starts.extend(R)
+    starts.append(R)
 
     vals, X = pattern_search_min(batch_fn, np.vstack(starts), _face_project(k))
     out.extend(zip(vals, X))
