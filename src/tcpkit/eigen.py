@@ -20,7 +20,6 @@ minimum — the quantity downstream bounds divide by — reliable.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,8 +32,9 @@ from .tensor import (
     Tensor,
     contract_m1,
     contract_m1_batch,
-    jacobian_m1_batch,
+    lane_maps,
     principal_subtensor,
+    supports_by_size,
 )
 
 __all__ = [
@@ -122,14 +122,6 @@ def distinct_values(records: list[EigenRecord], tol: float = 1e-6) -> list[float
     return out
 
 
-def _supports(n: int) -> list[tuple[int, ...]]:
-    return [
-        J
-        for size in range(1, n + 1)
-        for J in itertools.combinations(range(n), size)
-    ]
-
-
 # ---------------------------------------------------------------------------
 # per-support interior solves: strictly positive y with
 #   H:  A_J y^(m-1) = lam * y^[m-1]      Z:  A_J y^(m-1) = lam * y, ||y||_2 = 1
@@ -185,24 +177,40 @@ def _matrix_support_candidates(M: np.ndarray) -> list[tuple[float, np.ndarray]]:
     return out
 
 
-def _newton_support_candidates(
-    A_sub: Tensor, kind: str, cfg: RunConfig, tag: str,
-    seeds: list[tuple[np.ndarray, float]] | None = None,
-) -> list[tuple[float, np.ndarray]]:
-    """Multi-start damped Newton on the support system; y normalized to the
-    2-sphere inside the iteration, strict positivity enforced afterwards."""
-    r, m = A_sub.n, A_sub.m
+def _newton_candidates(
+    A: Tensor, group: list[tuple[int, ...]], kind: str, cfg: RunConfig,
+    seeds: dict[tuple[int, ...], list[tuple[np.ndarray, float]]],
+) -> list[list[tuple[float, np.ndarray]]]:
+    """Multi-start damped Newton on the support systems of one size, every
+    start of every support as one lane array; y normalized to the 2-sphere
+    inside the iteration, strict positivity enforced afterwards.  Returns
+    one candidate list per support, in group order; each support keeps its
+    own start stream, certificate and clustering."""
+    r, m = len(group[0]), A.m
+    subs = [principal_subtensor(A, J) for J in group]
+    starts = []
+    for J, sub in zip(group, subs):
+        rng = cfg.substream("eigen", kind, str(J))
+        pairs = list(seeds.get(J, []))
+        uniform = np.ones(r) / np.sqrt(r)
+        pairs.append((uniform, _rayleigh(sub, uniform, kind)))
+        raw = rng.uniform(0.1, 1.0, size=(cfg.newton_starts, r))
+        for row in raw:
+            y0 = row / np.linalg.norm(row)
+            pairs.append((y0, _rayleigh(sub, y0, kind)))
+        starts.append(np.array([np.append(y0, lam0) for y0, lam0 in pairs]))
+    owner = np.repeat(np.arange(len(group)), [len(Z0) for Z0 in starts])
+    contract, jacobian = lane_maps(subs, owner)
 
-    def residual(Z: np.ndarray) -> np.ndarray:
-        Y, lam = Z[:, :r], Z[:, r:]
-        core = contract_m1_batch(A_sub, Y)
-        eig_part = core - lam * (Y ** (m - 1) if kind == "H" else Y)
-        return np.hstack([eig_part, np.sum(Y * Y, axis=1, keepdims=True) - 1.0])
+    def residual(Z: np.ndarray, lanes: np.ndarray) -> np.ndarray:
+        Y, lam = Z[..., :r], Z[..., r:]
+        eig_part = contract(Y, lanes) - lam * (Y ** (m - 1) if kind == "H" else Y)
+        return np.concatenate([eig_part, np.sum(Y * Y, axis=-1, keepdims=True) - 1.0], axis=-1)
 
-    def jac(Z: np.ndarray) -> np.ndarray:
+    def jac(Z: np.ndarray, lanes: np.ndarray) -> np.ndarray:
         Y, lam = Z[:, :r], Z[:, r]
         out = np.zeros((Z.shape[0], r + 1, r + 1))
-        out[:, :r, :r] = jacobian_m1_batch(A_sub, Y)
+        out[:, :r, :r] = jacobian(Y, lanes)
         diag = np.arange(r)
         if kind == "H":
             out[:, diag, diag] -= lam[:, None] * (m - 1) * Y ** (m - 2)
@@ -213,34 +221,25 @@ def _newton_support_candidates(
         out[:, r, :r] = 2.0 * Y
         return out
 
-    rng = cfg.substream("eigen", kind, tag)
-    starts: list[tuple[np.ndarray, float]] = list(seeds or [])
-    uniform = np.ones(r) / np.sqrt(r)
-    starts.append((uniform, _rayleigh(A_sub, uniform, kind)))
-    raw = rng.uniform(0.1, 1.0, size=(cfg.newton_starts, r))
-    for row in raw:
-        y0 = row / np.linalg.norm(row)
-        starts.append((y0, _rayleigh(A_sub, y0, kind)))
-
-    Z0 = np.array([np.append(y0, lam0) for y0, lam0 in starts])
-    Z, ok = newton_lanes(residual, jac, Z0, cfg)
+    Z, ok = newton_lanes(residual, jac, np.vstack(starts), cfg)
     Y, lam = Z[:, :r], Z[:, r]
     nrm = np.linalg.norm(Y, axis=1)
     # roots with dust components are boundary solutions of this support;
     # their true (smaller) support enumerates them separately
-    keep = ok & (np.min(Y, axis=1) > cfg.eigen_interior_floor) & (np.abs(nrm - 1.0) <= 1e-6)
-    if not keep.any():
-        return []
-    Y, lam = Y[keep] / nrm[keep, None], lam[keep]
+    lanes = np.flatnonzero(
+        ok & (np.min(Y, axis=1) > cfg.eigen_interior_floor) & (np.abs(nrm - 1.0) <= 1e-6)
+    )
+    Y, lam = Y[lanes] / nrm[lanes, None], lam[lanes]
     if kind == "Z":
-        lam = np.sum(Y * contract_m1_batch(A_sub, Y), axis=1)
-    resid = np.linalg.norm(residual(np.column_stack([Y, lam])), axis=1)
-    found = [
-        (float(l), y)
-        for l, y, good in zip(lam, Y, resid <= 1e-9 * (1.0 + np.abs(lam)))
-        if good
+        lam = np.sum(Y * contract(Y[:, None, :], lanes)[:, 0], axis=1)
+    resid = np.linalg.norm(residual(np.column_stack([Y, lam])[:, None, :], lanes)[:, 0], axis=1)
+    good = resid <= 1e-9 * (1.0 + np.abs(lam))
+    return [
+        _cluster_pairs(
+            [(float(l), y) for l, y in zip(lam[mine], Y[mine])], cfg.cluster_tol
+        )
+        for mine in (good & (owner[lanes] == s) for s in range(len(group)))
     ]
-    return _cluster_pairs(found, cfg.cluster_tol)
 
 
 def _rayleigh(A_sub: Tensor, y: np.ndarray, kind: str) -> float:
@@ -265,35 +264,33 @@ def _cluster_pairs(
     return kept
 
 
-def _support_candidates(
-    A: Tensor, J: tuple[int, ...], kind: str, cfg: RunConfig,
-    seeds: list[tuple[np.ndarray, float]] | None = None,
-) -> list[tuple[float, np.ndarray]]:
-    """Interior (strictly positive, 2-normalized) eigenpairs of A restricted to J."""
-    if len(J) == 1:
-        lam = float(A.data[tuple([J[0]] * A.m)])
-        return [(lam, np.array([1.0]))]
-    sub = principal_subtensor(A, J)
-    if A.m == 2:
-        exact = _matrix_support_candidates(sub.data)
-        if seeds:
-            exact = _cluster_pairs(
-                exact + _newton_support_candidates(sub, kind, cfg, str(J), seeds),
-                cfg.cluster_tol,
-            )
-        return exact
-    return _newton_support_candidates(sub, kind, cfg, str(J), seeds)
-
-
 def _interior_candidates(
     A: Tensor, kind: str, cfg: RunConfig,
     extra_seeds: dict[tuple[int, ...], list[tuple[np.ndarray, float]]] | None = None,
 ) -> dict[tuple[int, ...], list[tuple[float, np.ndarray]]]:
+    """Interior (strictly positive, 2-normalized) eigenpairs of A restricted
+    to every support J, in support order.
+
+    Singletons are closed form and matrices exact (with a Newton run on a
+    seeded support); above order 2 the supports of one size share one
+    Newton lane array.
+    """
     extra_seeds = extra_seeds or {}
-    return {
-        J: _support_candidates(A, J, kind, cfg, extra_seeds.get(J))
-        for J in _supports(A.n)
-    }
+    out: dict[tuple[int, ...], list[tuple[float, np.ndarray]]] = {}
+    for group in supports_by_size(A.n):
+        if len(group[0]) == 1:
+            for J in group:
+                out[J] = [(float(A.data[tuple([J[0]] * A.m)]), np.array([1.0]))]
+        elif A.m == 2:
+            for J in group:
+                exact = _matrix_support_candidates(principal_subtensor(A, J).data)
+                if extra_seeds.get(J):
+                    newton = _newton_candidates(A, [J], kind, cfg, extra_seeds)[0]
+                    exact = _cluster_pairs(exact + newton, cfg.cluster_tol)
+                out[J] = exact
+        else:
+            out.update(zip(group, _newton_candidates(A, group, kind, cfg, extra_seeds)))
+    return out
 
 
 # ---------------------------------------------------------------------------

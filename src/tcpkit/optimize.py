@@ -21,7 +21,23 @@ starting at ``step0``.
 - A lane retires once its step is below ``step_floor``, and its rows leave
   the later batches; every lane stops after ``max_iter`` sweeps.
 
-The Newton iteration (:func:`newton_lanes`) runs on a (B, r) array.
+The Newton iteration (:func:`newton_lanes`) runs on a (B, r) array.  Its
+lanes need not share one system: the residual and Jacobian maps get the
+lane id of every row they evaluate, so the starts of many supports can run
+as one array, each lane solving its own support's system.
+
+- ``res_fn(Z, lanes)`` gets a (k, w, r) block, w points of each of the k
+  lanes ``lanes``: w = 1 for the iterates, and up to 8 trial steps inside
+  the line search.  ``jac_fn(Z, lanes)`` gets the (k, r) iterates of the
+  lanes still running.
+- A map that serves several tensors gathers each lane's tensor once per
+  call, by fancy indexing, and broadcasts it over the w points of the lane
+  (:func:`tcpkit.tensor.lane_maps`).  Fancy indexing gives a C-contiguous
+  stack; a stack of another layout (say, a concatenation of broadcast
+  views) makes einsum pick another inner loop, whose last bits differ from
+  the one-tensor batch kernels.
+
+Each lane follows these rules:
 
 - A lane converges as soon as its residual norm drops below 1e-14.
 - Steps come from one batched linear solve.  A lane whose Jacobian is
@@ -201,31 +217,32 @@ def _newton_steps(Jb: np.ndarray, Rb: np.ndarray) -> np.ndarray:
 
 
 def newton_lanes(
-    res_fn: Callable[[np.ndarray], np.ndarray],
-    jac_fn: Callable[[np.ndarray], np.ndarray],
+    res_fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    jac_fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
     Z0: np.ndarray,
     cfg: RunConfig,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Damped Newton run on B independent starts at once, one lane per row.
 
-    ``res_fn`` maps a (k, r) batch of points to their (k, r) residuals, row
-    by row, and ``jac_fn`` maps the iterates of the lanes still running to
-    their (k, r, r) Jacobians.  Returns the final iterates and a per-lane
-    convergence flag; each lane's result is the one a lone run from its
-    start gives.
+    Both maps get the ids of the lanes they evaluate.  ``res_fn(Z, lanes)``
+    maps a (k, w, d) block, w points of each of the k lanes ``lanes``, to
+    their (k, w, d) residuals, and ``jac_fn(Z, lanes)`` maps the (k, d)
+    iterates of the lanes still running to their (k, d, d) Jacobians.
+    Returns the final iterates and a per-lane convergence flag; each lane's
+    result is the one a lone run from its start gives.
     """
     Z = np.array(Z0, dtype=float, ndmin=2)
-    R = res_fn(Z)
+    live = np.arange(Z.shape[0])
+    R = res_fn(Z[:, None, :], live)[:, 0]
     rnorm = np.linalg.norm(R, axis=1)
     ok = np.zeros(Z.shape[0], dtype=bool)
-    live = np.arange(Z.shape[0])
     for _ in range(cfg.newton_max_iter):
         done = rnorm[live] < 1e-14
         ok[live[done]] = True
         live = live[~done]
         if live.size == 0:
             break
-        dZ = _newton_steps(jac_fn(Z[live]), R[live])
+        dZ = _newton_steps(jac_fn(Z[live], live), R[live])
         finite = np.all(np.isfinite(dZ), axis=1)  # a non-finite lstsq step fails the lane
         live, dZ = live[finite], dZ[finite]
         step_len = np.linalg.norm(dZ, axis=1)
@@ -236,9 +253,8 @@ def newton_lanes(
             # a lane takes the first (largest) t of the block that lowers its residual
             ts = _LINE_SEARCH_T[start : start + width]
             lanes = live[pending]
-            k, w = lanes.size, ts.size
             Z_new = Z[lanes][:, None, :] + ts[None, :, None] * dZ[pending][:, None, :]
-            R_new = res_fn(Z_new.reshape(k * w, -1)).reshape(k, w, -1)
+            R_new = res_fn(Z_new, lanes)
             rnorm_new = np.linalg.norm(R_new, axis=2)
             better = rnorm_new < rnorm[lanes][:, None]
             hit = np.any(better, axis=1)
@@ -269,8 +285,8 @@ def damped_newton(
     """One start of :func:`newton_lanes`, for residual and Jacobian maps of
     a single iterate."""
     Z, ok = newton_lanes(
-        lambda Z: np.array([res_fn(z) for z in Z]),
-        lambda Z: np.array([jac_fn(z) for z in Z]),
+        lambda Z, lanes: np.array([[res_fn(z) for z in block] for block in Z]),
+        lambda Z, lanes: np.array([jac_fn(z) for z in Z]),
         np.asarray(z0, dtype=float)[None, :],
         cfg,
     )

@@ -18,7 +18,7 @@ import numpy as np
 
 from .config import RunConfig, DEFAULT_CONFIG
 from .optimize import minimize_nonneg_sphere
-from .tensor import Tensor, contract_m1_batch, principal_subtensor
+from .tensor import Tensor, contract_m1_batch, principal_subtensor, supports_by_size
 
 __all__ = [
     "BetaResult",
@@ -110,12 +110,7 @@ def _violation_search(A: Tensor, cfg: RunConfig) -> tuple[float, np.ndarray | No
     """
     best_val = np.inf
     best_x: np.ndarray | None = None
-    supports = [
-        J
-        for size in range(1, A.n + 1)
-        for J in itertools.combinations(range(A.n), size)
-    ]
-    for J in supports:
+    for J in itertools.chain.from_iterable(supports_by_size(A.n)):
         sub = principal_subtensor(A, J)
 
         def rows_max(Y: np.ndarray, sub=sub) -> np.ndarray:

@@ -11,7 +11,6 @@ from scratch.
 
 from __future__ import annotations
 
-import itertools
 import warnings
 from dataclasses import dataclass
 
@@ -25,12 +24,12 @@ from .tensor import (
     TensorFormatError,
     as_vector,
     contract_m1,
-    contract_m1_batch,
     jacobian_m1,
-    jacobian_m1_batch,
+    lane_maps,
     pos_part,
     power_component,
     principal_subtensor,
+    supports_by_size,
     tensor_from_dict,
     tensor_to_dict,
 )
@@ -139,43 +138,58 @@ def _make_solution(inst: TcpInstance, x: np.ndarray, method: str, cfg: RunConfig
     return TcpSolution(x=x, w=w, support=support, residuals=record, method=method)
 
 
-def _support_roots(inst: TcpInstance, J: tuple[int, ...], cfg: RunConfig) -> list[np.ndarray]:
-    """Strictly positive roots of the active system A_J y^(m-1) = -q_J."""
+def _linear_root(inst: TcpInstance, J: tuple[int, ...], cfg: RunConfig) -> list[np.ndarray]:
+    """The strictly positive solution of the order-2 active system, if any."""
     sub = principal_subtensor(inst.A, J)
     qJ = inst.q[list(J)]
-    r, m = sub.n, sub.m
-    if m == 2:
-        try:
-            y = np.linalg.solve(sub.data, -qJ)
-        except np.linalg.LinAlgError:
-            y, *_ = np.linalg.lstsq(sub.data, -qJ, rcond=None)
-        if float(np.max(np.abs(sub.data @ y + qJ))) > 1e-9 * (1.0 + float(np.abs(qJ).max(initial=0.0))):
-            return []
-        return [y] if np.min(y) > cfg.positivity_floor else []
-
-    def residual(Y: np.ndarray) -> np.ndarray:
-        return contract_m1_batch(sub, Y) + qJ
-
-    def jac(Y: np.ndarray) -> np.ndarray:
-        return jacobian_m1_batch(sub, Y)
-
-    rng = cfg.substream("tcp", tuple(J))
-    starts = rng.uniform(0.1, 1.0, size=(cfg.tcp_newton_starts, r))
-    heuristic = power_component(pos_part(-qJ), 1.0 / (m - 1))
-    if np.min(heuristic) > 0:
-        starts = np.vstack([heuristic, starts])
-
-    Y, ok = newton_lanes(residual, jac, starts, cfg)
-    Y = Y[ok & (np.min(Y, axis=1) > cfg.positivity_floor)]
-    if Y.shape[0] == 0:
+    try:
+        y = np.linalg.solve(sub.data, -qJ)
+    except np.linalg.LinAlgError:
+        y, *_ = np.linalg.lstsq(sub.data, -qJ, rcond=None)
+    if float(np.max(np.abs(sub.data @ y + qJ))) > 1e-9 * (1.0 + float(np.abs(qJ).max(initial=0.0))):
         return []
-    scale = 1.0 + float(np.abs(qJ).max(initial=0.0))
-    certified = np.linalg.norm(residual(Y), axis=1) <= 1e-9 * scale
-    roots: list[np.ndarray] = []
-    for y in Y[certified]:
-        if any(np.max(np.abs(y - seen)) <= cfg.cluster_tol for seen in roots):
-            continue
-        roots.append(y)
+    return [y] if np.min(y) > cfg.positivity_floor else []
+
+
+def _support_roots(
+    inst: TcpInstance, group: list[tuple[int, ...]], cfg: RunConfig
+) -> list[tuple[tuple[int, ...], np.ndarray]]:
+    """Strictly positive roots of the active systems A_J y^(m-1) = -q_J of
+    the supports J of one size, as (J, y) pairs in support order.
+
+    Above order 2 the starts of every support run as one Newton lane array;
+    each support keeps its own start stream, certificate and clustering.
+    """
+    m = inst.A.m
+    if m == 2:
+        return [(J, y) for J in group for y in _linear_root(inst, J, cfg)]
+    r = len(group[0])
+    Q = np.stack([inst.q[list(J)] for J in group])
+    starts = []
+    for J, qJ in zip(group, Q):
+        rng = cfg.substream("tcp", tuple(J))
+        Y0 = rng.uniform(0.1, 1.0, size=(cfg.tcp_newton_starts, r))
+        heuristic = power_component(pos_part(-qJ), 1.0 / (m - 1))
+        starts.append(np.vstack([heuristic, Y0]) if np.min(heuristic) > 0 else Y0)
+    owner = np.repeat(np.arange(len(group)), [len(Y0) for Y0 in starts])
+    contract, jac = lane_maps([principal_subtensor(inst.A, J) for J in group], owner)
+
+    def residual(Y: np.ndarray, lanes: np.ndarray) -> np.ndarray:
+        return contract(Y, lanes) + Q[owner[lanes]][:, None, :]
+
+    Y, ok = newton_lanes(residual, jac, np.vstack(starts), cfg)
+    lanes = np.flatnonzero(ok & (np.min(Y, axis=1) > cfg.positivity_floor))
+    scale = 1.0 + np.abs(Q).max(axis=1)
+    resid = np.linalg.norm(residual(Y[lanes][:, None, :], lanes)[:, 0], axis=1)
+    lanes = lanes[resid <= 1e-9 * scale[owner[lanes]]]
+    roots: list[tuple[tuple[int, ...], np.ndarray]] = []
+    for s, J in enumerate(group):
+        kept: list[np.ndarray] = []
+        for y in Y[lanes[owner[lanes] == s]]:
+            if any(np.max(np.abs(y - seen)) <= cfg.cluster_tol for seen in kept):
+                continue
+            kept.append(y)
+        roots.extend((J, y) for y in kept)
     return roots
 
 
@@ -198,11 +212,8 @@ def solve_enumeration(inst: TcpInstance, cfg: RunConfig = DEFAULT_CONFIG) -> lis
     zero = _make_solution(inst, np.zeros(n), "enumeration", cfg)
     if zero is not None:
         solutions.append(zero)
-    supports = [
-        J for size in range(1, n + 1) for J in itertools.combinations(range(n), size)
-    ]
-    for J in supports:
-        for y in _support_roots(inst, J, cfg):
+    for group in supports_by_size(n):
+        for J, y in _support_roots(inst, group, cfg):
             x = np.zeros(n)
             x[list(J)] = y
             sol = _make_solution(inst, x, "enumeration", cfg)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -30,6 +30,8 @@ __all__ = [
     "jacobian_m1",
     "jacobian_m1_batch",
     "principal_subtensor",
+    "supports_by_size",
+    "lane_maps",
     "validate_index_set",
     "identity_tensor",
     "diagonal_tensor",
@@ -250,6 +252,63 @@ def principal_subtensor(A: Tensor, J: Iterable[int]) -> Tensor:
     sel = np.array(idx, dtype=int)
     sub = A.data[np.ix_(*([sel] * A.m))]
     return Tensor(sub, symmetric=A.symmetric or None)
+
+
+def supports_by_size(n: int) -> Iterator[list[tuple[int, ...]]]:
+    """The nonempty index subsets of range(n), one list per size from 1 to n,
+    each list in lexicographic order."""
+    for size in range(1, n + 1):
+        yield list(itertools.combinations(range(n), size))
+
+
+def lane_maps(subs: list[Tensor], owner: np.ndarray):
+    """Contraction and Jacobian maps for Newton lanes spread over sub-tensors
+    of one shape, lane ``l`` belonging to ``subs[owner[l]]``.
+
+    ``contract(Y, lanes)`` maps a (k, w, r) block, w points of each of the k
+    lanes ``lanes``, to its (k, w, r) contractions; ``jacobian(Y, lanes)``
+    maps (k, r) points to their (k, r, r) Jacobians.  Each row equals the
+    :func:`contract_m1_batch` / :func:`jacobian_m1_batch` row of its own
+    sub-tensor bit for bit.
+
+    One sub-tensor uses its own batch kernels.  Several are stacked once and
+    gathered per lane by fancy indexing, which gives the C-contiguous layout
+    einsum needs to keep those bits; that holds above order 2 only, since
+    the order-2 batch kernel is a matrix product.
+    """
+    if len(subs) == 1:
+        sub = subs[0]
+
+        def contract(Y: np.ndarray, lanes: np.ndarray) -> np.ndarray:
+            return contract_m1_batch(sub, Y.reshape(-1, sub.n)).reshape(Y.shape)
+
+        def jacobian(Y: np.ndarray, lanes: np.ndarray) -> np.ndarray:
+            return jacobian_m1_batch(sub, Y)
+
+        return contract, jacobian
+
+    T = np.stack([sub.data for sub in subs])
+    m = T.ndim - 1
+    letters = "ijklmnopqr"[:m]
+    csubs = "z" + letters + "," + ",".join("zw" + c for c in letters[1:]) + "->zw" + letters[0]
+    jsubs = [
+        "z" + letters + ","
+        + ",".join("z" + c for c in letters[1:] if c != letters[p])
+        + "->z" + letters[0] + letters[p]
+        for p in range(1, m)
+    ]
+
+    def contract(Y: np.ndarray, lanes: np.ndarray) -> np.ndarray:
+        return np.einsum(csubs, T[owner[lanes]], *([Y] * (m - 1)))
+
+    def jacobian(Y: np.ndarray, lanes: np.ndarray) -> np.ndarray:
+        Tl = T[owner[lanes]]
+        total = np.einsum(jsubs[0], Tl, *([Y] * (m - 2)))
+        for sub in jsubs[1:]:
+            total += np.einsum(sub, Tl, *([Y] * (m - 2)))
+        return total
+
+    return contract, jacobian
 
 
 def identity_tensor(m: int, n: int) -> Tensor:

@@ -2,7 +2,10 @@
 
 Everything here is deliberately naive (nested loops, dense grids, textbook
 pivoting) and shares no code path with the library beyond numpy/scipy
-primitives.
+primitives, except the per-support Newton references at the end: they run
+the library's Newton kernel and batch contractions on one support at a
+time, so the solvers that share one lane array across supports can be
+checked against them bit for bit.
 """
 
 from __future__ import annotations
@@ -11,6 +14,16 @@ import itertools
 
 import numpy as np
 from scipy.linalg import null_space
+
+from tcpkit.optimize import newton_lanes
+from tcpkit.tensor import (
+    contract_m1,
+    contract_m1_batch,
+    jacobian_m1_batch,
+    pos_part,
+    power_component,
+    principal_subtensor,
+)
 
 
 def naive_contract_m1(data: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -250,3 +263,113 @@ def reference_pattern_search(batch_fn, x0, project, step0=0.25, step_floor=1e-9,
         else:
             step *= 0.5
     return fx, x
+
+
+# ---------------------------------------------------------------------------
+# per-support Newton references
+# ---------------------------------------------------------------------------
+
+
+def rows_map(batch_fn):
+    """A (B, d) -> (B, d) batch map as a Newton lane map of (k, w, d) blocks."""
+    return lambda Z, lanes: batch_fn(Z.reshape(-1, Z.shape[-1])).reshape(Z.shape)
+
+
+def reference_support_roots(inst, J, cfg):
+    """Strictly positive roots of A_J y^(m-1) = -q_J at order m >= 3: the
+    starts of this one support, Newton, certificate and clustering."""
+    sub = principal_subtensor(inst.A, J)
+    qJ = inst.q[list(J)]
+    r, m = sub.n, sub.m
+
+    def residual(Y):
+        return contract_m1_batch(sub, Y) + qJ
+
+    rng = cfg.substream("tcp", tuple(J))
+    starts = rng.uniform(0.1, 1.0, size=(cfg.tcp_newton_starts, r))
+    heuristic = power_component(pos_part(-qJ), 1.0 / (m - 1))
+    if np.min(heuristic) > 0:
+        starts = np.vstack([heuristic, starts])
+    Y, ok = newton_lanes(
+        rows_map(residual), lambda Y, lanes: jacobian_m1_batch(sub, Y), starts, cfg
+    )
+    Y = Y[ok & (np.min(Y, axis=1) > cfg.positivity_floor)]
+    if Y.shape[0] == 0:
+        return []
+    scale = 1.0 + float(np.abs(qJ).max(initial=0.0))
+    certified = np.linalg.norm(residual(Y), axis=1) <= 1e-9 * scale
+    roots = []
+    for y in Y[certified]:
+        if any(np.max(np.abs(y - seen)) <= cfg.cluster_tol for seen in roots):
+            continue
+        roots.append(y)
+    return roots
+
+
+def _rayleigh(sub, y, kind):
+    core = contract_m1(sub, y)
+    if kind == "H":
+        denom = float(np.sum(y**sub.m))
+        return float(y @ core) / denom if denom > 0 else 0.0
+    return float(y @ core)
+
+
+def reference_eigen_candidates(sub, kind, cfg, tag, seeds=None):
+    """Interior eigenpairs (lam, y) of one sub-tensor, ||y||_2 = 1, from
+    multistart Newton on the H or Z system of this one support: seeds, the
+    uniform vector and ``cfg.newton_starts`` random starts; strict
+    positivity, certificate and clustering afterwards."""
+    r, m = sub.n, sub.m
+
+    def residual(Z):
+        Y, lam = Z[:, :r], Z[:, r:]
+        core = contract_m1_batch(sub, Y)
+        eig_part = core - lam * (Y ** (m - 1) if kind == "H" else Y)
+        return np.hstack([eig_part, np.sum(Y * Y, axis=1, keepdims=True) - 1.0])
+
+    def jac(Z, lanes):
+        Y, lam = Z[:, :r], Z[:, r]
+        out = np.zeros((Z.shape[0], r + 1, r + 1))
+        out[:, :r, :r] = jacobian_m1_batch(sub, Y)
+        diag = np.arange(r)
+        if kind == "H":
+            out[:, diag, diag] -= lam[:, None] * (m - 1) * Y ** (m - 2)
+            out[:, :r, r] = -(Y ** (m - 1))
+        else:
+            out[:, diag, diag] -= lam[:, None]
+            out[:, :r, r] = -Y
+        out[:, r, :r] = 2.0 * Y
+        return out
+
+    rng = cfg.substream("eigen", kind, tag)
+    starts = list(seeds or [])
+    uniform = np.ones(r) / np.sqrt(r)
+    starts.append((uniform, _rayleigh(sub, uniform, kind)))
+    for row in rng.uniform(0.1, 1.0, size=(cfg.newton_starts, r)):
+        y0 = row / np.linalg.norm(row)
+        starts.append((y0, _rayleigh(sub, y0, kind)))
+
+    Z0 = np.array([np.append(y0, lam0) for y0, lam0 in starts])
+    Z, ok = newton_lanes(rows_map(residual), jac, Z0, cfg)
+    Y, lam = Z[:, :r], Z[:, r]
+    nrm = np.linalg.norm(Y, axis=1)
+    keep = ok & (np.min(Y, axis=1) > cfg.eigen_interior_floor) & (np.abs(nrm - 1.0) <= 1e-6)
+    if not keep.any():
+        return []
+    Y, lam = Y[keep] / nrm[keep, None], lam[keep]
+    if kind == "Z":
+        lam = np.sum(Y * contract_m1_batch(sub, Y), axis=1)
+    resid = np.linalg.norm(residual(np.column_stack([Y, lam])), axis=1)
+    found = [
+        (float(l), y)
+        for l, y, good in zip(lam, Y, resid <= 1e-9 * (1.0 + np.abs(lam)))
+        if good
+    ]
+    found.sort(key=lambda p: (p[0], tuple(p[1])))
+    kept = []
+    for l, y in found:
+        if any(abs(l - l2) <= cfg.cluster_tol and np.max(np.abs(y - y2)) <= cfg.cluster_tol
+               for l2, y2 in kept):
+            continue
+        kept.append((l, y))
+    return kept

@@ -1,17 +1,31 @@
 """The lane-masked Newton and pattern-search kernels against
-one-start-at-a-time references."""
+one-start-at-a-time references, and the solvers that run every support of
+one size as one lane array against one-support-at-a-time references."""
 
 import math
 
 import numpy as np
 import pytest
 
-from tcpkit import RunConfig, Tensor, beta, estimate_norm, symmetrize
-from tcpkit import eigen, operators, optimize
+from tcpkit import RunConfig, TcpInstance, Tensor, beta, estimate_norm, symmetrize
+from tcpkit import eigen, operators, optimize, tcp
 from tcpkit.optimize import damped_newton, minimize_nonneg_sphere, newton_lanes, pattern_search_min
-from tcpkit.tensor import contract_m1_batch, jacobian_m1, jacobian_m1_batch
+from tcpkit.tensor import (
+    contract_m1_batch,
+    jacobian_m1,
+    jacobian_m1_batch,
+    lane_maps,
+    principal_subtensor,
+    supports_by_size,
+)
 
-from oracles import reference_newton, reference_pattern_search
+from oracles import (
+    reference_eigen_candidates,
+    reference_newton,
+    reference_pattern_search,
+    reference_support_roots,
+    rows_map,
+)
 
 CFG = RunConfig()
 
@@ -21,8 +35,13 @@ def one_row(batch_fn):
     return lambda z: batch_fn(z[None, :])[0]
 
 
+def lane_fns(res_fn, jac_fn):
+    """Batch maps of (B, d) rows as Newton lane maps."""
+    return rows_map(res_fn), lambda Z, ids: jac_fn(Z)
+
+
 def assert_lanes_match_reference(res_fn, jac_fn, Z0):
-    Z, ok = newton_lanes(res_fn, jac_fn, Z0, CFG)
+    Z, ok = newton_lanes(*lane_fns(res_fn, jac_fn), Z0, CFG)
     assert Z.shape == np.shape(Z0) and ok.shape == (len(Z0),)
     for z0, z, flag in zip(Z0, Z, ok):
         z_ref, ok_ref = reference_newton(one_row(res_fn), one_row(jac_fn), z0)
@@ -76,7 +95,7 @@ def test_non_finite_step_fails_only_its_lane():
     Z0 = np.array([[1e-160], [2.0], [-3.0]])  # Jacobian 3e-320: the step overflows
     ok = assert_lanes_match_reference(res_fn, jac_fn, Z0)
     assert not ok[0] and ok[1]
-    Z, _ = newton_lanes(res_fn, jac_fn, Z0, CFG)
+    Z, _ = newton_lanes(*lane_fns(res_fn, jac_fn), Z0, CFG)
     assert Z[0, 0] == 1e-160  # a failed lane keeps its last iterate
 
 
@@ -84,7 +103,7 @@ def test_single_lane_and_damped_newton_agree_with_reference():
     res_fn, jac_fn, starts = tensor_system(3, 3, seed=9)
     for z0 in starts[:6]:
         z_ref, ok_ref = reference_newton(one_row(res_fn), one_row(jac_fn), z0)
-        Z, ok = newton_lanes(res_fn, jac_fn, z0[None, :], CFG)
+        Z, ok = newton_lanes(*lane_fns(res_fn, jac_fn), z0[None, :], CFG)
         z, flag = damped_newton(one_row(res_fn), one_row(jac_fn), z0, CFG)
         assert bool(ok[0]) == flag == ok_ref and isinstance(flag, bool)
         np.testing.assert_array_equal(Z[0], z)
@@ -99,7 +118,7 @@ def test_line_search_tries_every_halving_in_blocks():
         rows.append(len(Z))
         return res_fn(Z)
 
-    _, ok = newton_lanes(counted, jac_fn, np.array([[0.0]]), CFG)
+    _, ok = newton_lanes(*lane_fns(counted, jac_fn), np.array([[0.0]]), CFG)
     # the start, then t = 1 alone and t = 1/2 .. 2^-39 eight at a time
     assert rows == [1, 1, 8, 8, 8, 8, 7] and not ok[0]
 
@@ -112,7 +131,7 @@ def test_jacobians_are_taken_on_running_lanes_only():
         sizes.append(len(Y))
         return jac_fn(Y)
 
-    newton_lanes(res_fn, counted, starts, CFG)
+    newton_lanes(*lane_fns(res_fn, counted), starts, CFG)
     assert sizes[0] == len(starts) and sizes[-1] < len(starts)
     assert sizes == sorted(sizes, reverse=True)
 
@@ -311,3 +330,117 @@ def test_default_config_batches_stay_below_einsum_path_planning(searches, n):
     eigen._variational_seed(symmetrize(A), "H", cfg)
     assert searches
     assert max(max(c["rows"]) for c in searches) < 1000
+
+
+# ---------------------------------------------------------------------------
+# supports of one size as one lane array
+# ---------------------------------------------------------------------------
+
+
+def test_supports_by_size_groups_the_nonempty_subsets():
+    groups = list(supports_by_size(4))
+    assert [len(g) for g in groups] == [4, 6, 4, 1]
+    assert all(len(J) == size for size, g in enumerate(groups, 1) for J in g)
+    assert groups[1] == [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+
+
+@pytest.mark.parametrize("m", [3, 4])
+@pytest.mark.parametrize("r", range(1, 7))
+def test_gathered_rows_equal_per_support_kernel_rows(m, r):
+    rng = np.random.default_rng([21, m, r])
+    subs = [Tensor(rng.uniform(-1.0, 1.0, size=(r,) * m)) for _ in range(3)]
+    owner = np.array([0, 2, 1, 2, 0, 1, 1])
+    contract, jacobian = lane_maps(subs, owner)
+    lanes = np.array([1, 2, 4, 5, 6])  # lanes of every sub-tensor, not all lanes
+    for w in (1, 8):
+        Z = rng.uniform(-1.0, 1.0, size=(lanes.size, w, r + 1))
+        for Y in (Z[..., :r], np.ascontiguousarray(Z[..., :r])):  # a residual slice, or whole
+            got = contract(Y, lanes)
+            for i, lane in enumerate(lanes):
+                np.testing.assert_array_equal(got[i], contract_m1_batch(subs[owner[lane]], Y[i]))
+    Y = rng.uniform(-1.0, 1.0, size=(lanes.size, r))
+    got = jacobian(Y, lanes)
+    for i, lane in enumerate(lanes):
+        np.testing.assert_array_equal(got[i], jacobian_m1_batch(subs[owner[lane]], Y[i : i + 1])[0])
+
+
+def test_maps_get_the_lane_id_of_every_row():
+    # lane l solves z^3 = c_l; a row evaluated under a wrong id heads for another root
+    c = np.array([[1.0], [8.0], [-27.0], [0.0], [5.0]])
+    Z0 = np.array([[2.0], [1.0], [-1.0], [0.5], [3.0]])
+    calls = []
+
+    def res_fn(Z, ids):
+        calls.append(("res", Z.copy(), ids.copy()))
+        return Z**3 - c[ids][:, None, :]
+
+    def jac_fn(Z, ids):
+        calls.append(("jac", Z.copy(), ids.copy()))
+        return (3.0 * Z**2)[:, :, None]
+
+    Z, ok = newton_lanes(res_fn, jac_fn, Z0, CFG)
+    assert calls[0][0] == "res" and calls[0][2].tolist() == list(range(5))
+    for kind, Zc, ids in calls:
+        assert ids.ndim == 1 and len(Zc) == len(ids)
+        assert np.all(np.diff(ids) > 0) and set(ids) <= set(range(5))
+    assert ok[[0, 1, 2, 4]].all()
+    for lane in range(5):  # a lone run with the lane's own target
+        z, flag = damped_newton(lambda z: z**3 - c[lane], lambda z: 3.0 * z[:, None] ** 2,
+                                Z0[lane], CFG)
+        assert flag == ok[lane]
+        np.testing.assert_array_equal(Z[lane], z)
+
+
+def tcp_instance(m, n, seed, planted):
+    """Diagonally dominant, not symmetric; a planted q gives the full
+    support a positive root, a random q ~ U(-2, 1) has mixed signs."""
+    rng = np.random.default_rng([seed, m, n])
+    data = rng.uniform(-1.0, 1.0, size=(n,) * m)
+    idx = np.arange(n)
+    data[tuple([idx] * m)] = np.abs(data).reshape(n, -1).sum(axis=1) + 0.5
+    A = Tensor(data)
+    if planted:
+        q = -contract_m1_batch(A, rng.uniform(0.2, 1.0, size=(1, n)))[0]
+    else:
+        q = rng.uniform(-2.0, 1.0, size=n)
+    return TcpInstance(A, q)
+
+
+@pytest.mark.parametrize("m", [3, 4])
+@pytest.mark.parametrize("planted", [True, False])
+def test_grouped_tcp_roots_equal_per_support_reference(m, planted):
+    found = 0
+    for n in range(2, 7):
+        inst = tcp_instance(m, n, 11, planted)
+        for group in supports_by_size(n):
+            got = tcp._support_roots(inst, group, CFG)
+            want = [(J, y) for J in group for y in reference_support_roots(inst, J, CFG)]
+            assert [J for J, _ in got] == [J for J, _ in want]
+            for (_, y), (_, y_ref) in zip(got, want):
+                np.testing.assert_array_equal(y, y_ref)
+            found += len(got)
+    assert found
+
+
+@pytest.mark.parametrize("m", [3, 4])
+@pytest.mark.parametrize("kind", ["H", "Z"])
+def test_grouped_eigen_candidates_equal_per_support_reference(m, kind):
+    cfg = RunConfig(newton_starts=12)
+    seeded = 0
+    for n in range(2, 6):
+        for A in (mixed_tensor(m, n, 12), symmetrize(mixed_tensor(m, n, 13))):
+            seeds = eigen._variational_seed(A, kind, SMALL)
+            got = eigen._interior_candidates(A, kind, cfg, seeds)
+            assert list(got) == [J for g in supports_by_size(n) for J in g]
+            for J, cands in got.items():
+                if len(J) == 1:
+                    continue
+                seeded += J in seeds and len(J) < n  # seeded, and not alone in its group
+                want = reference_eigen_candidates(
+                    principal_subtensor(A, J), kind, cfg, str(J), seeds.get(J)
+                )
+                assert len(cands) == len(want)
+                for (lam, y), (lam_ref, y_ref) in zip(cands, want):
+                    assert lam == lam_ref
+                    np.testing.assert_array_equal(y, y_ref)
+    assert seeded  # a variational seed rode along in some support's starts

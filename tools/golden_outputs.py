@@ -7,9 +7,10 @@ this file.  It writes the input tensors and instances it makes, then runs
 the CLI in-process on them and writes one file per command with its
 standard output, plus standard error and the exit code when the command
 fails.  The commands are ``classify``, ``beta`` and ``norms`` on a fixed
-list of m2-4, n2-6 tensors, every ``eigen`` kind on m3/m4, n3/n4 tensors,
-``solve`` by both methods, and ``verify-bounds`` (with its full report) for
-every family at m3/m4, n3/n4 (order 2 for ``matrix_m2``).  Every input is
+list of m2-4, n2-6 tensors; every ``eigen`` kind on m3/m4, n3/n4 tensors,
+and ``h_plus`` and ``pareto_h`` on m3 n5 ones; ``solve`` by both methods at
+m3/m4, n3-n6; and ``verify-bounds`` (with its full report) for every family
+at m3/m4, n3/n4 (order 2 for ``matrix_m2``).  Every input is
 drawn from a fixed seed, so two checkouts whose outputs agree give
 directories that ``diff -r`` finds equal.
 """
@@ -38,7 +39,13 @@ from tcpkit.bounds import GENERATOR_FAMILIES  # noqa: E402
 from tcpkit.cli import EIGEN_CLI_KINDS, main as cli_main  # noqa: E402
 
 SHAPES = [(2, 2), (2, 5), (3, 2), (3, 3), (3, 4), (3, 5), (3, 6), (4, 2), (4, 3), (4, 4), (4, 5), (4, 6)]
-EIGEN_SHAPES = [(3, 3), (3, 4), (4, 3), (4, 4)]
+# the eigen kinds run at each shape that ``solve`` runs at; n5/n6 give large
+# groups of supports of one size
+SOLVE_SHAPES = {
+    (3, 3): EIGEN_CLI_KINDS, (3, 4): EIGEN_CLI_KINDS,
+    (4, 3): EIGEN_CLI_KINDS, (4, 4): EIGEN_CLI_KINDS,
+    (3, 5): ("h_plus", "pareto_h"), (3, 6): (), (4, 5): (), (4, 6): (),
+}
 BOUND_SHAPES = [(3, 3), (3, 4), (4, 3), (4, 4)]
 BOUND_COUNT = 2
 
@@ -88,10 +95,10 @@ def commands() -> list[tuple[str, list[str]]]:
             write_json(f"{name}.tensor.json", draw(rng, m, n, kind))
             for cmd in ("classify", "beta", "norms"):
                 out.append((f"{cmd}_{name}", [cmd, f"{name}.tensor.json"]))
-    for m, n in EIGEN_SHAPES:
+    for (m, n), eigen_kinds in SOLVE_SHAPES.items():
         for kind in ("shifted", "symmetric"):
             name = f"m{m}n{n}_{kind}"
-            for eig in EIGEN_CLI_KINDS:
+            for eig in eigen_kinds:
                 out.append((f"eigen_{eig}_{name}", ["eigen", f"{name}.tensor.json", "--kind", eig]))
             q = np.round(rng.uniform(-2.0, 1.0, size=n), 6)
             with open(f"{name}.tensor.json", encoding="utf-8") as fh:
