@@ -15,10 +15,7 @@ from .tensor import (
     principal_subtensor,
     identity_tensor,
     diagonal_tensor,
-    zero_tensor,
     symmetrize,
-    e_apply,
-    e_tensor,
     pos_part,
     power_component,
     tensor_from_dict,

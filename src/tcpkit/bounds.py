@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import json
 import math
-import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -76,11 +75,6 @@ class GeneratorSpec:
             raise ValueError("need m >= 2 and n >= 1")
 
 
-def _spec_rng(spec: GeneratorSpec, *tags: object) -> np.random.Generator:
-    label = "/".join(str(t) for t in (spec.family, spec.m, spec.n, *tags))
-    return np.random.default_rng([spec.seed & 0xFFFFFFFFFFFFFFFF, zlib.crc32(label.encode())])
-
-
 def _draw_tensor(spec: GeneratorSpec, rng: np.random.Generator) -> Tensor:
     m, n, params = spec.m, spec.n, spec.parameters
     margin = float(params.get("margin", 0.5))
@@ -118,7 +112,9 @@ def _generate_gated(
     spec: GeneratorSpec, instance_index: int, cfg: RunConfig
 ) -> tuple[Tensor, Classification]:
     for attempt in range(100):
-        rng = _spec_rng(spec, "tensor", instance_index, attempt)
+        rng = RunConfig(seed=spec.seed).substream(
+            spec.family, spec.m, spec.n, "tensor", instance_index, attempt
+        )
         A = _draw_tensor(spec, rng)
         cls = classify(A, cfg)
         if cls.verdict == STRICTLY_SEMI_POSITIVE:
@@ -444,7 +440,7 @@ def verify_bounds(
     reports: list[BoundsReport] = []
     for k in range(count):
         A, cls = _generate_gated(spec, k, cfg)
-        rng = _spec_rng(spec, "q", k)
+        rng = RunConfig(seed=spec.seed).substream(spec.family, spec.m, spec.n, "q", k)
         q_low, q_high = spec.parameters.get("q_range", (-2.0, 1.0))
         if k % 10 == 9:
             q = rng.uniform(0.0, 1.0, size=spec.n)

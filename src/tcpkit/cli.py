@@ -23,7 +23,7 @@ from .bounds import (
     verify_bounds,
 )
 from .config import RunConfig
-from .eigen import spectrum
+from .eigen import _SPECTRUM, spectrum
 from .operators import OP_ROOT, OP_SCALED, estimate_norm
 from .semipositive import beta as compute_beta
 from .semipositive import classify
@@ -35,16 +35,7 @@ EXIT_BAD_INPUT = 2
 EXIT_NO_CONVERGENCE = 3
 EXIT_BOUND_VIOLATION = 4
 
-EIGEN_CLI_KINDS = (
-    "h_plus",
-    "h_plusplus",
-    "z_plus",
-    "z_plusplus",
-    "pareto_h",
-    "pareto_z",
-    "delta_h_plus",
-    "delta_z_plus",
-)
+EIGEN_CLI_KINDS = tuple(_SPECTRUM)  # every kind that ``spectrum`` accepts
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:

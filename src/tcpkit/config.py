@@ -9,7 +9,7 @@ which order tasks execute.
 from __future__ import annotations
 
 import zlib
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -58,9 +58,6 @@ class RunConfig:
         return np.random.default_rng(
             [self.seed & 0xFFFFFFFFFFFFFFFF, zlib.crc32(label.encode("utf-8"))]
         )
-
-    def with_overrides(self, **kwargs) -> "RunConfig":
-        return replace(self, **kwargs)
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -1,12 +1,22 @@
 """Eigenpair enumeration over the nonnegative orthant.
 
-Four eigenpair variants are enumerated by support: a vector carried by a
-support J is strictly positive there, so candidates come from solving the
-eigen system of the principal sub-tensor on J with a strictly positive
-unknown, then zero-extending and checking the remaining rows.  Equality
-off the support gives the orthant-constrained eigenpairs (``h_plus`` /
-``z_plus`` and their interior ``*plusplus`` restrictions); a one-sided
-inequality gives the Pareto variants.
+Every variant is one enumeration by support (:func:`_enumerate`): a vector
+carried by a support J is strictly positive there, so candidates come from
+solving the eigen system of the principal sub-tensor on J with a strictly
+positive unknown, then zero-extending and checking the remaining rows.
+Two switches pick the variant:
+
+- the system: ``"H"`` solves ``A x^(m-1) = lam x^[m-1]`` and scales its
+  records to ``max|x| = 1``; ``"Z"`` solves ``A x^(m-1) = lam x`` with
+  ``||x||_2 = 1`` (``_SYSTEMS`` names each system's record kinds and
+  normalization);
+- ``pareto``: equality off the support gives the orthant eigenpairs
+  (``h_plus`` / ``z_plus``), a one-sided inequality the Pareto variants.
+
+``*plusplus`` keeps the orthant records of full support, and ``delta_*``
+takes the least interior eigenvalue of every principal sub-tensor.
+:func:`spectrum` reads one table from each kind to its function and the
+summary field of its minimum.
 
 Per-support solving is exact for matrices (dense eigensolver plus a small
 LP that finds a strictly positive eigenvector when one exists) and closed
@@ -20,14 +30,16 @@ minimum — the quantity downstream bounds divide by — reliable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.optimize import linprog
 
 from .config import RunConfig, DEFAULT_CONFIG
 # damped_newton is unused here but stays bound: perfbench's tracer expects it
-from .optimize import damped_newton, minimize_nonneg_sphere, newton_lanes  # noqa: F401
+from .optimize import (  # noqa: F401
+    damped_newton, first_of_clusters, minimize_nonneg_sphere, newton_lanes,
+)
 from .tensor import (
     Tensor,
     contract_m1,
@@ -54,14 +66,11 @@ __all__ = [
     "EIGEN_KINDS",
 ]
 
-EIGEN_KINDS = (
-    "h_plus",
-    "h_plusplus",
-    "z_plus",
-    "z_plusplus",
-    "pareto_h",
-    "pareto_z",
-)
+# system -> (orthant record kind, Pareto record kind, record normalization)
+_SYSTEMS = {
+    "H": ("h_plus", "pareto_h", "max_abs=1"),
+    "Z": ("z_plus", "pareto_z", "two_norm=1"),
+}
 
 
 @dataclass
@@ -178,7 +187,7 @@ def _matrix_support_candidates(M: np.ndarray) -> list[tuple[float, np.ndarray]]:
 
 
 def _newton_candidates(
-    A: Tensor, group: list[tuple[int, ...]], kind: str, cfg: RunConfig,
+    A: Tensor, group: list[tuple[int, ...]], system: str, cfg: RunConfig,
     seeds: dict[tuple[int, ...], list[tuple[np.ndarray, float]]],
 ) -> list[list[tuple[float, np.ndarray]]]:
     """Multi-start damped Newton on the support systems of one size, every
@@ -190,21 +199,21 @@ def _newton_candidates(
     subs = [principal_subtensor(A, J) for J in group]
     starts = []
     for J, sub in zip(group, subs):
-        rng = cfg.substream("eigen", kind, str(J))
+        rng = cfg.substream("eigen", system, str(J))
         pairs = list(seeds.get(J, []))
         uniform = np.ones(r) / np.sqrt(r)
-        pairs.append((uniform, _rayleigh(sub, uniform, kind)))
+        pairs.append((uniform, _rayleigh(sub, uniform, system)))
         raw = rng.uniform(0.1, 1.0, size=(cfg.newton_starts, r))
         for row in raw:
             y0 = row / np.linalg.norm(row)
-            pairs.append((y0, _rayleigh(sub, y0, kind)))
+            pairs.append((y0, _rayleigh(sub, y0, system)))
         starts.append(np.array([np.append(y0, lam0) for y0, lam0 in pairs]))
     owner = np.repeat(np.arange(len(group)), [len(Z0) for Z0 in starts])
     contract, jacobian = lane_maps(subs, owner)
 
     def residual(Z: np.ndarray, lanes: np.ndarray) -> np.ndarray:
         Y, lam = Z[..., :r], Z[..., r:]
-        eig_part = contract(Y, lanes) - lam * (Y ** (m - 1) if kind == "H" else Y)
+        eig_part = contract(Y, lanes) - lam * _rhs(system, Y, m)
         return np.concatenate([eig_part, np.sum(Y * Y, axis=-1, keepdims=True) - 1.0], axis=-1)
 
     def jac(Z: np.ndarray, lanes: np.ndarray) -> np.ndarray:
@@ -212,7 +221,7 @@ def _newton_candidates(
         out = np.zeros((Z.shape[0], r + 1, r + 1))
         out[:, :r, :r] = jacobian(Y, lanes)
         diag = np.arange(r)
-        if kind == "H":
+        if system == "H":
             out[:, diag, diag] -= lam[:, None] * (m - 1) * Y ** (m - 2)
             out[:, :r, r] = -(Y ** (m - 1))
         else:
@@ -230,7 +239,7 @@ def _newton_candidates(
         ok & (np.min(Y, axis=1) > cfg.eigen_interior_floor) & (np.abs(nrm - 1.0) <= 1e-6)
     )
     Y, lam = Y[lanes] / nrm[lanes, None], lam[lanes]
-    if kind == "Z":
+    if system == "Z":
         lam = np.sum(Y * contract(Y[:, None, :], lanes)[:, 0], axis=1)
     resid = np.linalg.norm(residual(np.column_stack([Y, lam])[:, None, :], lanes)[:, 0], axis=1)
     good = resid <= 1e-9 * (1.0 + np.abs(lam))
@@ -242,9 +251,14 @@ def _newton_candidates(
     ]
 
 
-def _rayleigh(A_sub: Tensor, y: np.ndarray, kind: str) -> float:
+def _rhs(system: str, x: np.ndarray, m: int) -> np.ndarray:
+    """What lam scales in the eigen system: x^[m-1] for H, x for Z."""
+    return x ** (m - 1) if system == "H" else x
+
+
+def _rayleigh(A_sub: Tensor, y: np.ndarray, system: str) -> float:
     core = contract_m1(A_sub, y)
-    if kind == "H":
+    if system == "H":
         denom = float(np.sum(y**A_sub.m))
         return float(y @ core) / denom if denom > 0 else 0.0
     return float(y @ core)
@@ -254,18 +268,11 @@ def _cluster_pairs(
     pairs: list[tuple[float, np.ndarray]], tol: float
 ) -> list[tuple[float, np.ndarray]]:
     pairs = sorted(pairs, key=lambda p: (p[0], tuple(p[1])))
-    kept: list[tuple[float, np.ndarray]] = []
-    for lam, y in pairs:
-        if any(
-            abs(lam - l2) <= tol and np.max(np.abs(y - y2)) <= tol for l2, y2 in kept
-        ):
-            continue
-        kept.append((lam, y))
-    return kept
+    return [pairs[i] for i in first_of_clusters([np.append(l, y) for l, y in pairs], tol)]
 
 
 def _interior_candidates(
-    A: Tensor, kind: str, cfg: RunConfig,
+    A: Tensor, system: str, cfg: RunConfig,
     extra_seeds: dict[tuple[int, ...], list[tuple[np.ndarray, float]]] | None = None,
 ) -> dict[tuple[int, ...], list[tuple[float, np.ndarray]]]:
     """Interior (strictly positive, 2-normalized) eigenpairs of A restricted
@@ -285,11 +292,11 @@ def _interior_candidates(
             for J in group:
                 exact = _matrix_support_candidates(principal_subtensor(A, J).data)
                 if extra_seeds.get(J):
-                    newton = _newton_candidates(A, [J], kind, cfg, extra_seeds)[0]
+                    newton = _newton_candidates(A, [J], system, cfg, extra_seeds)[0]
                     exact = _cluster_pairs(exact + newton, cfg.cluster_tol)
                 out[J] = exact
         else:
-            out.update(zip(group, _newton_candidates(A, group, kind, cfg, extra_seeds)))
+            out.update(zip(group, _newton_candidates(A, group, system, cfg, extra_seeds)))
     return out
 
 
@@ -304,69 +311,41 @@ def _embed(y: np.ndarray, J: tuple[int, ...], n: int) -> np.ndarray:
     return x
 
 
-def _verify_h(
+def _verify(
     A: Tensor, J: tuple[int, ...], lam: float, y: np.ndarray,
-    pareto: bool, cfg: RunConfig,
+    system: str, pareto: bool, cfg: RunConfig,
 ) -> EigenRecord | None:
     x = _embed(y, J, A.n)
-    x = x / float(np.max(np.abs(x)))
+    if system == "H":
+        x = x / float(np.max(np.abs(x)))
+        mass = float(np.sum(x**A.m))
+    else:
+        x = x / float(np.linalg.norm(x))
+        mass = 1.0  # ||x||_2 = 1 makes the Pareto scaling factor 1
     rows = contract_m1(A, x)
-    target = lam * x ** (A.m - 1)
-    gap = rows - target
+    gap = rows - lam * _rhs(system, x, A.m)
     in_res = float(np.max(np.abs(gap[list(J)])))
     off = [i for i in range(A.n) if i not in J]
     if pareto:
         off_violation = float(max(0.0, -np.min(gap[off]))) if off else 0.0
-        value_gap = abs(float(x @ rows) - lam * float(np.sum(x**A.m)))
+        value_gap = abs(float(x @ rows) - lam * mass)
         residual = max(in_res, off_violation, value_gap)
     else:
         residual = float(np.max(np.abs(gap))) if off else in_res
     if residual > cfg.residual_tol:
         return None
+    orthant, pareto_kind, normalization = _SYSTEMS[system]
     return EigenRecord(
-        kind="pareto_h" if pareto else "h_plus",
+        kind=pareto_kind if pareto else orthant,
         value=lam, vector=x, support=J, residual=residual,
-        normalization="max_abs=1",
-    )
-
-
-def _verify_z(
-    A: Tensor, J: tuple[int, ...], lam: float, y: np.ndarray,
-    pareto: bool, cfg: RunConfig,
-) -> EigenRecord | None:
-    x = _embed(y, J, A.n)
-    x = x / float(np.linalg.norm(x))
-    rows = contract_m1(A, x)
-    gap = rows - lam * x  # ||x||_2 = 1 makes the Pareto scaling factor 1
-    in_res = float(np.max(np.abs(gap[list(J)])))
-    off = [i for i in range(A.n) if i not in J]
-    if pareto:
-        off_violation = float(max(0.0, -np.min(gap[off]))) if off else 0.0
-        value_gap = abs(float(x @ rows) - lam)
-        residual = max(in_res, off_violation, value_gap)
-    else:
-        residual = float(np.max(np.abs(gap))) if off else in_res
-    if residual > cfg.residual_tol:
-        return None
-    return EigenRecord(
-        kind="pareto_z" if pareto else "z_plus",
-        value=lam, vector=x, support=J, residual=residual,
-        normalization="two_norm=1",
+        normalization=normalization,
     )
 
 
 def _dedupe_records(records: list[EigenRecord], tol: float) -> list[EigenRecord]:
     records = sorted(records, key=lambda r: (r.value, r.support, tuple(r.vector)))
-    kept: list[EigenRecord] = []
-    for rec in records:
-        if any(
-            abs(rec.value - k.value) <= tol
-            and np.max(np.abs(rec.vector - k.vector)) <= tol
-            for k in kept
-        ):
-            continue
-        kept.append(rec)
-    return kept
+    rows = [np.append(r.value, r.vector) for r in records]
+    return [records[i] for i in first_of_clusters(rows, tol)]
 
 
 def _completeness(A: Tensor) -> str:
@@ -385,20 +364,20 @@ def _completeness(A: Tensor) -> str:
 
 
 def _variational_seed(
-    A: Tensor, kind: str, cfg: RunConfig
+    A: Tensor, system: str, cfg: RunConfig
 ) -> dict[tuple[int, ...], list[tuple[np.ndarray, float]]]:
     if not A.symmetric:
         return {}
 
     def ratio(X: np.ndarray) -> np.ndarray:
         num = np.sum(X * contract_m1_batch(A, X), axis=1)
-        if kind == "H":
+        if system == "H":
             den = np.sum(X**A.m, axis=1)
         else:
             den = np.sum(X**2, axis=1) ** (A.m / 2.0)
         return num / den
 
-    res = minimize_nonneg_sphere(ratio, A.n, cfg, f"pareto_seed_{kind}")
+    res = minimize_nonneg_sphere(ratio, A.n, cfg, f"pareto_seed_{system}")
     x = res.argmin
     J = tuple(i for i in range(A.n) if x[i] > 1e-7)
     if not J:
@@ -409,102 +388,79 @@ def _variational_seed(
 
 
 # ---------------------------------------------------------------------------
-# public enumeration operations
+# the one enumeration and the public operations built on it
 # ---------------------------------------------------------------------------
+
+
+def _enumerate(A: Tensor, system: str, pareto: bool, cfg: RunConfig) -> list[EigenRecord]:
+    """Certified records of one system: interior candidates of every support
+    (variationally seeded for the Pareto variant), zero-extended, checked
+    off the support by equality (orthant) or one-sided (Pareto), deduped."""
+    seeds = _variational_seed(A, system, cfg) if pareto else None
+    found = (
+        _verify(A, J, lam, y, system, pareto, cfg)
+        for J, cands in _interior_candidates(A, system, cfg, seeds).items()
+        for lam, y in cands
+    )
+    return _dedupe_records([rec for rec in found if rec is not None], cfg.cluster_tol)
+
+
+def _full_support(
+    A: Tensor, records: list[EigenRecord], kind: str, cfg: RunConfig
+) -> list[EigenRecord]:
+    """The records with every component positive, relabelled ``kind``."""
+    full = tuple(range(A.n))
+    return [
+        replace(r, kind=kind)
+        for r in records
+        if r.support == full and np.min(r.vector) > cfg.positivity_floor
+    ]
 
 
 def h_plus_eigenpairs(A: Tensor, cfg: RunConfig = DEFAULT_CONFIG) -> list[EigenRecord]:
     """Orthant eigenpairs: per-support interior solves whose zero-extension
     satisfies the full eigen system (off-support rows must vanish)."""
-    records = []
-    for J, cands in _interior_candidates(A, "H", cfg).items():
-        for lam, y in cands:
-            rec = _verify_h(A, J, lam, y, pareto=False, cfg=cfg)
-            if rec is not None:
-                records.append(rec)
-    return _dedupe_records(records, cfg.cluster_tol)
+    return _enumerate(A, "H", False, cfg)
 
 
 def z_plus_eigenpairs(A: Tensor, cfg: RunConfig = DEFAULT_CONFIG) -> list[EigenRecord]:
-    records = []
-    for J, cands in _interior_candidates(A, "Z", cfg).items():
-        for lam, y in cands:
-            rec = _verify_z(A, J, lam, y, pareto=False, cfg=cfg)
-            if rec is not None:
-                records.append(rec)
-    return _dedupe_records(records, cfg.cluster_tol)
+    return _enumerate(A, "Z", False, cfg)
 
 
 def h_plusplus_eigenpairs(A: Tensor, cfg: RunConfig = DEFAULT_CONFIG) -> list[EigenRecord]:
-    full = tuple(range(A.n))
-    records = [
-        EigenRecord("h_plusplus", r.value, r.vector, r.support, r.residual, r.normalization)
-        for r in h_plus_eigenpairs(A, cfg)
-        if r.support == full and np.min(r.vector) > cfg.positivity_floor
-    ]
-    return records
+    return _full_support(A, _enumerate(A, "H", False, cfg), "h_plusplus", cfg)
 
 
 def z_plusplus_eigenpairs(A: Tensor, cfg: RunConfig = DEFAULT_CONFIG) -> list[EigenRecord]:
-    full = tuple(range(A.n))
-    records = [
-        EigenRecord("z_plusplus", r.value, r.vector, r.support, r.residual, r.normalization)
-        for r in z_plus_eigenpairs(A, cfg)
-        if r.support == full and np.min(r.vector) > cfg.positivity_floor
-    ]
-    return records
+    return _full_support(A, _enumerate(A, "Z", False, cfg), "z_plusplus", cfg)
 
 
 def pareto_h_eigenvalues(A: Tensor, cfg: RunConfig = DEFAULT_CONFIG) -> list[EigenRecord]:
     """Pareto variant: off-support rows only need to be nonnegative."""
-    seeds = _variational_seed(A, "H", cfg)
-    records = []
-    for J, cands in _interior_candidates(A, "H", cfg, seeds).items():
-        for lam, y in cands:
-            rec = _verify_h(A, J, lam, y, pareto=True, cfg=cfg)
-            if rec is not None:
-                records.append(rec)
-    return _dedupe_records(records, cfg.cluster_tol)
+    return _enumerate(A, "H", True, cfg)
 
 
 def pareto_z_eigenvalues(A: Tensor, cfg: RunConfig = DEFAULT_CONFIG) -> list[EigenRecord]:
     if A.m % 2 != 0:
         raise ValueError("the Pareto Z variant is only defined here for even order")
-    seeds = _variational_seed(A, "Z", cfg)
-    records = []
-    for J, cands in _interior_candidates(A, "Z", cfg, seeds).items():
-        for lam, y in cands:
-            rec = _verify_z(A, J, lam, y, pareto=True, cfg=cfg)
-            if rec is not None:
-                records.append(rec)
-    return _dedupe_records(records, cfg.cluster_tol)
+    return _enumerate(A, "Z", True, cfg)
 
 
-def _delta(A: Tensor, kind: str, cfg: RunConfig) -> DeltaResult:
-    candidates = _interior_candidates(A, kind, cfg)
+def _delta(A: Tensor, system: str, cfg: RunConfig) -> DeltaResult:
+    kind, _, normalization = _SYSTEMS[system]
     records: list[EigenRecord] = []
-    norm_tag = "max_abs=1" if kind == "H" else "two_norm=1"
-    for J, cands in candidates.items():
+    for J, cands in _interior_candidates(A, system, cfg).items():
         sub = principal_subtensor(A, J)
         for lam, y in cands:
-            if kind == "H":
-                vec = y / float(np.max(y))
-                resid = float(
-                    np.max(np.abs(contract_m1(sub, vec) - lam * vec ** (A.m - 1)))
-                )
-            else:
-                vec = y
-                resid = float(np.max(np.abs(contract_m1(sub, vec) - lam * vec)))
-            records.append(
-                EigenRecord("h_plus" if kind == "H" else "z_plus",
-                            lam, vec, J, resid, norm_tag)
-            )
+            vec = y / float(np.max(y)) if system == "H" else y
+            resid = float(np.max(np.abs(contract_m1(sub, vec) - lam * _rhs(system, vec, A.m))))
+            records.append(EigenRecord(kind, lam, vec, J, resid, normalization))
     if not records:
         raise RuntimeError("no eigenvalue found for any principal sub-tensor")
     records.sort(key=lambda r: (r.value, r.support, tuple(r.vector)))
     return DeltaResult(
         value=min(r.value for r in records),
-        heuristic=not (A.m == 2 or A.n == 1),
+        heuristic=_completeness(A) == "heuristic",
         records=records,
     )
 
@@ -527,37 +483,28 @@ def delta_z_plus(A: Tensor, cfg: RunConfig = DEFAULT_CONFIG) -> DeltaResult:
     return _delta(A, "Z", cfg)
 
 
+# spectrum kind -> (function giving its records, SpectrumSummary field of their minimum)
+_SPECTRUM = {
+    "h_plus": (h_plus_eigenpairs, None),
+    "h_plusplus": (h_plusplus_eigenpairs, None),
+    "z_plus": (z_plus_eigenpairs, None),
+    "z_plusplus": (z_plusplus_eigenpairs, None),
+    "pareto_h": (pareto_h_eigenvalues, "lambda_min_pareto_h"),
+    "pareto_z": (pareto_z_eigenvalues, "mu_min_pareto_z"),
+    "delta_h_plus": (delta_h_plus, "delta_h_plus"),
+    "delta_z_plus": (delta_z_plus, "delta_z_plus"),
+}
+EIGEN_KINDS = tuple(kind for kind in _SPECTRUM if not kind.startswith("delta_"))
+
+
 def spectrum(A: Tensor, kind: str, cfg: RunConfig = DEFAULT_CONFIG) -> SpectrumSummary:
     """Assemble the record list plus derived minima for one eigen variant."""
-    summary = SpectrumSummary(records=[], completeness=_completeness(A))
-    if kind == "h_plus":
-        summary.records = h_plus_eigenpairs(A, cfg)
-    elif kind == "h_plusplus":
-        summary.records = h_plusplus_eigenpairs(A, cfg)
-    elif kind == "z_plus":
-        summary.records = z_plus_eigenpairs(A, cfg)
-    elif kind == "z_plusplus":
-        summary.records = z_plusplus_eigenpairs(A, cfg)
-    elif kind == "pareto_h":
-        summary.records = pareto_h_eigenvalues(A, cfg)
-        if summary.records:
-            summary.lambda_min_pareto_h = min(r.value for r in summary.records)
-    elif kind == "pareto_z":
-        summary.records = pareto_z_eigenvalues(A, cfg)
-        if summary.records:
-            summary.mu_min_pareto_z = min(r.value for r in summary.records)
-    elif kind == "delta_h_plus":
-        res = delta_h_plus(A, cfg)
-        summary.records = res.records
-        summary.delta_h_plus = res.value
-        if res.heuristic:
-            summary.completeness = "heuristic"
-    elif kind == "delta_z_plus":
-        res = delta_z_plus(A, cfg)
-        summary.records = res.records
-        summary.delta_z_plus = res.value
-        if res.heuristic:
-            summary.completeness = "heuristic"
-    else:
+    if kind not in _SPECTRUM:
         raise ValueError(f"unknown eigen kind {kind!r}")
+    fn, minimum = _SPECTRUM[kind]
+    out = fn(A, cfg)
+    records = out.records if isinstance(out, DeltaResult) else out
+    summary = SpectrumSummary(records=records, completeness=_completeness(A))
+    if minimum is not None and records:
+        setattr(summary, minimum, min(r.value for r in records))
     return summary

@@ -56,6 +56,9 @@ Each lane follows these rules:
   iterations is converged iff its residual is below 1e-10.
 
 :func:`damped_newton` is the one-lane call of the same kernel.
+
+:func:`first_of_clusters` is the one duplicate rule for found roots,
+eigenpairs and solutions.
 """
 
 from __future__ import annotations
@@ -291,3 +294,17 @@ def damped_newton(
         cfg,
     )
     return Z[0], bool(ok[0])
+
+
+def first_of_clusters(rows, tol: float) -> list[int]:
+    """Greedy max-norm dedupe: the indices of the rows kept, in row order.
+
+    A row is kept unless it lies within ``tol`` in max norm of a row kept
+    before it, so the caller's ordering picks each cluster's survivor.
+    """
+    kept: list[int] = []
+    for i, row in enumerate(rows):
+        if any(np.max(np.abs(row - rows[k])) <= tol for k in kept):
+            continue
+        kept.append(i)
+    return kept

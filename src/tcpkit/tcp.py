@@ -18,7 +18,7 @@ import numpy as np
 
 from .config import RunConfig, DEFAULT_CONFIG
 from .operators import OP_SCALED, norm_bound
-from .optimize import damped_newton, newton_lanes
+from .optimize import damped_newton, first_of_clusters, newton_lanes
 from .tensor import (
     Tensor,
     TensorFormatError,
@@ -184,12 +184,8 @@ def _support_roots(
     lanes = lanes[resid <= 1e-9 * scale[owner[lanes]]]
     roots: list[tuple[tuple[int, ...], np.ndarray]] = []
     for s, J in enumerate(group):
-        kept: list[np.ndarray] = []
-        for y in Y[lanes[owner[lanes] == s]]:
-            if any(np.max(np.abs(y - seen)) <= cfg.cluster_tol for seen in kept):
-                continue
-            kept.append(y)
-        roots.extend((J, y) for y in kept)
+        found = Y[lanes[owner[lanes] == s]]
+        roots.extend((J, found[i]) for i in first_of_clusters(found, cfg.cluster_tol))
     return roots
 
 
@@ -219,13 +215,10 @@ def solve_enumeration(inst: TcpInstance, cfg: RunConfig = DEFAULT_CONFIG) -> lis
             sol = _make_solution(inst, x, "enumeration", cfg)
             if sol is not None:
                 solutions.append(sol)
-    deduped: list[TcpSolution] = []
-    for sol in sorted(
-        solutions, key=lambda s: (float(np.max(np.abs(s.x))), tuple(s.x))
-    ):
-        if any(np.max(np.abs(sol.x - kept.x)) <= cfg.cluster_tol for kept in deduped):
-            continue
-        deduped.append(sol)
+    solutions.sort(key=lambda s: (float(np.max(np.abs(s.x))), tuple(s.x)))
+    deduped = [
+        solutions[i] for i in first_of_clusters([s.x for s in solutions], cfg.cluster_tol)
+    ]
     if not deduped:
         warnings.warn(
             "enumeration found no solution; for a strictly semi-positive tensor "

@@ -35,10 +35,7 @@ __all__ = [
     "validate_index_set",
     "identity_tensor",
     "diagonal_tensor",
-    "zero_tensor",
     "symmetrize",
-    "e_apply",
-    "e_tensor",
     "pos_part",
     "power_component",
     "tensor_from_dict",
@@ -324,10 +321,6 @@ def diagonal_tensor(d, m: int) -> Tensor:
     return Tensor(data, symmetric=True)
 
 
-def zero_tensor(m: int, n: int) -> Tensor:
-    return Tensor(np.zeros((n,) * m), symmetric=True)
-
-
 def symmetrize(A: Tensor) -> Tensor:
     """Average over all index permutations; preserves x -> full contraction.
 
@@ -345,60 +338,17 @@ def symmetrize(A: Tensor) -> Tensor:
     return Tensor((acc / len(perms))[tuple(sorted_cell)], symmetric=True)
 
 
-def e_apply(x, m: int) -> np.ndarray:
-    """The map x -> ||x||_2^(m-2) * x (identity map for m = 2)."""
-    v = as_vector(x)
-    if m < 2:
-        raise ValueError("order must be >= 2")
-    if m == 2:
-        return v.copy()
-    return float(np.linalg.norm(v)) ** (m - 2) * v
-
-
-def e_tensor(m: int, n: int) -> Tensor:
-    """Tensor realization of :func:`e_apply`; only exists for even order.
-
-    Built as a chain of identity-matrix factors over consecutive index
-    pairs, so contracting with x yields ``||x||_2^(m-2) * x``.
-    """
-    if m < 2 or m % 2 != 0:
-        raise ValueError("tensor realization requires an even order >= 2")
-    eye = np.eye(n)
-    data = eye
-    for _ in range(m // 2 - 1):
-        data = np.multiply.outer(data, eye)
-    return Tensor(data)
-
-
 def pos_part(x) -> np.ndarray:
     """Componentwise max(., 0)."""
     return np.maximum(as_vector(x), 0.0)
 
 
-def _is_odd_reciprocal(p: float, tol: float = 1e-12) -> bool:
-    if p <= 0:
-        return False
-    k = 1.0 / p
-    k_round = round(k)
-    return abs(k - k_round) < tol and k_round % 2 == 1
-
-
 def power_component(x, p: float) -> np.ndarray:
-    """Componentwise p-th power.
-
-    Negative components are only accepted when the power is total on the
-    reals: an integer exponent, or the reciprocal of an odd integer (an
-    odd-root, applied sign-preservingly).
-    """
+    """Componentwise p-th power of a nonnegative vector."""
     v = as_vector(x)
-    p = float(p)
-    if np.all(v >= 0):
-        return v**p
-    if abs(p - round(p)) < 1e-12:
-        return v ** round(p)
-    if _is_odd_reciprocal(p):
-        return np.sign(v) * np.abs(v) ** p
-    raise ValueError(f"fractional power {p} of negative components is undefined")
+    if not np.all(v >= 0):
+        raise ValueError("power_component needs nonnegative components")
+    return v ** float(p)
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from tcpkit import (
     z_plus_eigenpairs,
     z_plusplus_eigenpairs,
 )
+from tcpkit.cli import EIGEN_CLI_KINDS
 from tcpkit.config import RunConfig
 from oracles import pareto_matrix_oracle
 
@@ -271,6 +272,56 @@ def test_spectrum_summary_fields():
     assert s.completeness == "closed_form"
     with pytest.raises(ValueError):
         spectrum(I42, "nope", FAST)
+
+
+KIND_FUNCTIONS = {
+    "h_plus": h_plus_eigenpairs,
+    "h_plusplus": h_plusplus_eigenpairs,
+    "z_plus": z_plus_eigenpairs,
+    "z_plusplus": z_plusplus_eigenpairs,
+    "pareto_h": pareto_h_eigenvalues,
+    "pareto_z": pareto_z_eigenvalues,
+    "delta_h_plus": lambda A, cfg: delta_h_plus(A, cfg).records,
+    "delta_z_plus": lambda A, cfg: delta_z_plus(A, cfg).records,
+}
+MINIMUM_FIELDS = {
+    "pareto_h": "lambda_min_pareto_h",
+    "pareto_z": "mu_min_pareto_z",
+    "delta_h_plus": "delta_h_plus",
+    "delta_z_plus": "delta_z_plus",
+}
+
+
+@pytest.mark.parametrize("kind", EIGEN_CLI_KINDS)
+def test_spectrum_gives_its_kinds_records_and_only_its_minimum(kind):
+    assert set(EIGEN_CLI_KINDS) == set(KIND_FUNCTIONS)
+    A = strictly_positive_sample(41, m=4, n=3)
+    summary = spectrum(A, kind, FAST)
+    want = KIND_FUNCTIONS[kind](A, FAST)
+    assert [r.to_jsonable() for r in summary.records] == [r.to_jsonable() for r in want]
+    assert want
+    for name in set(MINIMUM_FIELDS.values()):
+        got = getattr(summary, name)
+        if name == MINIMUM_FIELDS.get(kind):
+            assert got == min(r.value for r in want)
+        else:
+            assert got is None
+
+
+@pytest.mark.parametrize(
+    "A, heuristic",
+    [
+        (diagonal_tensor([2.0, 5.0], 2), False),
+        (diagonal_tensor([3.0], 3), False),
+        (diagonal_tensor([2.0, 5.0], 3), True),
+    ],
+    ids=["m2", "n1", "m3"],
+)
+def test_delta_heuristic_agrees_with_completeness(A, heuristic):
+    res = delta_h_plus(A, FAST)
+    assert res.heuristic == heuristic
+    completeness = spectrum(A, "delta_h_plus", FAST).completeness
+    assert completeness == ("heuristic" if heuristic else "closed_form")
 
 
 def test_enumeration_is_deterministic():

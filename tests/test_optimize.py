@@ -9,7 +9,13 @@ import pytest
 
 from tcpkit import RunConfig, TcpInstance, Tensor, beta, estimate_norm, symmetrize
 from tcpkit import eigen, operators, optimize, tcp
-from tcpkit.optimize import damped_newton, minimize_nonneg_sphere, newton_lanes, pattern_search_min
+from tcpkit.optimize import (
+    damped_newton,
+    first_of_clusters,
+    minimize_nonneg_sphere,
+    newton_lanes,
+    pattern_search_min,
+)
 from tcpkit.tensor import (
     contract_m1_batch,
     jacobian_m1,
@@ -444,3 +450,19 @@ def test_grouped_eigen_candidates_equal_per_support_reference(m, kind):
                     assert lam == lam_ref
                     np.testing.assert_array_equal(y, y_ref)
     assert seeded  # a variational seed rode along in some support's starts
+
+
+def test_first_of_clusters_keeps_both_ends_of_a_chain():
+    # b is within tol of a and of c, but a and c are 1.2 apart: b joins a's
+    # cluster and c starts its own
+    rows = np.array([[0.0, 0.0], [0.6, 0.1], [1.2, 0.0]])
+    assert first_of_clusters(rows, 1.0) == [0, 2]
+    assert first_of_clusters(rows[::-1], 1.0) == [0, 2]
+
+
+def test_first_of_clusters_keeps_row_order_and_accepts_no_rows():
+    rows = [np.array([5.0]), np.array([0.0]), np.array([5.0 + 1e-9]), np.array([1e-7])]
+    assert first_of_clusters(rows, 1e-6) == [0, 1]
+    assert first_of_clusters(rows, 0.0) == [0, 1, 2, 3]
+    assert first_of_clusters([], 1e-6) == []
+    assert first_of_clusters(np.empty((0, 3)), 1e-6) == []

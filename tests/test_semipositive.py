@@ -24,7 +24,6 @@ from tcpkit import (
     norm_bound,
     principal_subtensor,
     symmetrize,
-    zero_tensor,
 )
 from tcpkit.config import RunConfig
 from oracles import beta_grid_oracle, classify_grid_oracle, draw_decisive_tensor
@@ -124,7 +123,7 @@ def test_classify_identity_strict():
 
 
 def test_classify_zero_tensor_weak():
-    cls = classify(zero_tensor(3, 2))
+    cls = classify(Tensor(np.zeros((2, 2, 2))))
     assert cls.verdict == SEMI_POSITIVE_ONLY
     assert cls.beta.value == pytest.approx(0.0, abs=1e-9)
 

@@ -14,8 +14,6 @@ from tcpkit import (
     contract_m1,
     contract_m1_batch,
     diagonal_tensor,
-    e_apply,
-    e_tensor,
     identity_tensor,
     jacobian_m1,
     load_tensor,
@@ -171,30 +169,22 @@ def test_unit_tensor_action():
     np.testing.assert_allclose(contract_m1(identity_tensor(3, 2), [2.0, 3.0]), [4.0, 9.0])
 
 
-def test_e_tensor_action_even_order():
-    np.testing.assert_allclose(contract_m1(e_tensor(4, 2), [1.0, 1.0]), [2.0, 2.0])
-    rng = np.random.default_rng(31)
-    x = rng.normal(size=3)
-    np.testing.assert_allclose(contract_m1(e_tensor(4, 3), x), e_apply(x, 4), atol=1e-12)
-
-
-def test_e_apply_order_two_is_identity():
-    x = np.array([3.0, -4.0])
-    np.testing.assert_allclose(e_apply(x, 2), x)
-
-
-def test_e_tensor_rejects_odd_order():
-    with pytest.raises(ValueError):
-        e_tensor(3, 2)
-
-
 def test_pos_part_and_powers():
     np.testing.assert_allclose(pos_part([-1.0, 2.0]), [0.0, 2.0])
     np.testing.assert_allclose(power_component([4.0, 9.0], 0.5), [2.0, 3.0])
     np.testing.assert_allclose(power_component([2.0, 3.0], 2), [4.0, 9.0])
-    np.testing.assert_allclose(power_component([-8.0, 27.0], 1.0 / 3.0), [-2.0, 3.0])
+    with pytest.raises(ValueError):
+        power_component([-8.0, 27.0], 1.0 / 3.0)
     with pytest.raises(ValueError):
         power_component([-4.0, 1.0], 0.5)
+
+
+def test_power_component_rejects_any_negative_component():
+    with pytest.raises(ValueError):
+        power_component([2.0, -3.0], 2)  # an integer power of a negative is refused too
+    with pytest.raises(ValueError):
+        power_component([1.0, -0.0, -1e-300], 1.0)
+    np.testing.assert_array_equal(power_component([0.0, -0.0, 1.0], 0.5), [0.0, 0.0, 1.0])
 
 
 # --- Tensor construction invariants ----------------------------------------

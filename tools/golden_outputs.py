@@ -7,10 +7,10 @@ this file.  It writes the input tensors and instances it makes, then runs
 the CLI in-process on them and writes one file per command with its
 standard output, plus standard error and the exit code when the command
 fails.  The commands are ``classify``, ``beta`` and ``norms`` on a fixed
-list of m2-4, n2-6 tensors; every ``eigen`` kind on m3/m4, n3/n4 tensors,
-and ``h_plus`` and ``pareto_h`` on m3 n5 ones; ``solve`` by both methods at
-m3/m4, n3-n6; and ``verify-bounds`` (with its full report) for every family
-at m3/m4, n3/n4 (order 2 for ``matrix_m2``).  Every input is
+list of m2-4, n2-6 tensors; every ``eigen`` kind on m3/m4 n3/n4 and m4 n5
+tensors, and ``h_plus`` and ``pareto_h`` on m3 n5 ones; ``solve`` by both
+methods at m3/m4, n3-n6; and ``verify-bounds`` (with its full report) for
+every family at m3/m4, n3/n4 (order 2 for ``matrix_m2``).  Every input is
 drawn from a fixed seed, so two checkouts whose outputs agree give
 directories that ``diff -r`` finds equal.
 """
@@ -44,7 +44,7 @@ SHAPES = [(2, 2), (2, 5), (3, 2), (3, 3), (3, 4), (3, 5), (3, 6), (4, 2), (4, 3)
 SOLVE_SHAPES = {
     (3, 3): EIGEN_CLI_KINDS, (3, 4): EIGEN_CLI_KINDS,
     (4, 3): EIGEN_CLI_KINDS, (4, 4): EIGEN_CLI_KINDS,
-    (3, 5): ("h_plus", "pareto_h"), (3, 6): (), (4, 5): (), (4, 6): (),
+    (3, 5): ("h_plus", "pareto_h"), (3, 6): (), (4, 5): EIGEN_CLI_KINDS, (4, 6): (),
 }
 BOUND_SHAPES = [(3, 3), (3, 4), (4, 3), (4, 4)]
 BOUND_COUNT = 2
