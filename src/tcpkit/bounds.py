@@ -25,7 +25,7 @@ import numpy as np
 
 from .config import RunConfig, DEFAULT_CONFIG
 from .eigen import pareto_h_eigenvalues, pareto_z_eigenvalues
-from .operators import OP_ROOT, OP_SCALED, estimate_norm, norm_bound
+from .operators import OP_ROOT, OP_SCALED, _pnorm_rows, estimate_norm, norm_bound
 from .semipositive import STRICTLY_SEMI_POSITIVE, Classification, classify
 from .tcp import TcpInstance, TcpSolution, solve_enumeration, solve_iterative
 from .tensor import Tensor, identity_tensor, pos_part, symmetrize
@@ -144,12 +144,6 @@ def min_pareto_z(A: Tensor, cfg: RunConfig = DEFAULT_CONFIG) -> float:
     return min(r.value for r in records)
 
 
-def _vec_norm(v: np.ndarray, p: float) -> float:
-    if math.isinf(p):
-        return float(np.abs(v).max(initial=0.0))
-    return float((np.abs(v) ** p).sum() ** (1.0 / p))
-
-
 @dataclass
 class BoundEntry:
     """One sandwich: lower <= (solution norm)^(m-1) <= upper, when applicable."""
@@ -240,15 +234,15 @@ def upper_bounds(
         raise ValueError("nonpositive activity margin; instance is misclassified")
     q = inst.q
     m = inst.A.m
-    out = {"inf": _vec_norm(pos_part(-q), math.inf) / beta_value}
+    out = {"inf": float(_pnorm_rows(pos_part(-q), math.inf)) / beta_value}
     if mu_value is not None:
         if mu_value <= 0:
             raise ValueError("nonpositive Pareto divisor; instance is misclassified")
-        out["two"] = _vec_norm(pos_part(-q), 2.0) / mu_value
+        out["two"] = float(_pnorm_rows(pos_part(-q), 2.0)) / mu_value
     if lambda_value is not None:
         if lambda_value <= 0:
             raise ValueError("nonpositive Pareto divisor; instance is misclassified")
-        out["m"] = _vec_norm(pos_part(-q), m / (m - 1.0)) / lambda_value
+        out["m"] = float(_pnorm_rows(pos_part(-q), m / (m - 1.0))) / lambda_value
     return out
 
 
@@ -269,9 +263,9 @@ def lower_bounds(
     A, q = inst.A, inst.q
     m, n = A.m, A.n
     neg = pos_part(-q)
-    q_inf = _vec_norm(neg, math.inf)
-    q_two = _vec_norm(neg, 2.0)
-    q_m = _vec_norm(neg, float(m))
+    q_inf = float(_pnorm_rows(neg, math.inf))
+    q_two = float(_pnorm_rows(neg, 2.0))
+    q_m = float(_pnorm_rows(neg, float(m)))
     rows = A.row_abs_sums()
     if rows.max() == 0.0:
         raise ValueError("zero tensor: the row-sum denominators vanish "
@@ -389,9 +383,9 @@ def _bound_templates(
 
 def _achieved(x: np.ndarray, m: int) -> dict[str, float]:
     return {
-        "inf": _vec_norm(x, math.inf) ** (m - 1),
-        "two": _vec_norm(x, 2.0) ** (m - 1),
-        "m": _vec_norm(x, float(m)) ** (m - 1),
+        "inf": float(_pnorm_rows(x, math.inf)) ** (m - 1),
+        "two": float(_pnorm_rows(x, 2.0)) ** (m - 1),
+        "m": float(_pnorm_rows(x, float(m))) ** (m - 1),
     }
 
 

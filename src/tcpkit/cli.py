@@ -27,7 +27,7 @@ from .eigen import _SPECTRUM, spectrum
 from .operators import OP_ROOT, OP_SCALED, estimate_norm
 from .semipositive import beta as compute_beta
 from .semipositive import classify
-from .tcp import NonConvergenceError, TcpInstance, solve_enumeration, solve_iterative
+from .tcp import SUPPORT_CAP, NonConvergenceError, TcpInstance, solve_enumeration, solve_iterative
 from .tensor import TensorFormatError, load_tensor
 
 EXIT_OK = 0
@@ -49,20 +49,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def _config(args) -> RunConfig:
-    overrides = {
-        "tol": args.tol,
-        "grid": args.grid,
-        "seed": args.seed,
-        "format": args.format,
-    }
-    if args.starts is not None:
-        overrides.update(
-            face_starts=args.starts,
-            newton_starts=args.starts,
-            tcp_newton_starts=args.starts,
-            norm_starts=args.starts,
-        )
-    return RunConfig(**overrides)
+    return RunConfig(tol=args.tol, grid=args.grid, starts=args.starts, seed=args.seed)
 
 
 def _emit(payload: dict, args, text_lines: list[str], csv_text: str | None = None) -> None:
@@ -154,7 +141,7 @@ def _cmd_solve(args) -> int:
         raise TensorFormatError(f"cannot read instance file {args.instance}: {exc}") from exc
     method = args.method
     if method == "auto":
-        method = "enumeration" if inst.A.n <= cfg.support_cap else "iterative"
+        method = "enumeration" if inst.A.n <= SUPPORT_CAP else "iterative"
     if method == "enumeration":
         solutions = solve_enumeration(inst, cfg)
         status = "ok" if solutions else "no_solutions_found"

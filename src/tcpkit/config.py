@@ -13,35 +13,26 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+# certificate tolerances that both tcp and eigen read
+RESIDUAL_TOL = 1e-8       # certificate tolerance (eigen residuals, TCP residuals)
+CLUSTER_TOL = 1e-6        # duplicate-solution clustering distance
+POSITIVITY_FLOOR = 1e-10  # components at or below this do not count as positive
+
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Tolerances, search budgets, seed and output options.
+    """The values a caller chooses: sign tolerance, grid, start budget, seed.
 
     The defaults target desk scale (dimension <= 8, order <= 4).  ``grid``
     of ``None`` picks the per-axis grid resolution from the dimension:
     21 points for n <= 4, 9 for n in {5, 6}, multistart-only above that.
+    ``starts`` of ``None`` keeps each multistart routine's own budget.
     """
 
-    tol: float = 1e-6                # sign tolerance for verdict-style decisions
-    residual_tol: float = 1e-8       # certificate tolerance (eigen residuals, TCP residuals)
-    grid: int | None = None          # grid points per free axis; None = auto by dimension
-    face_starts: int = 16            # random pattern-search starts per face
-    refine_top: int = 3              # best grid points refined per face
-    newton_starts: int = 32          # random Newton starts per support (eigen systems)
-    tcp_newton_starts: int = 16      # random Newton starts per support (TCP systems)
-    newton_max_iter: int = 200
-    newton_step_tol: float = 1e-12
-    cluster_tol: float = 1e-6        # duplicate-solution clustering distance
-    positivity_floor: float = 1e-10  # components at or below this do not count as positive
-    eigen_interior_floor: float = 1e-5  # smaller components mean the root belongs to a sub-support
-    solution_dust_tol: float = 1e-4  # zero out components below this when the result still certifies
-    support_cap: int = 6             # enumeration solvers refuse larger dimensions
-    fixed_point_max_iter: int = 10_000
-    merit_tol: float = 1e-10
-    norm_starts: int = 64            # random starts for operator-norm ascent
+    tol: float = 1e-6               # sign tolerance for verdict-style decisions
+    grid: int | None = None         # grid points per free axis; None = auto by dimension
+    starts: int | None = None       # random starts of every multistart search; None = per routine
     seed: int = 0
-    format: str = "json"
 
     def grid_for(self, n: int) -> int:
         if self.grid is not None:
@@ -51,6 +42,10 @@ class RunConfig:
         if n <= 6:
             return 9
         return 0
+
+    def budget(self, default: int) -> int:
+        """The random-start count of a routine whose own default is ``default``."""
+        return default if self.starts is None else self.starts
 
     def substream(self, *tags: object) -> np.random.Generator:
         """Deterministic per-task generator keyed by the task label."""
@@ -64,4 +59,3 @@ class RunConfig:
 
 
 DEFAULT_CONFIG = RunConfig()
-

@@ -13,8 +13,10 @@ Two switches pick the variant:
 - ``pareto``: equality off the support gives the orthant eigenpairs
   (``h_plus`` / ``z_plus``), a one-sided inequality the Pareto variants.
 
-``*plusplus`` keeps the orthant records of full support, and ``delta_*``
-takes the least interior eigenvalue of every principal sub-tensor.
+``*plusplus`` solves only the full support and keeps its orthant records,
+and ``delta_*`` takes the least interior eigenvalue of every principal
+sub-tensor; its records (kind ``delta_h_plus`` / ``delta_z_plus``) are
+zero-extended, with the residual taken on the support's rows.
 :func:`spectrum` reads one table from each kind to its function and the
 summary field of its minimum.
 
@@ -35,7 +37,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.optimize import linprog
 
-from .config import RunConfig, DEFAULT_CONFIG
+from .config import CLUSTER_TOL, DEFAULT_CONFIG, POSITIVITY_FLOOR, RESIDUAL_TOL, RunConfig
 # damped_newton is unused here but stays bound: perfbench's tracer expects it
 from .optimize import (  # noqa: F401
     damped_newton, first_of_clusters, minimize_nonneg_sphere, newton_lanes,
@@ -48,6 +50,9 @@ from .tensor import (
     principal_subtensor,
     supports_by_size,
 )
+
+NEWTON_STARTS = 32      # random Newton starts per support
+INTERIOR_FLOOR = 1e-5   # smaller components mean the root belongs to a sub-support
 
 __all__ = [
     "EigenRecord",
@@ -203,7 +208,7 @@ def _newton_candidates(
         pairs = list(seeds.get(J, []))
         uniform = np.ones(r) / np.sqrt(r)
         pairs.append((uniform, _rayleigh(sub, uniform, system)))
-        raw = rng.uniform(0.1, 1.0, size=(cfg.newton_starts, r))
+        raw = rng.uniform(0.1, 1.0, size=(cfg.budget(NEWTON_STARTS), r))
         for row in raw:
             y0 = row / np.linalg.norm(row)
             pairs.append((y0, _rayleigh(sub, y0, system)))
@@ -230,13 +235,13 @@ def _newton_candidates(
         out[:, r, :r] = 2.0 * Y
         return out
 
-    Z, ok = newton_lanes(residual, jac, np.vstack(starts), cfg)
+    Z, ok = newton_lanes(residual, jac, np.vstack(starts))
     Y, lam = Z[:, :r], Z[:, r]
     nrm = np.linalg.norm(Y, axis=1)
     # roots with dust components are boundary solutions of this support;
     # their true (smaller) support enumerates them separately
     lanes = np.flatnonzero(
-        ok & (np.min(Y, axis=1) > cfg.eigen_interior_floor) & (np.abs(nrm - 1.0) <= 1e-6)
+        ok & (np.min(Y, axis=1) > INTERIOR_FLOOR) & (np.abs(nrm - 1.0) <= 1e-6)
     )
     Y, lam = Y[lanes] / nrm[lanes, None], lam[lanes]
     if system == "Z":
@@ -244,9 +249,7 @@ def _newton_candidates(
     resid = np.linalg.norm(residual(np.column_stack([Y, lam])[:, None, :], lanes)[:, 0], axis=1)
     good = resid <= 1e-9 * (1.0 + np.abs(lam))
     return [
-        _cluster_pairs(
-            [(float(l), y) for l, y in zip(lam[mine], Y[mine])], cfg.cluster_tol
-        )
+        _cluster_pairs([(float(l), y) for l, y in zip(lam[mine], Y[mine])])
         for mine in (good & (owner[lanes] == s) for s in range(len(group)))
     ]
 
@@ -264,19 +267,19 @@ def _rayleigh(A_sub: Tensor, y: np.ndarray, system: str) -> float:
     return float(y @ core)
 
 
-def _cluster_pairs(
-    pairs: list[tuple[float, np.ndarray]], tol: float
-) -> list[tuple[float, np.ndarray]]:
+def _cluster_pairs(pairs: list[tuple[float, np.ndarray]]) -> list[tuple[float, np.ndarray]]:
     pairs = sorted(pairs, key=lambda p: (p[0], tuple(p[1])))
-    return [pairs[i] for i in first_of_clusters([np.append(l, y) for l, y in pairs], tol)]
+    return [pairs[i] for i in first_of_clusters([np.append(l, y) for l, y in pairs], CLUSTER_TOL)]
 
 
 def _interior_candidates(
     A: Tensor, system: str, cfg: RunConfig,
     extra_seeds: dict[tuple[int, ...], list[tuple[np.ndarray, float]]] | None = None,
+    full_only: bool = False,
 ) -> dict[tuple[int, ...], list[tuple[float, np.ndarray]]]:
     """Interior (strictly positive, 2-normalized) eigenpairs of A restricted
-    to every support J, in support order.
+    to every support J (only the full support with ``full_only``), in
+    support order.
 
     Singletons are closed form and matrices exact (with a Newton run on a
     seeded support); above order 2 the supports of one size share one
@@ -284,7 +287,7 @@ def _interior_candidates(
     """
     extra_seeds = extra_seeds or {}
     out: dict[tuple[int, ...], list[tuple[float, np.ndarray]]] = {}
-    for group in supports_by_size(A.n):
+    for group in [[tuple(range(A.n))]] if full_only else supports_by_size(A.n):
         if len(group[0]) == 1:
             for J in group:
                 out[J] = [(float(A.data[tuple([J[0]] * A.m)]), np.array([1.0]))]
@@ -293,7 +296,7 @@ def _interior_candidates(
                 exact = _matrix_support_candidates(principal_subtensor(A, J).data)
                 if extra_seeds.get(J):
                     newton = _newton_candidates(A, [J], system, cfg, extra_seeds)[0]
-                    exact = _cluster_pairs(exact + newton, cfg.cluster_tol)
+                    exact = _cluster_pairs(exact + newton)
                 out[J] = exact
         else:
             out.update(zip(group, _newton_candidates(A, group, system, cfg, extra_seeds)))
@@ -313,7 +316,7 @@ def _embed(y: np.ndarray, J: tuple[int, ...], n: int) -> np.ndarray:
 
 def _verify(
     A: Tensor, J: tuple[int, ...], lam: float, y: np.ndarray,
-    system: str, pareto: bool, cfg: RunConfig,
+    system: str, pareto: bool,
 ) -> EigenRecord | None:
     x = _embed(y, J, A.n)
     if system == "H":
@@ -332,7 +335,7 @@ def _verify(
         residual = max(in_res, off_violation, value_gap)
     else:
         residual = float(np.max(np.abs(gap))) if off else in_res
-    if residual > cfg.residual_tol:
+    if residual > RESIDUAL_TOL:
         return None
     orthant, pareto_kind, normalization = _SYSTEMS[system]
     return EigenRecord(
@@ -342,10 +345,10 @@ def _verify(
     )
 
 
-def _dedupe_records(records: list[EigenRecord], tol: float) -> list[EigenRecord]:
+def _dedupe_records(records: list[EigenRecord]) -> list[EigenRecord]:
     records = sorted(records, key=lambda r: (r.value, r.support, tuple(r.vector)))
     rows = [np.append(r.value, r.vector) for r in records]
-    return [records[i] for i in first_of_clusters(rows, tol)]
+    return [records[i] for i in first_of_clusters(rows, CLUSTER_TOL)]
 
 
 def _completeness(A: Tensor) -> str:
@@ -392,28 +395,30 @@ def _variational_seed(
 # ---------------------------------------------------------------------------
 
 
-def _enumerate(A: Tensor, system: str, pareto: bool, cfg: RunConfig) -> list[EigenRecord]:
+def _enumerate(
+    A: Tensor, system: str, pareto: bool, cfg: RunConfig, full_only: bool = False
+) -> list[EigenRecord]:
     """Certified records of one system: interior candidates of every support
     (variationally seeded for the Pareto variant), zero-extended, checked
     off the support by equality (orthant) or one-sided (Pareto), deduped."""
     seeds = _variational_seed(A, system, cfg) if pareto else None
     found = (
-        _verify(A, J, lam, y, system, pareto, cfg)
-        for J, cands in _interior_candidates(A, system, cfg, seeds).items()
+        _verify(A, J, lam, y, system, pareto)
+        for J, cands in _interior_candidates(A, system, cfg, seeds, full_only).items()
         for lam, y in cands
     )
-    return _dedupe_records([rec for rec in found if rec is not None], cfg.cluster_tol)
+    return _dedupe_records([rec for rec in found if rec is not None])
 
 
-def _full_support(
-    A: Tensor, records: list[EigenRecord], kind: str, cfg: RunConfig
-) -> list[EigenRecord]:
-    """The records with every component positive, relabelled ``kind``."""
-    full = tuple(range(A.n))
+def _full_support(A: Tensor, system: str, kind: str, cfg: RunConfig) -> list[EigenRecord]:
+    """The full support's orthant records with every component positive,
+    relabelled ``kind``.  A smaller support's record is zero where these are
+    positive, so it can neither be one nor dedupe one away: only the full
+    support is solved."""
     return [
         replace(r, kind=kind)
-        for r in records
-        if r.support == full and np.min(r.vector) > cfg.positivity_floor
+        for r in _enumerate(A, system, False, cfg, full_only=True)
+        if np.min(r.vector) > POSITIVITY_FLOOR
     ]
 
 
@@ -428,11 +433,11 @@ def z_plus_eigenpairs(A: Tensor, cfg: RunConfig = DEFAULT_CONFIG) -> list[EigenR
 
 
 def h_plusplus_eigenpairs(A: Tensor, cfg: RunConfig = DEFAULT_CONFIG) -> list[EigenRecord]:
-    return _full_support(A, _enumerate(A, "H", False, cfg), "h_plusplus", cfg)
+    return _full_support(A, "H", "h_plusplus", cfg)
 
 
 def z_plusplus_eigenpairs(A: Tensor, cfg: RunConfig = DEFAULT_CONFIG) -> list[EigenRecord]:
-    return _full_support(A, _enumerate(A, "Z", False, cfg), "z_plusplus", cfg)
+    return _full_support(A, "Z", "z_plusplus", cfg)
 
 
 def pareto_h_eigenvalues(A: Tensor, cfg: RunConfig = DEFAULT_CONFIG) -> list[EigenRecord]:
@@ -447,14 +452,14 @@ def pareto_z_eigenvalues(A: Tensor, cfg: RunConfig = DEFAULT_CONFIG) -> list[Eig
 
 
 def _delta(A: Tensor, system: str, cfg: RunConfig) -> DeltaResult:
-    kind, _, normalization = _SYSTEMS[system]
+    orthant, _, normalization = _SYSTEMS[system]
     records: list[EigenRecord] = []
     for J, cands in _interior_candidates(A, system, cfg).items():
-        sub = principal_subtensor(A, J)
         for lam, y in cands:
-            vec = y / float(np.max(y)) if system == "H" else y
-            resid = float(np.max(np.abs(contract_m1(sub, vec) - lam * _rhs(system, vec, A.m))))
-            records.append(EigenRecord(kind, lam, vec, J, resid, normalization))
+            x = _embed(y / float(np.max(y)) if system == "H" else y, J, A.n)
+            gap = contract_m1(A, x) - lam * _rhs(system, x, A.m)
+            resid = float(np.max(np.abs(gap[list(J)])))
+            records.append(EigenRecord(f"delta_{orthant}", lam, x, J, resid, normalization))
     if not records:
         raise RuntimeError("no eigenvalue found for any principal sub-tensor")
     records.sort(key=lambda r: (r.value, r.support, tuple(r.vector)))

@@ -34,6 +34,8 @@ __all__ = [
 OP_SCALED = "T"  # 2-norm-compensated contraction
 OP_ROOT = "F"    # componentwise odd root of the contraction (even order only)
 
+NORM_STARTS = 64  # random starts of one norm ascent
+
 
 def apply_scaled(A: Tensor, x) -> np.ndarray:
     """``||x||_2^(2-m) * A x^(m-1)``, with 0 mapped to 0."""
@@ -125,9 +127,10 @@ class NormReport:
 
 
 def _pnorm_rows(X: np.ndarray, p: float) -> np.ndarray:
+    """p-norms along the last axis: one per row of a batch, or of one vector."""
     if math.isinf(p):
-        return np.abs(X).max(axis=1)
-    return (np.abs(X) ** p).sum(axis=1) ** (1.0 / p)
+        return np.abs(X).max(axis=-1)
+    return (np.abs(X) ** p).sum(axis=-1) ** (1.0 / p)
 
 
 def estimate_norm(
@@ -140,7 +143,7 @@ def estimate_norm(
     """Lower estimate of the p-operator norm by multi-start pattern ascent.
 
     Starts at every signed coordinate vertex plus ``budget`` random points
-    of the unit p-sphere (default ``cfg.norm_starts``).  Every evaluation
+    of the unit p-sphere (default ``cfg.budget(NORM_STARTS)``).  Every evaluation
     happens at an exactly renormalized feasible point, so the maximum seen
     is a valid lower estimate of the true norm; it is never claimed exact.
     """
@@ -148,7 +151,7 @@ def estimate_norm(
     bound = norm_bound(A, op, p)  # validates op/order as a side effect
     n = A.n
     starts = [e for i in range(n) for e in (np.eye(n)[i], -np.eye(n)[i])]
-    n_random = cfg.norm_starts if budget is None else int(budget)
+    n_random = cfg.budget(NORM_STARTS) if budget is None else int(budget)
     rng = cfg.substream("norm", op, p, n_random)
     raw = rng.standard_normal(size=(n_random, n))
 

@@ -51,8 +51,8 @@ Each lane follows these rules:
   call covers eight halvings.
 - A lane that accepts no step stops, converged iff its residual is below
   1e-10.  A lane whose accepted step is shorter than
-  ``cfg.newton_step_tol * (1 + ||z||)`` stops, converged iff its residual
-  is below 1e-8.  A lane still running after ``cfg.newton_max_iter``
+  ``NEWTON_STEP_TOL * (1 + ||z||)`` stops, converged iff its residual
+  is below 1e-8.  A lane still running after ``NEWTON_MAX_ITER``
   iterations is converged iff its residual is below 1e-10.
 
 :func:`damped_newton` is the one-lane call of the same kernel.
@@ -71,6 +71,11 @@ import numpy as np
 from .config import RunConfig
 
 BatchObjective = Callable[[np.ndarray], np.ndarray]
+
+FACE_STARTS = 16          # random pattern-search starts per face
+REFINE_TOP = 3            # best grid points refined per face
+NEWTON_MAX_ITER = 200
+NEWTON_STEP_TOL = 1e-12
 
 
 def pattern_search_min(
@@ -152,10 +157,10 @@ def _face_candidates(
         X = np.ones((pts.shape[0], n))
         X[:, free] = pts
         vals = batch_fn(X)
-        best = np.argsort(vals, kind="stable")[: cfg.refine_top]
+        best = np.argsort(vals, kind="stable")[:REFINE_TOP]
         out.extend((float(vals[i]), X[i].copy()) for i in best)
         starts.append(X[best])
-    R = rng.uniform(0.0, 1.0, size=(cfg.face_starts, n))
+    R = rng.uniform(0.0, 1.0, size=(cfg.budget(FACE_STARTS), n))
     R[:, k] = 1.0
     starts.append(R)
 
@@ -223,7 +228,6 @@ def newton_lanes(
     res_fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
     jac_fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
     Z0: np.ndarray,
-    cfg: RunConfig,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Damped Newton run on B independent starts at once, one lane per row.
 
@@ -239,7 +243,7 @@ def newton_lanes(
     R = res_fn(Z[:, None, :], live)[:, 0]
     rnorm = np.linalg.norm(R, axis=1)
     ok = np.zeros(Z.shape[0], dtype=bool)
-    for _ in range(cfg.newton_max_iter):
+    for _ in range(NEWTON_MAX_ITER):
         done = rnorm[live] < 1e-14
         ok[live[done]] = True
         live = live[~done]
@@ -271,7 +275,7 @@ def newton_lanes(
         ok[live[stuck]] = rnorm[live[stuck]] < 1e-10
         short = ~stuck & (
             accepted_t * step_len
-            < cfg.newton_step_tol * (1.0 + np.linalg.norm(Z[live], axis=1))
+            < NEWTON_STEP_TOL * (1.0 + np.linalg.norm(Z[live], axis=1))
         )
         ok[live[short]] = rnorm[live[short]] < 1e-8
         live = live[~stuck & ~short]
@@ -283,7 +287,6 @@ def damped_newton(
     res_fn: Callable[[np.ndarray], np.ndarray],
     jac_fn: Callable[[np.ndarray], np.ndarray],
     z0: np.ndarray,
-    cfg: RunConfig,
 ) -> tuple[np.ndarray, bool]:
     """One start of :func:`newton_lanes`, for residual and Jacobian maps of
     a single iterate."""
@@ -291,7 +294,6 @@ def damped_newton(
         lambda Z, lanes: np.array([[res_fn(z) for z in block] for block in Z]),
         lambda Z, lanes: np.array([jac_fn(z) for z in Z]),
         np.asarray(z0, dtype=float)[None, :],
-        cfg,
     )
     return Z[0], bool(ok[0])
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import RunConfig, DEFAULT_CONFIG
+from .config import CLUSTER_TOL, DEFAULT_CONFIG, POSITIVITY_FLOOR, RESIDUAL_TOL, RunConfig
 from .operators import OP_SCALED, norm_bound
 from .optimize import damped_newton, first_of_clusters, newton_lanes
 from .tensor import (
@@ -43,6 +43,12 @@ __all__ = [
     "solve_enumeration",
     "solve_iterative",
 ]
+
+NEWTON_STARTS = 16             # random Newton starts per support
+DUST_TOL = 1e-4                # zero out components below this when the result still certifies
+SUPPORT_CAP = 6                # enumeration refuses larger dimensions
+FIXED_POINT_MAX_ITER = 10_000
+MERIT_TOL = 1e-10
 
 
 class NonConvergenceError(RuntimeError):
@@ -108,7 +114,7 @@ class TcpSolution:
         }
 
 
-def verify_solution(inst: TcpInstance, x, tol: float = 1e-8) -> ResidualRecord:
+def verify_solution(inst: TcpInstance, x, tol: float = RESIDUAL_TOL) -> ResidualRecord:
     """Recompute w and the three residuals from scratch; pass iff all within tol."""
     x = as_vector(x, inst.A.n)
     w = inst.q + contract_m1(inst.A, x)
@@ -122,23 +128,23 @@ def _natural_merit(inst: TcpInstance, x: np.ndarray) -> float:
     return float(np.linalg.norm(np.minimum(x, inst.q + contract_m1(inst.A, x))))
 
 
-def _make_solution(inst: TcpInstance, x: np.ndarray, method: str, cfg: RunConfig) -> TcpSolution | None:
+def _make_solution(inst: TcpInstance, x: np.ndarray, method: str) -> TcpSolution | None:
     x = np.maximum(x, 0.0)
     # Newton stalls on boundary roots (x_i^(m-1) = 0) leave dust components;
     # canonicalize to the zeroed vector whenever that still certifies, so the
     # same solution is not double counted across neighboring supports.
-    dusted = np.where(x > cfg.solution_dust_tol, x, 0.0)
-    if not np.array_equal(dusted, x) and verify_solution(inst, dusted, cfg.residual_tol).ok:
+    dusted = np.where(x > DUST_TOL, x, 0.0)
+    if not np.array_equal(dusted, x) and verify_solution(inst, dusted, RESIDUAL_TOL).ok:
         x = dusted
-    record = verify_solution(inst, x, cfg.residual_tol)
+    record = verify_solution(inst, x, RESIDUAL_TOL)
     if not record.ok:
         return None
-    support = tuple(i for i in range(inst.A.n) if x[i] > cfg.positivity_floor)
+    support = tuple(i for i in range(inst.A.n) if x[i] > POSITIVITY_FLOOR)
     w = inst.q + contract_m1(inst.A, x)
     return TcpSolution(x=x, w=w, support=support, residuals=record, method=method)
 
 
-def _linear_root(inst: TcpInstance, J: tuple[int, ...], cfg: RunConfig) -> list[np.ndarray]:
+def _linear_root(inst: TcpInstance, J: tuple[int, ...]) -> list[np.ndarray]:
     """The strictly positive solution of the order-2 active system, if any."""
     sub = principal_subtensor(inst.A, J)
     qJ = inst.q[list(J)]
@@ -148,7 +154,7 @@ def _linear_root(inst: TcpInstance, J: tuple[int, ...], cfg: RunConfig) -> list[
         y, *_ = np.linalg.lstsq(sub.data, -qJ, rcond=None)
     if float(np.max(np.abs(sub.data @ y + qJ))) > 1e-9 * (1.0 + float(np.abs(qJ).max(initial=0.0))):
         return []
-    return [y] if np.min(y) > cfg.positivity_floor else []
+    return [y] if np.min(y) > POSITIVITY_FLOOR else []
 
 
 def _support_roots(
@@ -157,18 +163,26 @@ def _support_roots(
     """Strictly positive roots of the active systems A_J y^(m-1) = -q_J of
     the supports J of one size, as (J, y) pairs in support order.
 
-    Above order 2 the starts of every support run as one Newton lane array;
-    each support keeps its own start stream, certificate and clustering.
+    Above order 2 a singleton {j} has the closed-form root
+    ``y = (-q_j / a_{j..j})^(1/(m-1))`` when that ratio is positive, and
+    none otherwise; a zero diagonal with ``q_j = 0`` (a continuum of roots,
+    never the case for a strictly semi-positive tensor) is not enumerated.
+    The starts of every larger support run as one Newton lane array; each
+    support keeps its own start stream, certificate and clustering.
     """
     m = inst.A.m
     if m == 2:
-        return [(J, y) for J in group for y in _linear_root(inst, J, cfg)]
+        return [(J, y) for J in group for y in _linear_root(inst, J)]
     r = len(group[0])
+    if r == 1:
+        d, q = inst.A.diagonal(), inst.q
+        return [((j,), np.array([(-q[j] / d[j]) ** (1.0 / (m - 1))]))
+                for (j,) in group if d[j] != 0.0 and -q[j] / d[j] > 0.0]
     Q = np.stack([inst.q[list(J)] for J in group])
     starts = []
     for J, qJ in zip(group, Q):
         rng = cfg.substream("tcp", tuple(J))
-        Y0 = rng.uniform(0.1, 1.0, size=(cfg.tcp_newton_starts, r))
+        Y0 = rng.uniform(0.1, 1.0, size=(cfg.budget(NEWTON_STARTS), r))
         heuristic = power_component(pos_part(-qJ), 1.0 / (m - 1))
         starts.append(np.vstack([heuristic, Y0]) if np.min(heuristic) > 0 else Y0)
     owner = np.repeat(np.arange(len(group)), [len(Y0) for Y0 in starts])
@@ -177,15 +191,15 @@ def _support_roots(
     def residual(Y: np.ndarray, lanes: np.ndarray) -> np.ndarray:
         return contract(Y, lanes) + Q[owner[lanes]][:, None, :]
 
-    Y, ok = newton_lanes(residual, jac, np.vstack(starts), cfg)
-    lanes = np.flatnonzero(ok & (np.min(Y, axis=1) > cfg.positivity_floor))
+    Y, ok = newton_lanes(residual, jac, np.vstack(starts))
+    lanes = np.flatnonzero(ok & (np.min(Y, axis=1) > POSITIVITY_FLOOR))
     scale = 1.0 + np.abs(Q).max(axis=1)
     resid = np.linalg.norm(residual(Y[lanes][:, None, :], lanes)[:, 0], axis=1)
     lanes = lanes[resid <= 1e-9 * scale[owner[lanes]]]
     roots: list[tuple[tuple[int, ...], np.ndarray]] = []
     for s, J in enumerate(group):
         found = Y[lanes[owner[lanes] == s]]
-        roots.extend((J, found[i]) for i in first_of_clusters(found, cfg.cluster_tol))
+        roots.extend((J, found[i]) for i in first_of_clusters(found, CLUSTER_TOL))
     return roots
 
 
@@ -200,24 +214,24 @@ def solve_enumeration(inst: TcpInstance, cfg: RunConfig = DEFAULT_CONFIG) -> lis
     solution and triggers a warning, not an error.
     """
     n = inst.A.n
-    if n > cfg.support_cap:
+    if n > SUPPORT_CAP:
         raise ValueError(
-            f"enumeration is capped at dimension {cfg.support_cap}, instance has {n}"
+            f"enumeration is capped at dimension {SUPPORT_CAP}, instance has {n}"
         )
     solutions: list[TcpSolution] = []
-    zero = _make_solution(inst, np.zeros(n), "enumeration", cfg)
+    zero = _make_solution(inst, np.zeros(n), "enumeration")
     if zero is not None:
         solutions.append(zero)
     for group in supports_by_size(n):
         for J, y in _support_roots(inst, group, cfg):
             x = np.zeros(n)
             x[list(J)] = y
-            sol = _make_solution(inst, x, "enumeration", cfg)
+            sol = _make_solution(inst, x, "enumeration")
             if sol is not None:
                 solutions.append(sol)
     solutions.sort(key=lambda s: (float(np.max(np.abs(s.x))), tuple(s.x)))
     deduped = [
-        solutions[i] for i in first_of_clusters([s.x for s in solutions], cfg.cluster_tol)
+        solutions[i] for i in first_of_clusters([s.x for s in solutions], CLUSTER_TOL)
     ]
     if not deduped:
         warnings.warn(
@@ -228,11 +242,12 @@ def solve_enumeration(inst: TcpInstance, cfg: RunConfig = DEFAULT_CONFIG) -> lis
     return deduped
 
 
+# cfg is unused; it stays because perfbench/test_checker.py passes one
 def _polish_active_set(inst: TcpInstance, x: np.ndarray, cfg: RunConfig) -> TcpSolution | None:
     """Solve the support system suggested by the iterate's active pattern."""
     J = tuple(i for i in range(inst.A.n) if x[i] > 1e-6)
     if not J:
-        return _make_solution(inst, np.zeros(inst.A.n), "iterative", cfg)
+        return _make_solution(inst, np.zeros(inst.A.n), "iterative")
     sub = principal_subtensor(inst.A, J)
     qJ = inst.q[list(J)]
 
@@ -242,12 +257,12 @@ def _polish_active_set(inst: TcpInstance, x: np.ndarray, cfg: RunConfig) -> TcpS
     def jac(y: np.ndarray) -> np.ndarray:
         return jacobian_m1(sub, y)
 
-    y, ok = damped_newton(residual, jac, x[list(J)], cfg)
-    if not ok or np.min(y) <= cfg.positivity_floor:
+    y, ok = damped_newton(residual, jac, x[list(J)])
+    if not ok or np.min(y) <= POSITIVITY_FLOOR:
         return None
     full = np.zeros(inst.A.n)
     full[list(J)] = y
-    return _make_solution(inst, full, "iterative", cfg)
+    return _make_solution(inst, full, "iterative")
 
 
 def solve_iterative(inst: TcpInstance, cfg: RunConfig = DEFAULT_CONFIG) -> TcpSolution:
@@ -275,9 +290,9 @@ def solve_iterative(inst: TcpInstance, cfg: RunConfig = DEFAULT_CONFIG) -> TcpSo
         gamma = gamma0
         window_best = merit
         stalled = False
-        for it in range(cfg.fixed_point_max_iter):
+        for it in range(FIXED_POINT_MAX_ITER):
             total_iters += 1
-            if merit <= cfg.merit_tol or stalled:
+            if merit <= MERIT_TOL or stalled:
                 break
             w = inst.q + contract_m1(inst.A, x)
             candidate = np.maximum(x - gamma * w, 0.0)
@@ -297,8 +312,8 @@ def solve_iterative(inst: TcpInstance, cfg: RunConfig = DEFAULT_CONFIG) -> TcpSo
                     break  # plateau without a certifiable active set
                 window_best = merit
         best_merit = min(best_merit, merit)
-        if merit <= cfg.merit_tol:
-            sol = _make_solution(inst, x, "iterative", cfg)
+        if merit <= MERIT_TOL:
+            sol = _make_solution(inst, x, "iterative")
             if sol is not None:
                 return sol
         sol = _polish_active_set(inst, x, cfg)

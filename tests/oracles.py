@@ -15,6 +15,8 @@ import itertools
 import numpy as np
 from scipy.linalg import null_space
 
+from tcpkit import eigen, tcp
+from tcpkit.config import CLUSTER_TOL, POSITIVITY_FLOOR
 from tcpkit.optimize import newton_lanes
 from tcpkit.tensor import (
     contract_m1,
@@ -286,21 +288,19 @@ def reference_support_roots(inst, J, cfg):
         return contract_m1_batch(sub, Y) + qJ
 
     rng = cfg.substream("tcp", tuple(J))
-    starts = rng.uniform(0.1, 1.0, size=(cfg.tcp_newton_starts, r))
+    starts = rng.uniform(0.1, 1.0, size=(cfg.budget(tcp.NEWTON_STARTS), r))
     heuristic = power_component(pos_part(-qJ), 1.0 / (m - 1))
     if np.min(heuristic) > 0:
         starts = np.vstack([heuristic, starts])
-    Y, ok = newton_lanes(
-        rows_map(residual), lambda Y, lanes: jacobian_m1_batch(sub, Y), starts, cfg
-    )
-    Y = Y[ok & (np.min(Y, axis=1) > cfg.positivity_floor)]
+    Y, ok = newton_lanes(rows_map(residual), lambda Y, lanes: jacobian_m1_batch(sub, Y), starts)
+    Y = Y[ok & (np.min(Y, axis=1) > POSITIVITY_FLOOR)]
     if Y.shape[0] == 0:
         return []
     scale = 1.0 + float(np.abs(qJ).max(initial=0.0))
     certified = np.linalg.norm(residual(Y), axis=1) <= 1e-9 * scale
     roots = []
     for y in Y[certified]:
-        if any(np.max(np.abs(y - seen)) <= cfg.cluster_tol for seen in roots):
+        if any(np.max(np.abs(y - seen)) <= CLUSTER_TOL for seen in roots):
             continue
         roots.append(y)
     return roots
@@ -317,7 +317,7 @@ def _rayleigh(sub, y, kind):
 def reference_eigen_candidates(sub, kind, cfg, tag, seeds=None):
     """Interior eigenpairs (lam, y) of one sub-tensor, ||y||_2 = 1, from
     multistart Newton on the H or Z system of this one support: seeds, the
-    uniform vector and ``cfg.newton_starts`` random starts; strict
+    uniform vector and ``cfg.budget(eigen.NEWTON_STARTS)`` random starts; strict
     positivity, certificate and clustering afterwards."""
     r, m = sub.n, sub.m
 
@@ -345,15 +345,15 @@ def reference_eigen_candidates(sub, kind, cfg, tag, seeds=None):
     starts = list(seeds or [])
     uniform = np.ones(r) / np.sqrt(r)
     starts.append((uniform, _rayleigh(sub, uniform, kind)))
-    for row in rng.uniform(0.1, 1.0, size=(cfg.newton_starts, r)):
+    for row in rng.uniform(0.1, 1.0, size=(cfg.budget(eigen.NEWTON_STARTS), r)):
         y0 = row / np.linalg.norm(row)
         starts.append((y0, _rayleigh(sub, y0, kind)))
 
     Z0 = np.array([np.append(y0, lam0) for y0, lam0 in starts])
-    Z, ok = newton_lanes(rows_map(residual), jac, Z0, cfg)
+    Z, ok = newton_lanes(rows_map(residual), jac, Z0)
     Y, lam = Z[:, :r], Z[:, r]
     nrm = np.linalg.norm(Y, axis=1)
-    keep = ok & (np.min(Y, axis=1) > cfg.eigen_interior_floor) & (np.abs(nrm - 1.0) <= 1e-6)
+    keep = ok & (np.min(Y, axis=1) > eigen.INTERIOR_FLOOR) & (np.abs(nrm - 1.0) <= 1e-6)
     if not keep.any():
         return []
     Y, lam = Y[keep] / nrm[keep, None], lam[keep]
@@ -368,7 +368,7 @@ def reference_eigen_candidates(sub, kind, cfg, tag, seeds=None):
     found.sort(key=lambda p: (p[0], tuple(p[1])))
     kept = []
     for l, y in found:
-        if any(abs(l - l2) <= cfg.cluster_tol and np.max(np.abs(y - y2)) <= cfg.cluster_tol
+        if any(abs(l - l2) <= CLUSTER_TOL and np.max(np.abs(y - y2)) <= CLUSTER_TOL
                for l2, y2 in kept):
             continue
         kept.append((l, y))

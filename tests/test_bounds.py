@@ -26,7 +26,7 @@ from tcpkit import (
 )
 from tcpkit.config import RunConfig
 
-FAST = RunConfig(newton_starts=12, tcp_newton_starts=8)
+FAST = RunConfig(starts=12)
 
 
 def entry_map(report):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from tcpkit import (
+    RunConfig,
     Tensor,
     TcpInstance,
     identity_tensor,
@@ -237,3 +238,10 @@ def test_config_echoed_for_provenance(capsys, ident32):
     assert cfgd["seed"] == 42
     assert cfgd["grid"] == 9
     assert "tol" in cfgd
+
+
+def test_config_echo_has_exactly_the_caller_values(capsys, ident32):
+    assert set(RunConfig().to_dict()) == {"grid", "seed", "starts", "tol"}
+    code, out, _ = run_cli(capsys, ["beta", ident32, "--starts", "3", "--format", "json"])
+    assert code == EXIT_OK
+    assert json.loads(out)["config"] == RunConfig(starts=3).to_dict()

@@ -23,7 +23,7 @@ from tcpkit import (
 from tcpkit.config import RunConfig
 from oracles import naive_contract_m1
 
-FAST = RunConfig(newton_starts=12, tcp_newton_starts=8)
+FAST = RunConfig(starts=12)
 
 
 # --- one-dimensional tensors ---------------------------------------------------

@@ -1,6 +1,7 @@
 """Eigenpair enumeration: closed forms, matrix oracles, positivity, minima."""
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from tcpkit import (
     Tensor,
     beta,
+    contract_m1,
     delta_h_plus,
     delta_z_plus,
     diagonal_tensor,
@@ -24,10 +26,10 @@ from tcpkit import (
     z_plusplus_eigenpairs,
 )
 from tcpkit.cli import EIGEN_CLI_KINDS
-from tcpkit.config import RunConfig
+from tcpkit.config import POSITIVITY_FLOOR, RESIDUAL_TOL, RunConfig
 from oracles import pareto_matrix_oracle
 
-FAST = RunConfig(newton_starts=12)
+FAST = RunConfig(starts=12)
 
 
 def strictly_positive_sample(seed, m=None, n=None):
@@ -187,6 +189,44 @@ def test_interior_variants_are_full_support():
     for rec in z_plusplus_eigenpairs(identity_tensor(4, 2), FAST):
         assert rec.support == (0, 1)
         assert np.min(rec.vector) > 0
+
+
+@pytest.mark.parametrize("m", [3, 4])
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_plusplus_is_the_full_support_part_of_plus(m, n):
+    A = strictly_positive_sample(60 + n, m=m, n=n)
+    full = tuple(range(n))
+    for plus, plusplus, kind in (
+        (h_plus_eigenpairs, h_plusplus_eigenpairs, "h_plusplus"),
+        (z_plus_eigenpairs, z_plusplus_eigenpairs, "z_plusplus"),
+    ):
+        want = [
+            replace(r, kind=kind) for r in plus(A, FAST)
+            if r.support == full and np.min(r.vector) > POSITIVITY_FLOOR
+        ]
+        got = plusplus(A, FAST)
+        assert got
+        assert [r.to_jsonable() for r in got] == [r.to_jsonable() for r in want]
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_delta_records_are_zero_extended_records_of_their_own_kind(m):
+    A = strictly_positive_sample(70 + m, m=m, n=3)
+    systems = [(delta_h_plus, "delta_h_plus", "H")]
+    if m % 2 == 0:
+        systems.append((delta_z_plus, "delta_z_plus", "Z"))
+    for fn, kind, system in systems:
+        res = fn(A, FAST)
+        assert res.value == min(r.value for r in res.records)
+        assert {r.support for r in res.records} >= {(j,) for j in range(A.n)}
+        for rec in res.records:
+            J, x = list(rec.support), rec.vector
+            assert rec.kind == kind and x.shape == (A.n,)
+            assert rec.residual <= RESIDUAL_TOL
+            assert np.all(np.delete(x, J) == 0.0) and np.all(x[J] > 0.0)
+            rhs = x ** (m - 1) if system == "H" else x
+            gap = contract_m1(A, x) - rec.value * rhs
+            assert np.max(np.abs(gap[J])) <= RESIDUAL_TOL
 
 
 # --- positivity for strictly semi-positive tensors -------------------------------

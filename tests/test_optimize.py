@@ -47,7 +47,7 @@ def lane_fns(res_fn, jac_fn):
 
 
 def assert_lanes_match_reference(res_fn, jac_fn, Z0):
-    Z, ok = newton_lanes(*lane_fns(res_fn, jac_fn), Z0, CFG)
+    Z, ok = newton_lanes(*lane_fns(res_fn, jac_fn), Z0)
     assert Z.shape == np.shape(Z0) and ok.shape == (len(Z0),)
     for z0, z, flag in zip(Z0, Z, ok):
         z_ref, ok_ref = reference_newton(one_row(res_fn), one_row(jac_fn), z0)
@@ -101,7 +101,7 @@ def test_non_finite_step_fails_only_its_lane():
     Z0 = np.array([[1e-160], [2.0], [-3.0]])  # Jacobian 3e-320: the step overflows
     ok = assert_lanes_match_reference(res_fn, jac_fn, Z0)
     assert not ok[0] and ok[1]
-    Z, _ = newton_lanes(*lane_fns(res_fn, jac_fn), Z0, CFG)
+    Z, _ = newton_lanes(*lane_fns(res_fn, jac_fn), Z0)
     assert Z[0, 0] == 1e-160  # a failed lane keeps its last iterate
 
 
@@ -109,8 +109,8 @@ def test_single_lane_and_damped_newton_agree_with_reference():
     res_fn, jac_fn, starts = tensor_system(3, 3, seed=9)
     for z0 in starts[:6]:
         z_ref, ok_ref = reference_newton(one_row(res_fn), one_row(jac_fn), z0)
-        Z, ok = newton_lanes(*lane_fns(res_fn, jac_fn), z0[None, :], CFG)
-        z, flag = damped_newton(one_row(res_fn), one_row(jac_fn), z0, CFG)
+        Z, ok = newton_lanes(*lane_fns(res_fn, jac_fn), z0[None, :])
+        z, flag = damped_newton(one_row(res_fn), one_row(jac_fn), z0)
         assert bool(ok[0]) == flag == ok_ref and isinstance(flag, bool)
         np.testing.assert_array_equal(Z[0], z)
         np.testing.assert_allclose(z, z_ref, rtol=0, atol=1e-10)
@@ -124,7 +124,7 @@ def test_line_search_tries_every_halving_in_blocks():
         rows.append(len(Z))
         return res_fn(Z)
 
-    _, ok = newton_lanes(*lane_fns(counted, jac_fn), np.array([[0.0]]), CFG)
+    _, ok = newton_lanes(*lane_fns(counted, jac_fn), np.array([[0.0]]))
     # the start, then t = 1 alone and t = 1/2 .. 2^-39 eight at a time
     assert rows == [1, 1, 8, 8, 8, 8, 7] and not ok[0]
 
@@ -137,7 +137,7 @@ def test_jacobians_are_taken_on_running_lanes_only():
         sizes.append(len(Y))
         return jac_fn(Y)
 
-    newton_lanes(*lane_fns(res_fn, counted), starts, CFG)
+    newton_lanes(*lane_fns(res_fn, counted), starts)
     assert sizes[0] == len(starts) and sizes[-1] < len(starts)
     assert sizes == sorted(sizes, reverse=True)
 
@@ -159,7 +159,7 @@ def test_jacobian_batch_matches_stacked_jacobian(m):
 # pattern search lanes
 # ---------------------------------------------------------------------------
 
-SMALL = RunConfig(grid=5, face_starts=3, refine_top=2)
+SMALL = RunConfig(grid=5, starts=3)
 
 
 @pytest.fixture
@@ -384,7 +384,7 @@ def test_maps_get_the_lane_id_of_every_row():
         calls.append(("jac", Z.copy(), ids.copy()))
         return (3.0 * Z**2)[:, :, None]
 
-    Z, ok = newton_lanes(res_fn, jac_fn, Z0, CFG)
+    Z, ok = newton_lanes(res_fn, jac_fn, Z0)
     assert calls[0][0] == "res" and calls[0][2].tolist() == list(range(5))
     for kind, Zc, ids in calls:
         assert ids.ndim == 1 and len(Zc) == len(ids)
@@ -392,7 +392,7 @@ def test_maps_get_the_lane_id_of_every_row():
     assert ok[[0, 1, 2, 4]].all()
     for lane in range(5):  # a lone run with the lane's own target
         z, flag = damped_newton(lambda z: z**3 - c[lane], lambda z: 3.0 * z[:, None] ** 2,
-                                Z0[lane], CFG)
+                                Z0[lane])
         assert flag == ok[lane]
         np.testing.assert_array_equal(Z[lane], z)
 
@@ -419,6 +419,8 @@ def test_grouped_tcp_roots_equal_per_support_reference(m, planted):
     for n in range(2, 7):
         inst = tcp_instance(m, n, 11, planted)
         for group in supports_by_size(n):
+            if len(group[0]) == 1:  # closed form, not Newton
+                continue
             got = tcp._support_roots(inst, group, CFG)
             want = [(J, y) for J in group for y in reference_support_roots(inst, J, CFG)]
             assert [J for J, _ in got] == [J for J, _ in want]
@@ -429,9 +431,50 @@ def test_grouped_tcp_roots_equal_per_support_reference(m, planted):
 
 
 @pytest.mark.parametrize("m", [3, 4])
+def test_singleton_tcp_roots_are_closed_form(m):
+    for n in range(2, 7):
+        inst = tcp_instance(m, n, 11, planted=False)
+        d, q = inst.A.diagonal(), inst.q
+        got = tcp._support_roots(inst, [(j,) for j in range(n)], CFG)
+        # a positive diagonal gives a root exactly where q_j < 0
+        assert [J for J, _ in got] == [(j,) for j in range(n) if q[j] < 0]
+        for (j,), y in got:
+            assert y.tolist() == [(-q[j] / d[j]) ** (1.0 / (m - 1))]
+            (y_ref,) = reference_support_roots(inst, (j,), CFG)
+            np.testing.assert_allclose(y, y_ref, rtol=1e-12, atol=0)
+        for j in np.flatnonzero(q > 0):
+            assert reference_support_roots(inst, (j,), CFG) == []
+
+
+@pytest.mark.parametrize("starts", [None, 3])
+def test_starts_sets_every_multistart_budget(searches, monkeypatch, starts):
+    cfg = RunConfig(starts=starts)
+
+    def budget(default):
+        return default if starts is None else starts
+
+    newton_rows = []
+
+    def spy(res_fn, jac_fn, Z0):
+        newton_rows.append(len(Z0))
+        return newton_lanes(res_fn, jac_fn, Z0)
+
+    monkeypatch.setattr(tcp, "newton_lanes", spy)
+    monkeypatch.setattr(eigen, "newton_lanes", spy)
+    A = mixed_tensor(3, 2, 5)
+    beta(A, cfg)  # each face: the vertex, the best grid points and the random starts
+    estimate_norm(A, "T", 2.0, cfg=cfg)  # the 2n signed vertices and the random starts
+    face = 1 + optimize.REFINE_TOP + budget(optimize.FACE_STARTS)
+    assert [len(c["X0"]) for c in searches] == [face, face, 4 + budget(operators.NORM_STARTS)]
+    tcp.solve_enumeration(TcpInstance(A, np.ones(2)), cfg)  # q > 0: no heuristic start
+    eigen.h_plus_eigenpairs(A, cfg)  # the uniform start and the random starts
+    assert newton_rows == [budget(tcp.NEWTON_STARTS), 1 + budget(eigen.NEWTON_STARTS)]
+
+
+@pytest.mark.parametrize("m", [3, 4])
 @pytest.mark.parametrize("kind", ["H", "Z"])
 def test_grouped_eigen_candidates_equal_per_support_reference(m, kind):
-    cfg = RunConfig(newton_starts=12)
+    cfg = RunConfig(starts=12)
     seeded = 0
     for n in range(2, 6):
         for A in (mixed_tensor(m, n, 12), symmetrize(mixed_tensor(m, n, 13))):

@@ -17,7 +17,7 @@ from tcpkit.bounds import GeneratorSpec, generate
 from tcpkit.config import RunConfig
 from oracles import lemke_lcp
 
-FAST = RunConfig(tcp_newton_starts=8)
+FAST = RunConfig(starts=8)
 
 
 def test_identity_single_negative_component():
@@ -145,9 +145,8 @@ def test_unsolvable_instance_warns_then_iterative_raises():
     with pytest.warns(UserWarning):
         sols = solve_enumeration(inst, FAST)
     assert sols == []
-    cfg = RunConfig(fixed_point_max_iter=300)
     with pytest.raises(NonConvergenceError) as err:
-        solve_iterative(inst, cfg)
+        solve_iterative(inst, FAST)
     assert err.value.best_merit > 0
 
 
