@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from .eigen import pareto_h_eigenvalues, pareto_z_eigenvalues
 from .operators import OP_ROOT, OP_SCALED, _pnorm_rows, estimate_norm, norm_bound
 from .semipositive import STRICTLY_SEMI_POSITIVE, Classification, classify
 from .tcp import TcpInstance, TcpSolution, solve_enumeration, solve_iterative
-from .tensor import Tensor, identity_tensor, pos_part, symmetrize
+from .tensor import JsonRecord, Tensor, identity_tensor, pos_part, symmetrize
 
 __all__ = [
     "GeneratorSpec",
@@ -145,7 +145,7 @@ def min_pareto_z(A: Tensor, cfg: RunConfig = DEFAULT_CONFIG) -> float:
 
 
 @dataclass
-class BoundEntry:
+class BoundEntry(JsonRecord):
     """One sandwich: lower <= (solution norm)^(m-1) <= upper, when applicable."""
 
     entry_id: str
@@ -166,43 +166,16 @@ class BoundEntry:
                 ok = False
             if self.upper is not None and achieved > self.upper + tol:
                 ok = False
-        return BoundEntry(
-            self.entry_id, self.quantity, self.lower, self.upper,
-            self.lower_empirical, achieved, self.applicable, self.reason,
-            self.flags, ok,
-        )
-
-    def to_jsonable(self) -> dict:
-        return {
-            "entry_id": self.entry_id,
-            "quantity": self.quantity,
-            "lower": self.lower,
-            "upper": self.upper,
-            "lower_empirical": self.lower_empirical,
-            "achieved": self.achieved,
-            "applicable": self.applicable,
-            "reason": self.reason,
-            "flags": list(self.flags),
-            "passed": self.passed,
-        }
+        return replace(self, achieved=achieved, passed=ok)
 
 
 @dataclass
-class BoundsReport:
+class BoundsReport(JsonRecord):
     instance_id: str
     solution_index: int
     entries: list[BoundEntry]
     provenance: dict
     passed: bool = True
-
-    def to_jsonable(self) -> dict:
-        return {
-            "instance_id": self.instance_id,
-            "solution_index": self.solution_index,
-            "entries": [e.to_jsonable() for e in self.entries],
-            "provenance": self.provenance,
-            "passed": self.passed,
-        }
 
 
 class BoundViolationError(RuntimeError):
@@ -281,26 +254,19 @@ def lower_bounds(
         out["inf_even"] = q_inf / float(rows.max())
         out["m"] = q_m / norm_bound(A, OP_ROOT, float(m)) ** (m - 1)
     if estimate_budget is not None:
-        est_t_inf = estimate_norm(A, OP_SCALED, math.inf, budget=estimate_budget, cfg=cfg)
-        est_t_two = estimate_norm(A, OP_SCALED, 2.0, budget=estimate_budget, cfg=cfg)
-        out["inf_empirical"] = (
-            q_inf / (n ** ((m - 2) / 2.0) * est_t_inf.empirical_norm)
-            if est_t_inf.empirical_norm > 0 else None
-        )
-        out["two_empirical"] = (
-            q_two / est_t_two.empirical_norm if est_t_two.empirical_norm > 0 else None
-        )
+        # key, operator, p, numerator, scale, exponent: numerator / (scale * norm^exponent)
+        empirical = [
+            ("inf", OP_SCALED, math.inf, q_inf, n ** ((m - 2) / 2.0), 1),
+            ("two", OP_SCALED, 2.0, q_two, 1.0, 1),
+        ]
         if m % 2 == 0:
-            est_f_inf = estimate_norm(A, OP_ROOT, math.inf, budget=estimate_budget, cfg=cfg)
-            est_f_m = estimate_norm(A, OP_ROOT, float(m), budget=estimate_budget, cfg=cfg)
-            out["inf_even_empirical"] = (
-                q_inf / est_f_inf.empirical_norm ** (m - 1)
-                if est_f_inf.empirical_norm > 0 else None
-            )
-            out["m_empirical"] = (
-                q_m / est_f_m.empirical_norm ** (m - 1)
-                if est_f_m.empirical_norm > 0 else None
-            )
+            empirical += [
+                ("inf_even", OP_ROOT, math.inf, q_inf, 1.0, m - 1),
+                ("m", OP_ROOT, float(m), q_m, 1.0, m - 1),
+            ]
+        for key, op, p, numerator, scale, exponent in empirical:
+            est = estimate_norm(A, op, p, budget=estimate_budget, cfg=cfg).empirical_norm
+            out[key + "_empirical"] = numerator / (scale * est**exponent) if est > 0 else None
     return out
 
 

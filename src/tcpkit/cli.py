@@ -38,10 +38,16 @@ EXIT_BOUND_VIOLATION = 4
 EIGEN_CLI_KINDS = tuple(_SPECTRUM)  # every kind that ``spectrum`` accepts
 
 
+def _nonnegative_int(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
+    return int(text)
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--tol", type=float, default=1e-6, help="sign-decision tolerance (default 1e-6)")
-    parser.add_argument("--grid", type=int, default=None, help="grid points per axis (default: by dimension)")
-    parser.add_argument("--starts", type=int, default=None, help="override every multistart budget")
+    parser.add_argument("--grid", type=_nonnegative_int, default=None, help="grid points per axis (default: by dimension)")
+    parser.add_argument("--starts", type=_nonnegative_int, default=None, help="override every multistart budget")
     parser.add_argument("--seed", type=int, default=0, help="64-bit master seed (default 0)")
     parser.add_argument(
         "--format", choices=("json", "csv", "text"), default="json", help="output format (default json)"
@@ -77,7 +83,7 @@ def _cmd_classify(args) -> int:
     result = cls.to_jsonable()
     lines = [f"{cls.verdict}, beta={cls.beta.value}"]
     if cls.counterexample is not None:
-        lines.append(f"counterexample: {[float(v) for v in cls.counterexample]}")
+        lines.append(f"counterexample: {result['counterexample']}")
     _emit(_payload("classify", cfg, result), args, lines)
     return EXIT_OK
 
@@ -86,12 +92,13 @@ def _cmd_beta(args) -> int:
     cfg = _config(args)
     A = load_tensor(args.tensor)
     res = compute_beta(A, cfg)
+    result = res.to_jsonable()
     lines = [
         f"beta={res.value}",
-        f"argmin={[float(v) for v in res.argmin]}",
+        f"argmin={result['argmin']}",
         f"certified_by={res.certified_by} grid={res.grid_resolution}",
     ]
-    _emit(_payload("beta", cfg, res.to_jsonable()), args, lines)
+    _emit(_payload("beta", cfg, result), args, lines)
     return EXIT_OK
 
 
@@ -101,10 +108,8 @@ def _cmd_eigen(args) -> int:
     summary = spectrum(A, args.kind, cfg)
     result = summary.to_jsonable()
     lines = [f"kind={args.kind} completeness={summary.completeness}"]
-    for rec in summary.records:
-        lines.append(
-            f"value={rec.value} support={[i + 1 for i in rec.support]} residual={rec.residual:.2e}"
-        )
+    for rec in result["records"]:
+        lines.append(f"value={rec['value']} support={rec['support']} residual={rec['residual']:.2e}")
     for name in ("delta_h_plus", "delta_z_plus", "lambda_min_pareto_h", "mu_min_pareto_z"):
         val = result[name]
         if val is not None:
@@ -145,13 +150,12 @@ def _cmd_solve(args) -> int:
     if method == "enumeration":
         solutions = solve_enumeration(inst, cfg)
         status = "ok" if solutions else "no_solutions_found"
-        result = {"status": status, "solutions": [s.to_jsonable() for s in solutions]}
-        lines = [f"status={status}"] + [f"x={s.to_jsonable()['x']}" for s in solutions]
+        lines = [f"status={status}"]
     else:
-        sol = solve_iterative(inst, cfg)
-        result = {"status": "ok", "solutions": [sol.to_jsonable()]}
-        lines = [f"x={sol.to_jsonable()['x']}"]
-    _emit(_payload("solve", cfg, result), args, lines)
+        solutions, status, lines = [solve_iterative(inst, cfg)], "ok", []
+    records = [s.to_jsonable() for s in solutions]
+    lines += [f"x={r['x']}" for r in records]
+    _emit(_payload("solve", cfg, {"status": status, "solutions": records}), args, lines)
     return EXIT_OK
 
 
@@ -233,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", choices=GENERATOR_FAMILIES, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--count", type=int, default=20)
+    p.add_argument("--count", type=_nonnegative_int, default=20)
     p.add_argument("--symmetric", action="store_true", help="symmetric variant (matrix family)")
     p.add_argument("--report", default=None, help="write one report per line (JSON) here")
     p.add_argument("--csv", default=None, help="write the CSV summary here")
@@ -249,13 +253,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except TensorFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except ValueError as exc:
+    except (ValueError, FileNotFoundError) as exc:  # TensorFormatError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except NonConvergenceError as exc:

@@ -43,6 +43,7 @@ from .optimize import (  # noqa: F401
     damped_newton, first_of_clusters, minimize_nonneg_sphere, newton_lanes,
 )
 from .tensor import (
+    JsonRecord,
     Tensor,
     contract_m1,
     contract_m1_batch,
@@ -79,23 +80,13 @@ _SYSTEMS = {
 
 
 @dataclass
-class EigenRecord:
+class EigenRecord(JsonRecord):
     kind: str
     value: float
     vector: np.ndarray
     support: tuple[int, ...]
     residual: float
     normalization: str  # "max_abs=1" or "two_norm=1"
-
-    def to_jsonable(self) -> dict:
-        return {
-            "kind": self.kind,
-            "value": self.value,
-            "vector": [float(v) for v in self.vector],
-            "support": [i + 1 for i in self.support],
-            "residual": self.residual,
-            "normalization": self.normalization,
-        }
 
 
 @dataclass
@@ -108,23 +99,13 @@ class DeltaResult:
 
 
 @dataclass
-class SpectrumSummary:
+class SpectrumSummary(JsonRecord):
     records: list[EigenRecord]
     delta_h_plus: float | None = None
     delta_z_plus: float | None = None
     lambda_min_pareto_h: float | None = None
     mu_min_pareto_z: float | None = None
     completeness: str = "heuristic"
-
-    def to_jsonable(self) -> dict:
-        return {
-            "records": [r.to_jsonable() for r in self.records],
-            "delta_h_plus": self.delta_h_plus,
-            "delta_z_plus": self.delta_z_plus,
-            "lambda_min_pareto_h": self.lambda_min_pareto_h,
-            "mu_min_pareto_z": self.mu_min_pareto_z,
-            "completeness": self.completeness,
-        }
 
 
 def distinct_values(records: list[EigenRecord], tol: float = 1e-6) -> list[float]:

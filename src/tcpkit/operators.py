@@ -18,7 +18,7 @@ import numpy as np
 
 from .config import RunConfig, DEFAULT_CONFIG
 from .optimize import pattern_search_min
-from .tensor import Tensor, as_vector, contract_m1, contract_m1_batch
+from .tensor import JsonRecord, Tensor, as_vector, contract_m1, contract_m1_batch
 
 __all__ = [
     "OP_SCALED",
@@ -107,7 +107,7 @@ def norm_bound(A: Tensor, op: str, p) -> float:
 
 
 @dataclass
-class NormReport:
+class NormReport(JsonRecord):
     """A certified lower estimate of an operator norm next to its upper bound."""
 
     op: str
@@ -115,15 +115,6 @@ class NormReport:
     empirical_norm: float
     closed_form_bound: float
     witness: np.ndarray
-
-    def to_jsonable(self) -> dict:
-        return {
-            "op": self.op,
-            "p": "inf" if math.isinf(self.p) else self.p,
-            "empirical_norm": self.empirical_norm,
-            "closed_form_bound": self.closed_form_bound,
-            "witness": [float(v) for v in self.witness],
-        }
 
 
 def _pnorm_rows(X: np.ndarray, p: float) -> np.ndarray:

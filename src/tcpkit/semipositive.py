@@ -18,7 +18,7 @@ import numpy as np
 
 from .config import RunConfig, DEFAULT_CONFIG
 from .optimize import minimize_nonneg_sphere
-from .tensor import Tensor, contract_m1_batch, principal_subtensor, supports_by_size
+from .tensor import JsonRecord, Tensor, contract_m1_batch, principal_subtensor, supports_by_size
 
 __all__ = [
     "BetaResult",
@@ -39,7 +39,7 @@ UNDETERMINED = "undetermined"
 
 
 @dataclass
-class BetaResult:
+class BetaResult(JsonRecord):
     """Feasible upper approximation of the activity margin.
 
     ``value`` is the max-activity objective evaluated at ``argmin``, which
@@ -51,29 +51,12 @@ class BetaResult:
     certified_by: str
     grid_resolution: int
 
-    def to_jsonable(self) -> dict:
-        return {
-            "value": self.value,
-            "argmin": [float(v) for v in self.argmin],
-            "certified_by": self.certified_by,
-            "grid_resolution": self.grid_resolution,
-        }
-
 
 @dataclass
-class Classification:
+class Classification(JsonRecord):
     verdict: str
     beta: BetaResult
     counterexample: np.ndarray | None = None
-
-    def to_jsonable(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "beta": self.beta.to_jsonable(),
-            "counterexample": None
-            if self.counterexample is None
-            else [float(v) for v in self.counterexample],
-        }
 
 
 def _activity_objective(A: Tensor):

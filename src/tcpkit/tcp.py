@@ -20,6 +20,7 @@ from .config import CLUSTER_TOL, DEFAULT_CONFIG, POSITIVITY_FLOOR, RESIDUAL_TOL,
 from .operators import OP_SCALED, norm_bound
 from .optimize import damped_newton, first_of_clusters, newton_lanes
 from .tensor import (
+    JsonRecord,
     Tensor,
     TensorFormatError,
     as_vector,
@@ -86,32 +87,20 @@ class TcpInstance:
 
 
 @dataclass
-class ResidualRecord:
+class ResidualRecord(JsonRecord):
     primal: float  # min_i x_i
     dual: float    # min_i w_i
     compl: float   # |x'w|
     ok: bool
 
-    def to_jsonable(self) -> dict:
-        return {"primal": self.primal, "dual": self.dual, "compl": self.compl, "ok": self.ok}
-
 
 @dataclass
-class TcpSolution:
+class TcpSolution(JsonRecord):
     x: np.ndarray
     w: np.ndarray
     support: tuple[int, ...]
     residuals: ResidualRecord
     method: str
-
-    def to_jsonable(self) -> dict:
-        return {
-            "x": [float(v) for v in self.x],
-            "w": [float(v) for v in self.w],
-            "support": [i + 1 for i in self.support],
-            "residuals": self.residuals.to_jsonable(),
-            "method": self.method,
-        }
 
 
 def verify_solution(inst: TcpInstance, x, tol: float = RESIDUAL_TOL) -> ResidualRecord:

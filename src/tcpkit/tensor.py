@@ -3,9 +3,10 @@
 Storage is a plain row-major ndarray of shape ``(n,) * m``; at desk scale
 (n <= 8, m <= 4) that is at most a few thousand entries, so contractions
 are direct numpy reductions and nothing is ever kept sparse.  Indices are
-0-based everywhere in the library; the JSON interchange format is 1-based
-and conversion happens exactly once, in :func:`tensor_from_dict` /
-:func:`tensor_to_dict`.
+0-based everywhere in the library; JSON is 1-based, and conversion happens
+in two places: :func:`tensor_from_dict` / :func:`tensor_to_dict` for the
+tensor interchange format, and the result-record encoder
+:class:`JsonRecord` for every ``support`` field.
 
 Tensors are immutable after construction, so every operation here is a
 pure function that is safe to call concurrently.
@@ -13,6 +14,7 @@ pure function that is safe to call concurrently.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 import math
@@ -21,6 +23,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 __all__ = [
+    "JsonRecord",
     "Tensor",
     "TensorFormatError",
     "as_vector",
@@ -429,3 +432,30 @@ def save_tensor(A: Tensor, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(tensor_to_dict(A), fh, sort_keys=True)
         fh.write("\n")
+
+
+def _jsonable(value, name: str = ""):
+    """The JSON form of a result value: a dataclass becomes the dict of its
+    fields by name, a field named ``support`` a 1-based list, arrays, lists
+    and tuples lists, dicts are encoded value by value, numpy scalars become
+    Python scalars, and positive infinity becomes ``"inf"``."""
+    if dataclasses.is_dataclass(value):
+        return {f.name: _jsonable(getattr(value, f.name), f.name) for f in dataclasses.fields(value)}
+    if name == "support":
+        return [i + 1 for i in value]
+    if isinstance(value, dict):
+        return {k: _jsonable(v) for k, v in value.items()}
+    if isinstance(value, (np.ndarray, list, tuple)):
+        return [_jsonable(v) for v in value]
+    if isinstance(value, np.generic):
+        value = value.item()
+    if isinstance(value, float) and value == math.inf:
+        return "inf"
+    return value
+
+
+class JsonRecord:
+    """Base of the result dataclasses; their JSON form is :func:`_jsonable`'s."""
+
+    def to_jsonable(self) -> dict:
+        return _jsonable(self)

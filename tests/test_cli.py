@@ -141,6 +141,23 @@ def test_malformed_tensor_exits_2(capsys, tmp_path):
     assert "error" in err
 
 
+@pytest.mark.parametrize("flag,value", [("--starts", "-1"), ("--grid", "-1"), ("--starts", "2.5")])
+def test_negative_budget_flag_exits_2_naming_the_flag(capsys, ident32, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["beta", ident32, flag, value])
+    assert exc.value.code == EXIT_BAD_INPUT
+    assert f"argument {flag}: must be an integer >= 0, got '{value}'" in capsys.readouterr().err
+
+
+def test_negative_count_exits_2_and_zero_starts_run(capsys, ident32):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-bounds", "--family", "matrix_m2", "--m", "2", "--n", "2", "--count", "-1"])
+    assert exc.value.code == EXIT_BAD_INPUT
+    assert "argument --count" in capsys.readouterr().err
+    code, out, _ = run_cli(capsys, ["beta", ident32, "--starts", "0"])
+    assert code == EXIT_OK and json.loads(out)["config"]["starts"] == 0
+
+
 def test_missing_file_exits_2(capsys):
     code, _, _ = run_cli(capsys, ["classify", "/nonexistent/tensor.json"])
     assert code == EXIT_BAD_INPUT

@@ -1,6 +1,7 @@
 """Contractions against the brute-force loop oracle, interchange format, helpers."""
 
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -312,3 +313,98 @@ def test_round_trip_preserves_computations(tmp_path):
     B = load_tensor(path)
     x = np.array([0.3, 0.9])
     np.testing.assert_array_equal(contract_m1(A, x), contract_m1(B, x))
+
+
+# ---------------------------------------------------------------------------
+# result-record encoder: every record's to_jsonable goes through one encoder
+# ---------------------------------------------------------------------------
+
+
+def _diag_instance():
+    from tcpkit import TcpInstance
+
+    return TcpInstance(diagonal_tensor([1.0, 2.0, 3.0], 3), np.array([-1.0, 0.5, -2.0]))
+
+
+def test_encoder_support_is_one_based():
+    from tcpkit import h_plus_eigenpairs, solve_enumeration
+
+    sols = solve_enumeration(_diag_instance())
+    assert sols and all(s.to_jsonable()["support"] == [i + 1 for i in s.support] for s in sols)
+    assert [s.to_jsonable()["support"] for s in sols] == [[1, 3]]
+    recs = h_plus_eigenpairs(diagonal_tensor([1.0, 2.0], 3))
+    assert sorted(r.to_jsonable()["support"] for r in recs) == [[1], [2]]
+    assert all(r.vector[r.to_jsonable()["support"][0] - 1] == 1.0 for r in recs)
+
+
+def test_encoder_norm_report_p():
+    from tcpkit import OP_SCALED, estimate_norm
+
+    A = diagonal_tensor([1.0, 2.0], 3)
+    inf_rec = estimate_norm(A, OP_SCALED, np.inf, budget=2).to_jsonable()
+    two_rec = estimate_norm(A, OP_SCALED, 2.0, budget=2).to_jsonable()
+    assert inf_rec["p"] == "inf"
+    assert type(two_rec["p"]) is float and two_rec["p"] == 2.0
+    assert all(type(v) is float for v in inf_rec["witness"])
+
+
+def test_encoder_numpy_scalars_become_python_scalars():
+    from tcpkit import BetaResult, BoundsReport, ResidualRecord
+
+    res = ResidualRecord(np.float64(-1e-12), np.float64(0.5), np.float64(0.0), np.bool_(True))
+    enc = res.to_jsonable()
+    assert enc == {"primal": -1e-12, "dual": 0.5, "compl": 0.0, "ok": True}
+    assert [type(enc[k]) for k in ("primal", "dual", "compl", "ok")] == [float, float, float, bool]
+    beta = BetaResult(np.float64(1.0), np.array([1.0, 0.5]), "grid", np.int64(21)).to_jsonable()
+    assert type(beta["value"]) is float and type(beta["grid_resolution"]) is int
+    report = BoundsReport("id", np.int64(0), [], {"heuristic": np.bool_(False)}).to_jsonable()
+    assert type(report["solution_index"]) is int and type(report["provenance"]["heuristic"]) is bool
+    assert json.dumps(enc) and json.dumps(beta) and json.dumps(report)
+
+
+def test_encoder_nested_classification():
+    from tcpkit import classify
+
+    cls = classify(identity_tensor(3, 2))
+    assert cls.counterexample is None
+    enc = cls.to_jsonable()
+    assert list(enc) == ["verdict", "beta", "counterexample"]
+    assert enc["verdict"] == cls.verdict and enc["counterexample"] is None
+    assert enc["beta"] == {
+        "value": cls.beta.value,
+        "argmin": [float(v) for v in cls.beta.argmin],
+        "certified_by": cls.beta.certified_by,
+        "grid_resolution": cls.beta.grid_resolution,
+    }
+
+
+def test_encoder_bound_entry_flags_become_a_list():
+    from tcpkit import GeneratorSpec, verify_bounds
+
+    spec = GeneratorSpec("matrix_m2", 2, 2, seed=3, parameters={"symmetric": True})
+    report = verify_bounds(spec, 1)[0]
+    enc = report.to_jsonable()
+    assert enc["entries"][0]["flags"] == ["copositive_equivalent"]
+    assert enc["provenance"] == report.provenance
+    assert [e["entry_id"] for e in enc["entries"]] == [e.entry_id for e in report.entries]
+
+
+def test_encoder_output_dumps_for_every_result():
+    from tcpkit import (
+        OP_ROOT, GeneratorSpec, classify, estimate_norm, solve_enumeration, spectrum,
+        verify_bounds,
+    )
+
+    A = diagonal_tensor([1.0, 2.0, 3.0], 4)
+    results = [
+        classify(A),
+        classify(Tensor(np.array([[0.0, -1.0], [-1.0, 0.0]]))),
+        estimate_norm(A, OP_ROOT, np.inf, budget=2),
+        spectrum(A, "pareto_h"),
+        spectrum(A, "delta_h_plus"),
+        *solve_enumeration(_diag_instance()),
+        *verify_bounds(GeneratorSpec("identity_shift", 3, 2, seed=1), 1),
+    ]
+    for res in results:
+        text = json.dumps(res.to_jsonable(), sort_keys=True, allow_nan=False)
+        assert json.loads(text) == res.to_jsonable()

@@ -10,8 +10,11 @@ fails.  The commands are ``classify``, ``beta`` and ``norms`` on a fixed
 list of m2-4, n2-6 tensors; every ``eigen`` kind on m3/m4 n3/n4 and m4 n5
 tensors, and ``h_plus`` and ``pareto_h`` on m3 n5 ones; ``solve`` by both
 methods at m3/m4, n3-n6; and ``verify-bounds`` (with its full report) for
-every family at m3/m4, n3/n4 (order 2 for ``matrix_m2``).  Every input is
-drawn from a fixed seed, so two checkouts whose outputs agree give
+every family at m3/m4, n3/n4 (order 2 for ``matrix_m2``), with the
+``--csv`` file for ``random_symmetric_copositive``.  At m3 n3 and m4 n4,
+``classify``, ``beta``, ``norms``, the ``h_plus``, ``pareto_h`` and
+``delta_h_plus`` eigen kinds and ``solve`` also run with ``--format csv``
+and ``--format text``.  Every input is drawn from a fixed seed, so two checkouts whose outputs agree give
 directories that ``diff -r`` finds equal.
 """
 
@@ -48,6 +51,10 @@ SOLVE_SHAPES = {
 }
 BOUND_SHAPES = [(3, 3), (3, 4), (4, 3), (4, 4)]
 BOUND_COUNT = 2
+CSV_FAMILY = "random_symmetric_copositive"
+# the shapes and eigen kinds whose csv and text renderings are written too
+FORMAT_SHAPES = [(3, 3), (4, 4)]
+FORMAT_EIGEN_KINDS = ("h_plus", "pareto_h", "delta_h_plus")
 
 
 def entries(data: np.ndarray, symmetric: bool) -> list[dict]:
@@ -114,7 +121,23 @@ def commands() -> list[tuple[str, list[str]]]:
             out.append((name, ["verify-bounds", "--family", family, "--m", str(m), "--n", str(n),
                                "--count", str(BOUND_COUNT), "--seed", "7",
                                "--report", f"{name}.report.jsonl",
-                               "--violation-out", f"{name}.violation.json"]))
+                               "--violation-out", f"{name}.violation.json"]
+                        + (["--csv", f"{name}.csv"] if family == CSV_FAMILY else [])))
+    for m, n in FORMAT_SHAPES:
+        for fmt in ("csv", "text"):
+            for kind in ("mixed", "shifted", "symmetric"):
+                name = f"m{m}n{n}_{kind}"
+                for cmd in ("classify", "beta", "norms"):
+                    out.append((f"{cmd}_{name}.{fmt}", [cmd, f"{name}.tensor.json", "--format", fmt]))
+            for kind in ("shifted", "symmetric"):
+                name = f"m{m}n{n}_{kind}"
+                for eig in FORMAT_EIGEN_KINDS:
+                    out.append((f"eigen_{eig}_{name}.{fmt}",
+                                ["eigen", f"{name}.tensor.json", "--kind", eig, "--format", fmt]))
+                for method in ("enumeration", "iterative"):
+                    out.append((f"solve_{method}_{name}.{fmt}",
+                                ["solve", f"{name}.instance.json", "--method", method,
+                                 "--format", fmt]))
     return out
 
 
