@@ -20,10 +20,14 @@ zero-extended, with the residual taken on the support's rows.
 :func:`spectrum` reads one table from each kind to its function and the
 summary field of its minimum.
 
-Per-support solving is exact for matrices (dense eigensolver plus a small
-LP that finds a strictly positive eigenvector when one exists) and closed
-form on singleton supports; everything else is damped Newton from many
-random positive starts, so completeness is heuristic and flagged as such.
+Per-support solving is exact for matrices and closed form on singleton
+supports.  A matrix support takes a dense eigensolver; a one-dimensional
+eigenspace has a strictly positive vector exactly when its basis vector has
+one sign, which is checked in closed form, and only a repeated eigenvalue's
+eigenspace (or a near-zero component, see :func:`_positive_eigvec`) needs a
+small LP, the one place scipy is imported, at call time.  Everything else
+is damped Newton from many random positive starts, so completeness is
+heuristic and flagged as such.
 For symmetric tensors the minimum Pareto value is additionally seeded from
 a direct minimization of the full contraction over the feasible cone
 (its KKT points are exactly the Pareto eigenpairs), which makes the
@@ -35,7 +39,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .config import CLUSTER_TOL, DEFAULT_CONFIG, POSITIVITY_FLOOR, RESIDUAL_TOL, RunConfig
 # damped_newton is unused here but stays bound: perfbench's tracer expects it
@@ -123,8 +126,39 @@ def distinct_values(records: list[EigenRecord], tol: float = 1e-6) -> list[float
 # ---------------------------------------------------------------------------
 
 
+POSITIVE_BAND = 1e-6  # closed-form smallest components at or below this go to the LP
+
+
 def _positive_eigvec(basis: np.ndarray) -> np.ndarray | None:
-    """A strictly positive vector in the column span, found by a small LP."""
+    """A strictly positive unit vector in the column span, or None.
+
+    A one-column basis ``b`` has a single candidate, ``b / sum(b)``, which
+    is what the LP below returns for it bit for bit (HiGHS presolve solves
+    the one equality as ``c = 1 / sum(b)``).  So that case is closed form,
+    except in a band: when the smallest component of ``b / sum(b)`` is
+    positive but at most ``POSITIVE_BAND``, HiGHS's feasibility tolerance
+    can reject the vector, and the LP keeps the verdict.  Bases of two or
+    more columns (repeated eigenvalues) always take the LP.
+    """
+    if basis.shape[1] == 1:
+        total = basis.sum(axis=0)[0]
+        if total == 0.0:
+            return None
+        y = basis[:, 0] * (1.0 / total)
+        smallest = float(np.min(y))
+        if smallest <= 0.0:
+            return None
+        if smallest > POSITIVE_BAND:
+            return y / np.linalg.norm(y)
+    return _lp_positive_vector(basis)
+
+
+def _lp_positive_vector(basis: np.ndarray) -> np.ndarray | None:
+    """A strictly positive unit vector in the column span, found by a small
+    LP that maximizes the smallest component over ``sum = 1``.  scipy is
+    imported here, so ``import tcpkit`` does not load it."""
+    from scipy.optimize import linprog
+
     r, k = basis.shape
     if k == 0:
         return None

@@ -167,9 +167,7 @@ def contract_m1_batch(A: Tensor, X: np.ndarray) -> np.ndarray:
         letters = "ijklmnopqr"[: A.m]
         subs = letters + "," + ",".join("b" + c for c in letters[1:]) + "->b" + letters[0]
         _BATCH_SUBSCRIPTS[A.m] = subs
-    # path planning only pays off on big batches (grid evaluations)
-    optimize = X.shape[0] >= 1000
-    return np.einsum(subs, A.data, *([X] * (A.m - 1)), optimize=optimize)
+    return np.einsum(subs, A.data, *([X] * (A.m - 1)))
 
 
 _JACOBIAN_SUBSCRIPTS: dict[int, list[str]] = {}

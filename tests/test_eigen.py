@@ -1,7 +1,11 @@
 """Eigenpair enumeration: closed forms, matrix oracles, positivity, minima."""
 
 import itertools
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +29,7 @@ from tcpkit import (
     z_plus_eigenpairs,
     z_plusplus_eigenpairs,
 )
+from tcpkit import eigen
 from tcpkit.cli import EIGEN_CLI_KINDS
 from tcpkit.config import POSITIVITY_FLOOR, RESIDUAL_TOL, RunConfig
 from oracles import pareto_matrix_oracle
@@ -369,3 +374,87 @@ def test_enumeration_is_deterministic():
     r1 = h_plus_eigenpairs(A, FAST)
     r2 = h_plus_eigenpairs(A, FAST)
     assert [(a.value, tuple(a.vector)) for a in r1] == [(b.value, tuple(b.vector)) for b in r2]
+
+
+# --- the strictly positive vector of a matrix eigenspace -----------------------
+
+
+def count_lp_calls(monkeypatch):
+    """Route eigen's LP through a wrapper that records the bases it gets."""
+    calls = []
+    lp = eigen._lp_positive_vector
+
+    def counted(basis):
+        calls.append(basis.copy())
+        return lp(basis)
+
+    monkeypatch.setattr(eigen, "_lp_positive_vector", counted)
+    return calls, lp
+
+
+def test_closed_form_equals_the_lp_bit_for_bit(monkeypatch):
+    # unit columns as the SVD gives them: either overall sign, mixed signs,
+    # exact zeros and tiny components on both sides of the LP band
+    calls, lp = count_lp_calls(monkeypatch)
+    rng = np.random.default_rng(2015)
+    columns = []
+    for i in range(2400):
+        shape = i % 4
+        b = rng.uniform(0.01, 1.0, size=int(rng.integers(1 if shape == 0 else 2, 9)))
+        if shape == 1:
+            b[rng.integers(b.size)] = 10.0 ** rng.uniform(-11.0, -2.0)
+        elif shape == 2:
+            b[rng.integers(b.size)] *= -1.0
+        elif shape == 3:
+            b[rng.integers(b.size)] = 0.0
+        b = b * rng.choice([-1.0, 1.0]) / np.linalg.norm(b)
+        columns.append(b[:, None])
+    for basis in columns:
+        got, want = eigen._positive_eigvec(basis), lp(basis)
+        assert (got is None) == (want is None)
+        if got is not None:
+            np.testing.assert_array_equal(got, want)
+    assert len(columns) - len(calls) >= 2000  # the closed form decided these
+
+
+def test_column_in_the_lp_band_keeps_the_lp_verdict(monkeypatch):
+    # b / sum(b) has a positive smallest component of about 5e-10: the closed
+    # form would accept it, HiGHS's feasibility tolerance does not
+    calls, _ = count_lp_calls(monkeypatch)
+    b = np.array([1.0, 4.95464632e-10])
+    basis = (b / np.linalg.norm(b))[:, None]
+    assert eigen._positive_eigvec(basis) is None
+    assert len(calls) == 1
+
+
+def test_repeated_eigenvalue_takes_the_lp(monkeypatch):
+    calls, _ = count_lp_calls(monkeypatch)
+    recs = h_plus_eigenpairs(identity_tensor(2, 3), FAST)
+    assert sorted(r.support for r in recs) == sorted(
+        J for k in (1, 2, 3) for J in itertools.combinations(range(3), k)
+    )
+    assert all(r.value == pytest.approx(1.0) for r in recs)
+    assert calls and all(basis.shape[1] >= 2 for basis in calls)
+
+
+def test_order_2_bounds_run_without_scipy():
+    # a fresh interpreter: importing tcpkit and checking the symmetric order-2
+    # sandwiches (which divide by least Pareto values) must not load scipy
+    script = "\n".join([
+        "import sys",
+        "import tcpkit",
+        "from tcpkit import GeneratorSpec, eigen, verify_bounds",
+        "calls = []",
+        "closed_form = eigen._positive_eigvec",
+        "eigen._positive_eigvec = lambda basis: calls.append(1) or closed_form(basis)",
+        "for spec in (GeneratorSpec('matrix_m2', 2, 4, seed=3, parameters={'symmetric': True}),",
+        "             GeneratorSpec('random_symmetric_copositive', 2, 4, seed=3)):",
+        "    assert verify_bounds(spec, 3)",
+        "print(len(calls), sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+    ])
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, check=True).stdout.split(maxsplit=1)
+    assert int(out[0]) > 0
+    assert out[1].strip() == "[]"

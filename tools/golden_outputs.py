@@ -14,8 +14,11 @@ every family at m3/m4, n3/n4 (order 2 for ``matrix_m2``), with the
 ``--csv`` file for ``random_symmetric_copositive``.  At m3 n3 and m4 n4,
 ``classify``, ``beta``, ``norms``, the ``h_plus``, ``pareto_h`` and
 ``delta_h_plus`` eigen kinds and ``solve`` also run with ``--format csv``
-and ``--format text``.  Every input is drawn from a fixed seed, so two checkouts whose outputs agree give
-directories that ``diff -r`` finds equal.
+and ``--format text``.  Last come the ``h_plus``, ``pareto_h`` and
+``pareto_z`` eigen kinds at order 2, on shifted and symmetric n3/n5
+matrices and on ``diag(1, 1, 2)`` and the 3x3 identity, whose repeated
+eigenvalues take the LP.  Every input is drawn from a fixed seed, so two
+checkouts whose outputs agree give directories that ``diff -r`` finds equal.
 """
 
 from __future__ import annotations
@@ -55,6 +58,12 @@ CSV_FAMILY = "random_symmetric_copositive"
 # the shapes and eigen kinds whose csv and text renderings are written too
 FORMAT_SHAPES = [(3, 3), (4, 4)]
 FORMAT_EIGEN_KINDS = ("h_plus", "pareto_h", "delta_h_plus")
+# order-2 eigen runs: generic matrices have one-dimensional eigenspaces (the
+# closed-form positive eigenvector), the diagonal ones repeated eigenvalues (the LP)
+MATRIX_DIAGONALS = {"m2n3_diag112": [1.0, 1.0, 2.0], "m2n3_identity": [1.0, 1.0, 1.0]}
+MATRIX_EIGEN_INPUTS = ("m2n3_shifted", "m2n3_symmetric", "m2n5_shifted", "m2n5_symmetric",
+                       *MATRIX_DIAGONALS)
+MATRIX_EIGEN_KINDS = ("h_plus", "pareto_h", "pareto_z")
 
 
 def entries(data: np.ndarray, symmetric: bool) -> list[dict]:
@@ -138,6 +147,14 @@ def commands() -> list[tuple[str, list[str]]]:
                     out.append((f"solve_{method}_{name}.{fmt}",
                                 ["solve", f"{name}.instance.json", "--method", method,
                                  "--format", fmt]))
+    for kind in ("shifted", "symmetric"):
+        write_json(f"m2n3_{kind}.tensor.json", draw(rng, 2, 3, kind))
+    for name, diag in MATRIX_DIAGONALS.items():
+        write_json(f"{name}.tensor.json", {"m": 2, "n": len(diag), "symmetric": True,
+                                           "entries": entries(np.diag(diag), True)})
+    for name in MATRIX_EIGEN_INPUTS:
+        for eig in MATRIX_EIGEN_KINDS:
+            out.append((f"eigen_{eig}_{name}", ["eigen", f"{name}.tensor.json", "--kind", eig]))
     return out
 
 
