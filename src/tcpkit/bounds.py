@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .config import RunConfig, DEFAULT_CONFIG
-from .eigen import pareto_h_eigenvalues, pareto_z_eigenvalues
+from .eigen import _completeness, pareto_h_eigenvalues, pareto_z_eigenvalues
 from .operators import OP_ROOT, OP_SCALED, _pnorm_rows, estimate_norm, norm_bound
 from .semipositive import STRICTLY_SEMI_POSITIVE, Classification, classify
 from .tcp import TcpInstance, TcpSolution, solve_enumeration, solve_iterative
@@ -130,18 +130,18 @@ def generate(spec: GeneratorSpec, cfg: RunConfig = DEFAULT_CONFIG) -> Tensor:
     return _generate_gated(spec, 0, cfg)[0]
 
 
-def min_pareto_h(A: Tensor, cfg: RunConfig = DEFAULT_CONFIG) -> float:
-    records = pareto_h_eigenvalues(A, cfg)
+def _least_value(records) -> float:
     if not records:
         raise ValueError("no Pareto value found; cannot form an upper bound")
     return min(r.value for r in records)
+
+
+def min_pareto_h(A: Tensor, cfg: RunConfig = DEFAULT_CONFIG) -> float:
+    return _least_value(pareto_h_eigenvalues(A, cfg))
 
 
 def min_pareto_z(A: Tensor, cfg: RunConfig = DEFAULT_CONFIG) -> float:
-    records = pareto_z_eigenvalues(A, cfg)
-    if not records:
-        raise ValueError("no Pareto value found; cannot form an upper bound")
-    return min(r.value for r in records)
+    return _least_value(pareto_z_eigenvalues(A, cfg))
 
 
 @dataclass
@@ -205,17 +205,14 @@ def upper_bounds(
     """
     if beta_value <= 0:
         raise ValueError("nonpositive activity margin; instance is misclassified")
-    q = inst.q
     m = inst.A.m
-    out = {"inf": float(_pnorm_rows(pos_part(-q), math.inf)) / beta_value}
-    if mu_value is not None:
-        if mu_value <= 0:
-            raise ValueError("nonpositive Pareto divisor; instance is misclassified")
-        out["two"] = float(_pnorm_rows(pos_part(-q), 2.0)) / mu_value
-    if lambda_value is not None:
-        if lambda_value <= 0:
-            raise ValueError("nonpositive Pareto divisor; instance is misclassified")
-        out["m"] = float(_pnorm_rows(pos_part(-q), m / (m - 1.0))) / lambda_value
+    neg = pos_part(-inst.q)
+    out = {"inf": float(_pnorm_rows(neg, math.inf)) / beta_value}
+    for key, p, divisor in (("two", 2.0, mu_value), ("m", m / (m - 1.0), lambda_value)):
+        if divisor is not None:
+            if divisor <= 0:
+                raise ValueError("nonpositive Pareto divisor; instance is misclassified")
+            out[key] = float(_pnorm_rows(neg, p)) / divisor
     return out
 
 
@@ -279,80 +276,48 @@ def _bound_templates(
     estimate_budget: int | None,
 ) -> list[BoundEntry]:
     A = inst.A
-    m = A.m
+    even = A.m % 2 == 0
     lo = lower_bounds(inst, cfg, estimate_budget)
     up = upper_bounds(inst, beta_value, lambda_value, mu_value)
     sym_flags = ("copositive_equivalent",) if A.symmetric else ()
 
+    def entry(entry_id, quantity, key, applicable, reason, flags=sym_flags, empirical=True):
+        # the upper end is the bound on the norm itself, the lower end the one keyed by key
+        return BoundEntry(
+            entry_id, quantity, lower=lo[key], upper=up.get(quantity),
+            lower_empirical=lo.get(key + "_empirical") if empirical else None,
+            applicable=applicable, reason=reason, flags=flags,
+        )
+
     entries = [
-        BoundEntry(
-            "inf_general", "inf",
-            lower=lo["inf"], upper=up["inf"],
-            lower_empirical=lo.get("inf_empirical"),
-            applicable=True, reason="strictly semi-positive", flags=sym_flags,
-        ),
-        BoundEntry(
-            "inf_even_order", "inf",
-            lower=lo["inf_even"], upper=up["inf"],
-            lower_empirical=lo.get("inf_even_empirical"),
-            applicable=m % 2 == 0,
-            reason="even order" if m % 2 == 0 else "odd order", flags=sym_flags,
-        ),
+        entry("inf_general", "inf", "inf", True, "strictly semi-positive"),
+        entry("inf_even_order", "inf", "inf_even", even, "even order" if even else "odd order"),
     ]
     if A.symmetric:
-        two_flags = sym_flags if m % 2 == 0 else sym_flags + ("interpretation_dependent",)
-        entries.append(
-            BoundEntry(
-                "two_norm_symmetric", "two",
-                lower=lo["two"], upper=up.get("two"),
-                lower_empirical=lo.get("two_empirical"),
-                applicable=True,
-                reason="symmetric" if m % 2 == 0
-                else "symmetric; odd order leaves the upper-bound divisor undefined",
-                flags=two_flags,
-            )
-        )
-        entries.append(
-            BoundEntry(
-                "m_norm_symmetric_even", "m",
-                lower=lo["m"], upper=up.get("m"),
-                lower_empirical=lo.get("m_empirical"),
-                applicable=m % 2 == 0,
-                reason="symmetric and even order" if m % 2 == 0 else "odd order",
-                flags=sym_flags,
-            )
-        )
+        entries += [
+            entry("two_norm_symmetric", "two", "two", True,
+                  "symmetric" if even else "symmetric; odd order leaves the upper-bound divisor undefined",
+                  sym_flags if even else sym_flags + ("interpretation_dependent",)),
+            entry("m_norm_symmetric_even", "m", "m", even,
+                  "symmetric and even order" if even else "odd order"),
+        ]
     else:
-        entries.append(
-            BoundEntry("two_norm_symmetric", "two", applicable=False, reason="not symmetric")
-        )
-        entries.append(
-            BoundEntry("m_norm_symmetric_even", "m", applicable=False, reason="not symmetric")
-        )
-    if m == 2:
-        entries.append(
-            BoundEntry(
-                "matrix_inf", "inf", lower=lo["inf"], upper=up["inf"],
-                applicable=True, reason="order 2",
-            )
-        )
-        entries.append(
-            BoundEntry(
-                "matrix_two_symmetric", "two",
-                lower=lo["two"], upper=up.get("two"),
-                applicable=A.symmetric,
-                reason="order 2, symmetric" if A.symmetric else "not symmetric",
-            )
-        )
+        entries += [
+            BoundEntry(entry_id, quantity, applicable=False, reason="not symmetric")
+            for entry_id, quantity in (("two_norm_symmetric", "two"), ("m_norm_symmetric_even", "m"))
+        ]
+    if A.m == 2:
+        entries += [
+            entry("matrix_inf", "inf", "inf", True, "order 2", (), False),
+            entry("matrix_two_symmetric", "two", "two", A.symmetric,
+                  "order 2, symmetric" if A.symmetric else "not symmetric", (), False),
+        ]
     return entries
 
 
 def _achieved(x: np.ndarray, m: int) -> dict[str, float]:
-    return {
-        "inf": float(_pnorm_rows(x, math.inf)) ** (m - 1),
-        "two": float(_pnorm_rows(x, 2.0)) ** (m - 1),
-        "m": float(_pnorm_rows(x, float(m))) ** (m - 1),
-    }
+    return {key: float(_pnorm_rows(x, p)) ** (m - 1)
+            for key, p in (("inf", math.inf), ("two", 2.0), ("m", float(m)))}
 
 
 def evaluate_instance(
@@ -418,7 +383,7 @@ def verify_bounds(
         provenance = {
             "family": spec.family,
             "beta_certified_by": cls.beta.certified_by,
-            "pareto_values_heuristic": A.symmetric and A.m > 2,
+            "pareto_values_heuristic": A.symmetric and _completeness(A) == "heuristic",
             "solver": solutions[0].method,
         }
         instance_id = f"{spec.family}-m{spec.m}-n{spec.n}-s{spec.seed}-{k:04d}"
@@ -440,18 +405,7 @@ def reports_to_csv(reports: list[BoundsReport]) -> str:
     lines = ["instance_id,solution,entry_id,lower,achieved,upper,applicable,passed"]
     for r in reports:
         for e in r.entries:
-            lines.append(
-                ",".join(
-                    [
-                        r.instance_id,
-                        str(r.solution_index),
-                        e.entry_id,
-                        "" if e.lower is None else repr(e.lower),
-                        "" if e.achieved is None else repr(e.achieved),
-                        "" if e.upper is None else repr(e.upper),
-                        str(e.applicable).lower(),
-                        str(e.passed).lower(),
-                    ]
-                )
-            )
+            ends = ["" if v is None else repr(v) for v in (e.lower, e.achieved, e.upper)]
+            lines.append(",".join([r.instance_id, str(r.solution_index), e.entry_id, *ends,
+                                   str(e.applicable).lower(), str(e.passed).lower()]))
     return "\n".join(lines) + "\n"

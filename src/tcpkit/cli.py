@@ -44,8 +44,17 @@ def _nonnegative_int(text: str) -> int:
     return int(text)
 
 
+def _tolerance(text: str) -> float:
+    try:
+        if math.isfinite(value := float(text)) and value >= 0:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--tol", type=float, default=1e-6, help="sign-decision tolerance (default 1e-6)")
+    parser.add_argument("--tol", type=_tolerance, default=1e-6, help="sign-decision tolerance (default 1e-6)")
     parser.add_argument("--grid", type=_nonnegative_int, default=None, help="grid points per axis (default: by dimension)")
     parser.add_argument("--starts", type=_nonnegative_int, default=None, help="override every multistart budget")
     parser.add_argument("--seed", type=int, default=0, help="64-bit master seed (default 0)")

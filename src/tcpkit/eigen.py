@@ -53,6 +53,7 @@ from .tensor import (
     lane_maps,
     principal_subtensor,
     supports_by_size,
+    zero_extend,
 )
 
 NEWTON_STARTS = 32      # random Newton starts per support
@@ -323,17 +324,11 @@ def _interior_candidates(
 # ---------------------------------------------------------------------------
 
 
-def _embed(y: np.ndarray, J: tuple[int, ...], n: int) -> np.ndarray:
-    x = np.zeros(n)
-    x[list(J)] = y
-    return x
-
-
 def _verify(
     A: Tensor, J: tuple[int, ...], lam: float, y: np.ndarray,
     system: str, pareto: bool,
 ) -> EigenRecord | None:
-    x = _embed(y, J, A.n)
+    x = zero_extend(y, J, A.n)
     if system == "H":
         x = x / float(np.max(np.abs(x)))
         mass = float(np.sum(x**A.m))
@@ -471,7 +466,7 @@ def _delta(A: Tensor, system: str, cfg: RunConfig) -> DeltaResult:
     records: list[EigenRecord] = []
     for J, cands in _interior_candidates(A, system, cfg).items():
         for lam, y in cands:
-            x = _embed(y / float(np.max(y)) if system == "H" else y, J, A.n)
+            x = zero_extend(y / float(np.max(y)) if system == "H" else y, J, A.n)
             gap = contract_m1(A, x) - lam * _rhs(system, x, A.m)
             resid = float(np.max(np.abs(gap[list(J)])))
             records.append(EigenRecord(f"delta_{orthant}", lam, x, J, resid, normalization))

@@ -69,6 +69,7 @@ from typing import Callable
 import numpy as np
 
 from .config import RunConfig
+from .tensor import JsonRecord
 
 BatchObjective = Callable[[np.ndarray], np.ndarray]
 
@@ -120,7 +121,14 @@ def pattern_search_min(
 
 
 @dataclass
-class SphereMinimum:
+class SphereMinimum(JsonRecord):
+    """Feasible upper approximation of a minimum over the nonnegative unit
+    sphere; for :func:`tcpkit.semipositive.beta`, of the activity margin.
+
+    ``value`` is the objective evaluated at ``argmin``, which lies on the
+    feasible set, so it always upper-bounds the true minimum.
+    """
+
     value: float
     argmin: np.ndarray
     certified_by: str        # "grid+refine" or "multistart"

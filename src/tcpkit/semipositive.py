@@ -17,8 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import RunConfig, DEFAULT_CONFIG
-from .optimize import minimize_nonneg_sphere
-from .tensor import JsonRecord, Tensor, contract_m1_batch, principal_subtensor, supports_by_size
+from .optimize import SphereMinimum, minimize_nonneg_sphere
+from .tensor import (
+    JsonRecord, Tensor, contract_m1_batch, principal_subtensor, supports_by_size, zero_extend,
+)
 
 __all__ = [
     "BetaResult",
@@ -38,18 +40,7 @@ NOT_SEMI_POSITIVE = "not_semi_positive"
 UNDETERMINED = "undetermined"
 
 
-@dataclass
-class BetaResult(JsonRecord):
-    """Feasible upper approximation of the activity margin.
-
-    ``value`` is the max-activity objective evaluated at ``argmin``, which
-    lies on the feasible set, so it always upper-bounds the true margin.
-    """
-
-    value: float
-    argmin: np.ndarray
-    certified_by: str
-    grid_resolution: int
+BetaResult = SphereMinimum
 
 
 @dataclass
@@ -74,13 +65,7 @@ def beta(A: Tensor, cfg: RunConfig = DEFAULT_CONFIG) -> BetaResult:
     starts; the reported value is the objective re-evaluated at the winning
     feasible point.
     """
-    res = minimize_nonneg_sphere(_activity_objective(A), A.n, cfg, "beta")
-    return BetaResult(
-        value=res.value,
-        argmin=res.argmin,
-        certified_by=res.certified_by,
-        grid_resolution=res.grid_resolution,
-    )
+    return minimize_nonneg_sphere(_activity_objective(A), A.n, cfg, "beta")
 
 
 def _violation_search(A: Tensor, cfg: RunConfig) -> tuple[float, np.ndarray | None]:
@@ -101,9 +86,7 @@ def _violation_search(A: Tensor, cfg: RunConfig) -> tuple[float, np.ndarray | No
 
         res = minimize_nonneg_sphere(rows_max, sub.n, cfg, f"violation:{J}")
         if res.value < best_val:
-            x = np.zeros(A.n)
-            x[list(J)] = res.argmin
-            best_val, best_x = res.value, x
+            best_val, best_x = res.value, zero_extend(res.argmin, J, A.n)
     return best_val, best_x
 
 

@@ -33,6 +33,7 @@ from .tensor import (
     supports_by_size,
     tensor_from_dict,
     tensor_to_dict,
+    zero_extend,
 )
 
 __all__ = [
@@ -213,9 +214,7 @@ def solve_enumeration(inst: TcpInstance, cfg: RunConfig = DEFAULT_CONFIG) -> lis
         solutions.append(zero)
     for group in supports_by_size(n):
         for J, y in _support_roots(inst, group, cfg):
-            x = np.zeros(n)
-            x[list(J)] = y
-            sol = _make_solution(inst, x, "enumeration")
+            sol = _make_solution(inst, zero_extend(y, J, n), "enumeration")
             if sol is not None:
                 solutions.append(sol)
     solutions.sort(key=lambda s: (float(np.max(np.abs(s.x))), tuple(s.x)))
@@ -249,9 +248,7 @@ def _polish_active_set(inst: TcpInstance, x: np.ndarray, cfg: RunConfig) -> TcpS
     y, ok = damped_newton(residual, jac, x[list(J)])
     if not ok or np.min(y) <= POSITIVITY_FLOOR:
         return None
-    full = np.zeros(inst.A.n)
-    full[list(J)] = y
-    return _make_solution(inst, full, "iterative")
+    return _make_solution(inst, zero_extend(y, J, inst.A.n), "iterative")
 
 
 def solve_iterative(inst: TcpInstance, cfg: RunConfig = DEFAULT_CONFIG) -> TcpSolution:

@@ -15,6 +15,7 @@ pure function that is safe to call concurrently.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import json
 import math
@@ -34,6 +35,7 @@ __all__ = [
     "jacobian_m1_batch",
     "principal_subtensor",
     "supports_by_size",
+    "zero_extend",
     "lane_maps",
     "validate_index_set",
     "identity_tensor",
@@ -152,7 +154,29 @@ def contract_m1(A: Tensor, x) -> np.ndarray:
     return np.atleast_1d(out)
 
 
-_BATCH_SUBSCRIPTS: dict[int, str] = {}
+@functools.lru_cache(maxsize=None)
+def _subscripts(m: int, tensor_prefix: str, vector_prefix: str) -> tuple[str, tuple[str, ...]]:
+    """einsum subscripts of the degree-(m-1) map and of the m-1 parts of its
+    Jacobian, for the tensor operand ``tensor_prefix + "ijk.."`` and vector
+    operands ``vector_prefix + "j"``, ``vector_prefix + "k"``, ...: the map
+    gives ``vector_prefix + "i"``, and Jacobian part p leaves trailing mode
+    p out of the vectors and keeps it as the column index."""
+    letters = "ijklmnopqr"[:m]
+    head = tensor_prefix + letters + ","
+
+    def vectors(skip: str) -> str:
+        return ",".join(vector_prefix + c for c in letters[1:] if c != skip)
+
+    contract = head + vectors("") + "->" + vector_prefix + letters[0]
+    return contract, tuple(head + vectors(c) + "->" + vector_prefix + letters[0] + c for c in letters[1:])
+
+
+def _einsum_jacobian(subs: tuple[str, ...], T: np.ndarray, Y: np.ndarray, m: int) -> np.ndarray:
+    """The Jacobian parts ``subs`` of T at Y, summed in mode order."""
+    total = np.einsum(subs[0], T, *([Y] * (m - 2)))
+    for sub in subs[1:]:
+        total += np.einsum(sub, T, *([Y] * (m - 2)))
+    return total
 
 
 def contract_m1_batch(A: Tensor, X: np.ndarray) -> np.ndarray:
@@ -162,15 +186,7 @@ def contract_m1_batch(A: Tensor, X: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected batch of shape (B, {A.n})")
     if A.m == 2:
         return X @ A.data.T
-    subs = _BATCH_SUBSCRIPTS.get(A.m)
-    if subs is None:
-        letters = "ijklmnopqr"[: A.m]
-        subs = letters + "," + ",".join("b" + c for c in letters[1:]) + "->b" + letters[0]
-        _BATCH_SUBSCRIPTS[A.m] = subs
-    return np.einsum(subs, A.data, *([X] * (A.m - 1)))
-
-
-_JACOBIAN_SUBSCRIPTS: dict[int, list[str]] = {}
+    return np.einsum(_subscripts(A.m, "", "b")[0], A.data, *([X] * (A.m - 1)))
 
 
 def jacobian_m1_batch(A: Tensor, X: np.ndarray) -> np.ndarray:
@@ -184,23 +200,7 @@ def jacobian_m1_batch(A: Tensor, X: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected batch of shape (B, {A.n})")
     if A.m == 2:
         return np.broadcast_to(A.data, (X.shape[0], A.n, A.n)).copy()
-    subs = _JACOBIAN_SUBSCRIPTS.get(A.m)
-    if subs is None:
-        letters = "ijklmnopqr"[: A.m]
-        subs = [
-            letters
-            + ","
-            + ",".join("b" + c for c in letters[1:] if c != letters[p])
-            + "->b"
-            + letters[0]
-            + letters[p]
-            for p in range(1, A.m)
-        ]
-        _JACOBIAN_SUBSCRIPTS[A.m] = subs
-    total = np.einsum(subs[0], A.data, *([X] * (A.m - 2)))
-    for sub in subs[1:]:
-        total += np.einsum(sub, A.data, *([X] * (A.m - 2)))
-    return total
+    return _einsum_jacobian(_subscripts(A.m, "", "b")[1], A.data, X, A.m)
 
 
 def contract_full(A: Tensor, x) -> float:
@@ -252,6 +252,13 @@ def principal_subtensor(A: Tensor, J: Iterable[int]) -> Tensor:
     return Tensor(sub, symmetric=A.symmetric or None)
 
 
+def zero_extend(y, J: Iterable[int], n: int) -> np.ndarray:
+    """The length-n vector that carries y on the index subset J, zero elsewhere."""
+    x = np.zeros(n)
+    x[list(J)] = y
+    return x
+
+
 def supports_by_size(n: int) -> Iterator[list[tuple[int, ...]]]:
     """The nonempty index subsets of range(n), one list per size from 1 to n,
     each list in lexicographic order."""
@@ -287,24 +294,14 @@ def lane_maps(subs: list[Tensor], owner: np.ndarray):
 
     T = np.stack([sub.data for sub in subs])
     m = T.ndim - 1
-    letters = "ijklmnopqr"[:m]
-    csubs = "z" + letters + "," + ",".join("zw" + c for c in letters[1:]) + "->zw" + letters[0]
-    jsubs = [
-        "z" + letters + ","
-        + ",".join("z" + c for c in letters[1:] if c != letters[p])
-        + "->z" + letters[0] + letters[p]
-        for p in range(1, m)
-    ]
+    csubs = _subscripts(m, "z", "zw")[0]
+    jsubs = _subscripts(m, "z", "z")[1]
 
     def contract(Y: np.ndarray, lanes: np.ndarray) -> np.ndarray:
         return np.einsum(csubs, T[owner[lanes]], *([Y] * (m - 1)))
 
     def jacobian(Y: np.ndarray, lanes: np.ndarray) -> np.ndarray:
-        Tl = T[owner[lanes]]
-        total = np.einsum(jsubs[0], Tl, *([Y] * (m - 2)))
-        for sub in jsubs[1:]:
-            total += np.einsum(sub, Tl, *([Y] * (m - 2)))
-        return total
+        return _einsum_jacobian(jsubs, T[owner[lanes]], Y, m)
 
     return contract, jacobian
 
@@ -358,25 +355,36 @@ def power_component(x, p: float) -> np.ndarray:
 # {"m": int, "n": int, "symmetric": bool,
 #  "entries": [{"idx": [i1, ..., im], "v": value}, ...]}
 #
-# idx is 1-based; unspecified cells default to 0; with "symmetric": true each
-# entry is replicated to all permutations of its index, and two entries that
-# land on the same cell with different values are an error.
+# m, n and every idx value are whole numbers and symmetric is a boolean; idx is
+# 1-based; unspecified cells default to 0; with "symmetric": true each entry is
+# replicated to all permutations of its index, and two entries that land on the
+# same cell with different values are an error.
 # ---------------------------------------------------------------------------
+
+
+def _whole(value) -> int:
+    """A JSON whole number as an int; booleans, strings and fractions raise."""
+    whole = isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    if not whole or isinstance(value, bool):
+        raise ValueError(f"not a whole number: {value!r}")
+    return int(value)
 
 
 def tensor_from_dict(obj) -> Tensor:
     if not isinstance(obj, dict):
         raise TensorFormatError("tensor object must be a JSON object")
     try:
-        m = int(obj["m"])
-        n = int(obj["n"])
+        m = _whole(obj["m"])
+        n = _whole(obj["n"])
     except (KeyError, TypeError, ValueError) as exc:
         raise TensorFormatError("tensor object needs integer fields 'm' and 'n'") from exc
     if m < 2:
         raise TensorFormatError(f"tensor order must be >= 2, got {m}")
     if n < 1:
         raise TensorFormatError(f"tensor dimension must be >= 1, got {n}")
-    symmetric = bool(obj.get("symmetric", False))
+    symmetric = obj.get("symmetric", False)
+    if not isinstance(symmetric, bool):
+        raise TensorFormatError(f"'symmetric' must be true or false, got {symmetric!r}")
     entries = obj.get("entries", [])
     if not isinstance(entries, list):
         raise TensorFormatError("'entries' must be a list")
@@ -385,7 +393,7 @@ def tensor_from_dict(obj) -> Tensor:
     assigned: dict[tuple[int, ...], float] = {}
     for k, ent in enumerate(entries):
         try:
-            idx = tuple(int(i) for i in ent["idx"])
+            idx = tuple(_whole(i) for i in ent["idx"])
             val = float(ent["v"])
         except (KeyError, TypeError, ValueError) as exc:
             raise TensorFormatError(f"entry {k} needs 'idx' (list of ints) and 'v' (real)") from exc

@@ -272,3 +272,92 @@ def test_report_serialization_round_trip():
     header, *rows = csv_text.strip().split("\n")
     assert header.startswith("instance_id,solution,entry_id,lower,achieved,upper")
     assert len(rows) == sum(len(r.entries) for r in reports)
+
+
+# --- the sandwich table and its provenance -----------------------------------------
+
+COP = ("copositive_equivalent",)
+ODD_TWO = "symmetric; odd order leaves the upper-bound divisor undefined"
+# every entry as (entry_id, quantity, applicable, reason, flags, lower is None,
+# upper is None, lower_empirical is None), by (order, symmetric)
+SANDWICH_TABLE = {
+    (2, True): [
+        ("inf_general", "inf", True, "strictly semi-positive", COP, False, False, False),
+        ("inf_even_order", "inf", True, "even order", COP, False, False, False),
+        ("two_norm_symmetric", "two", True, "symmetric", COP, False, False, False),
+        ("m_norm_symmetric_even", "m", True, "symmetric and even order", COP, False, False, False),
+        ("matrix_inf", "inf", True, "order 2", (), False, False, True),
+        ("matrix_two_symmetric", "two", True, "order 2, symmetric", (), False, False, True),
+    ],
+    (2, False): [
+        ("inf_general", "inf", True, "strictly semi-positive", (), False, False, False),
+        ("inf_even_order", "inf", True, "even order", (), False, False, False),
+        ("two_norm_symmetric", "two", False, "not symmetric", (), True, True, True),
+        ("m_norm_symmetric_even", "m", False, "not symmetric", (), True, True, True),
+        ("matrix_inf", "inf", True, "order 2", (), False, False, True),
+        ("matrix_two_symmetric", "two", False, "not symmetric", (), False, True, True),
+    ],
+    (3, True): [
+        ("inf_general", "inf", True, "strictly semi-positive", COP, False, False, False),
+        ("inf_even_order", "inf", False, "odd order", COP, True, False, True),
+        ("two_norm_symmetric", "two", True, ODD_TWO, COP + ("interpretation_dependent",),
+         False, True, False),
+        ("m_norm_symmetric_even", "m", False, "odd order", COP, True, False, True),
+    ],
+    (3, False): [
+        ("inf_general", "inf", True, "strictly semi-positive", (), False, False, False),
+        ("inf_even_order", "inf", False, "odd order", (), True, False, True),
+        ("two_norm_symmetric", "two", False, "not symmetric", (), True, True, True),
+        ("m_norm_symmetric_even", "m", False, "not symmetric", (), True, True, True),
+    ],
+    (4, True): [
+        ("inf_general", "inf", True, "strictly semi-positive", COP, False, False, False),
+        ("inf_even_order", "inf", True, "even order", COP, False, False, False),
+        ("two_norm_symmetric", "two", True, "symmetric", COP, False, False, False),
+        ("m_norm_symmetric_even", "m", True, "symmetric and even order", COP, False, False, False),
+    ],
+    (4, False): [
+        ("inf_general", "inf", True, "strictly semi-positive", (), False, False, False),
+        ("inf_even_order", "inf", True, "even order", (), False, False, False),
+        ("two_norm_symmetric", "two", False, "not symmetric", (), True, True, True),
+        ("m_norm_symmetric_even", "m", False, "not symmetric", (), True, True, True),
+    ],
+}
+
+
+@pytest.mark.parametrize("m,symmetric", sorted(SANDWICH_TABLE))
+def test_sandwich_table(m, symmetric):
+    from tcpkit.bounds import _bound_templates
+
+    data = identity_tensor(m, 2).data.copy()
+    if not symmetric:
+        data[(0,) + (1,) * (m - 1)] = 0.25
+    A = Tensor(data)
+    assert A.symmetric is symmetric
+    inst = TcpInstance(A, np.array([-1.0, 0.5]))
+    lam = 1.0 if symmetric else None
+    mu = 1.0 if symmetric and m % 2 == 0 else None
+    table = [
+        (e.entry_id, e.quantity, e.applicable, e.reason, e.flags,
+         e.lower is None, e.upper is None, e.lower_empirical is None)
+        for e in _bound_templates(inst, 1.0, lam, mu, FAST, 2)
+    ]
+    assert table == SANDWICH_TABLE[m, symmetric]
+
+
+@pytest.mark.parametrize("family,m,n,heuristic", [
+    ("random_symmetric_copositive", 3, 1, False),
+    ("diag_dominant", 3, 1, False),  # every tensor of dimension 1 is symmetric
+    ("random_symmetric_copositive", 3, 2, True),
+    ("random_symmetric_copositive", 2, 3, False),
+    ("diag_dominant", 3, 2, False),  # not symmetric: no Pareto values taken
+])
+def test_pareto_heuristic_flag_follows_spectrum_completeness(family, m, n, heuristic):
+    from tcpkit import spectrum
+
+    spec = GeneratorSpec(family, m, n, seed=3)
+    report = verify_bounds(spec, 1, FAST, estimate_budget=None)[0]
+    assert report.provenance["pareto_values_heuristic"] is heuristic
+    A = generate(spec, FAST)
+    if A.symmetric:
+        assert (spectrum(A, "pareto_h", FAST).completeness == "heuristic") is heuristic

@@ -149,6 +149,32 @@ def test_negative_budget_flag_exits_2_naming_the_flag(capsys, ident32, flag, val
     assert f"argument {flag}: must be an integer >= 0, got '{value}'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["-2", "nan", "inf", "-inf", "abc", ""])
+def test_tol_outside_finite_nonnegative_exits_2_naming_the_flag(capsys, tmp_path, value):
+    # beta of diag(-1, -1) is -1: a tol of -2, nan or inf would flip or blur the verdict
+    path = tmp_path / "neg.json"
+    save_tensor(Tensor(-identity_tensor(3, 2).data), path)
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", str(path), f"--tol={value}"])
+    assert exc.value.code == EXIT_BAD_INPUT
+    assert f"argument --tol: must be a finite number >= 0, got '{value}'" in capsys.readouterr().err
+    code, out, _ = run_cli(capsys, ["classify", str(path), "--tol=0"])
+    assert code == EXIT_OK and json.loads(out)["result"]["verdict"] == "not_semi_positive"
+
+
+@pytest.mark.parametrize("field,value", [
+    ("symmetric", "false"), ("symmetric", 1), ("m", 3.9), ("m", True), ("n", "2"),
+])
+def test_loosely_typed_tensor_file_exits_2(capsys, tmp_path, field, value):
+    obj = {"m": 3, "n": 2, "symmetric": False,
+           "entries": [{"idx": [1, 1, 2], "v": 1.0}, {"idx": [2, 2, 2], "v": 1.0}]}
+    obj[field] = value
+    path = tmp_path / "loose.json"
+    path.write_text(json.dumps(obj))
+    code, _, err = run_cli(capsys, ["classify", str(path)])
+    assert code == EXIT_BAD_INPUT and err.startswith("error: ")
+
+
 def test_negative_count_exits_2_and_zero_starts_run(capsys, ident32):
     with pytest.raises(SystemExit) as exc:
         main(["verify-bounds", "--family", "matrix_m2", "--m", "2", "--n", "2", "--count", "-1"])

@@ -299,6 +299,31 @@ def test_interchange_schema_errors():
         tensor_from_dict({"m": 2, "n": 2, "entries": [{"idx": [1, 2, 1], "v": 1.0}]})
 
 
+@pytest.mark.parametrize("field,value", [
+    ("symmetric", "false"), ("symmetric", 0), ("symmetric", None),
+    ("m", 3.9), ("m", True), ("m", "3"), ("n", 2.5), ("n", False), ("n", float("inf")),
+])
+def test_interchange_requires_a_boolean_flag_and_whole_sizes(field, value):
+    obj = {"m": 3, "n": 2, "symmetric": False, "entries": [{"idx": [1, 1, 2], "v": 2.0}]}
+    obj[field] = value
+    with pytest.raises(TensorFormatError):
+        tensor_from_dict(obj)
+
+
+@pytest.mark.parametrize("idx", [[1, 1, 2.7], [1, True, 2], [1, "1", 2], [1, 1, None]])
+def test_interchange_requires_whole_indices(idx):
+    with pytest.raises(TensorFormatError):
+        tensor_from_dict({"m": 3, "n": 2, "entries": [{"idx": idx, "v": 2.0}]})
+
+
+def test_interchange_accepts_whole_floats():
+    obj = {"m": 3.0, "n": 2.0, "symmetric": True, "entries": [{"idx": [1.0, 1, 2], "v": 2.0}]}
+    A = tensor_from_dict(obj)
+    assert (A.m, A.n, A.symmetric) == (3, 2, True) and type(A.m) is int
+    assert A == tensor_from_dict({"m": 3, "n": 2, "symmetric": True,
+                                  "entries": [{"idx": [1, 1, 2], "v": 2.0}]})
+
+
 def test_load_rejects_bad_file(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")

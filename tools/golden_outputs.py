@@ -17,7 +17,9 @@ every family at m3/m4, n3/n4 (order 2 for ``matrix_m2``), with the
 and ``--format text``.  Last come the ``h_plus``, ``pareto_h`` and
 ``pareto_z`` eigen kinds at order 2, on shifted and symmetric n3/n5
 matrices and on ``diag(1, 1, 2)`` and the 3x3 identity, whose repeated
-eigenvalues take the LP.  Every input is drawn from a fixed seed, so two
+eigenvalues take the LP, and then ``verify-bounds`` on symmetric matrices:
+``matrix_m2 --symmetric`` at n3/n4 and ``random_symmetric_copositive`` at
+order 2, n3.  Every input is drawn from a fixed seed, so two
 checkouts whose outputs agree give directories that ``diff -r`` finds equal.
 """
 
@@ -64,6 +66,10 @@ MATRIX_DIAGONALS = {"m2n3_diag112": [1.0, 1.0, 2.0], "m2n3_identity": [1.0, 1.0,
 MATRIX_EIGEN_INPUTS = ("m2n3_shifted", "m2n3_symmetric", "m2n5_shifted", "m2n5_symmetric",
                        *MATRIX_DIAGONALS)
 MATRIX_EIGEN_KINDS = ("h_plus", "pareto_h", "pareto_z")
+# (family, n, --symmetric) of the order-2 verify-bounds runs on symmetric
+# matrices, the only ones where ``matrix_two_symmetric`` applies
+SYMMETRIC_MATRIX_BOUNDS = [("matrix_m2", 3, True), ("matrix_m2", 4, True),
+                           ("random_symmetric_copositive", 3, False)]
 
 
 def entries(data: np.ndarray, symmetric: bool) -> list[dict]:
@@ -101,6 +107,17 @@ def write_json(path: str, obj) -> None:
         fh.write("\n")
 
 
+def bounds_command(family: str, m: int, n: int, symmetric: bool = False) -> tuple[str, list[str]]:
+    """A seeded ``verify-bounds`` run that writes its report (and, for
+    ``CSV_FAMILY``, its csv file) next to its output."""
+    name = f"bounds_{family}{'_symmetric' if symmetric else ''}_m{m}n{n}"
+    return (name, ["verify-bounds", "--family", family, "--m", str(m), "--n", str(n),
+                   "--count", str(BOUND_COUNT), "--seed", "7",
+                   "--report", f"{name}.report.jsonl", "--violation-out", f"{name}.violation.json"]
+            + (["--symmetric"] if symmetric else [])
+            + (["--csv", f"{name}.csv"] if family == CSV_FAMILY else []))
+
+
 def commands() -> list[tuple[str, list[str]]]:
     """(output name, CLI argv) pairs; writes the input files they read."""
     rng = np.random.default_rng(20151)
@@ -126,12 +143,7 @@ def commands() -> list[tuple[str, list[str]]]:
     for family in GENERATOR_FAMILIES:
         shapes = [(2, 3), (2, 4)] if family == "matrix_m2" else BOUND_SHAPES
         for m, n in shapes:
-            name = f"bounds_{family}_m{m}n{n}"
-            out.append((name, ["verify-bounds", "--family", family, "--m", str(m), "--n", str(n),
-                               "--count", str(BOUND_COUNT), "--seed", "7",
-                               "--report", f"{name}.report.jsonl",
-                               "--violation-out", f"{name}.violation.json"]
-                        + (["--csv", f"{name}.csv"] if family == CSV_FAMILY else [])))
+            out.append(bounds_command(family, m, n))
     for m, n in FORMAT_SHAPES:
         for fmt in ("csv", "text"):
             for kind in ("mixed", "shifted", "symmetric"):
@@ -155,6 +167,7 @@ def commands() -> list[tuple[str, list[str]]]:
     for name in MATRIX_EIGEN_INPUTS:
         for eig in MATRIX_EIGEN_KINDS:
             out.append((f"eigen_{eig}_{name}", ["eigen", f"{name}.tensor.json", "--kind", eig]))
+    out.extend(bounds_command(family, 2, n, symmetric) for family, n, symmetric in SYMMETRIC_MATRIX_BOUNDS)
     return out
 
 
