@@ -46,11 +46,9 @@ def _nonnegative_int(text: str) -> int:
 
 def _tolerance(text: str) -> float:
     try:
-        if math.isfinite(value := float(text)) and value >= 0:
-            return value
+        return RunConfig(tol=float(text)).tol
     except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}") from None
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:

@@ -27,12 +27,21 @@ class RunConfig:
     of ``None`` picks the per-axis grid resolution from the dimension:
     21 points for n <= 4, 9 for n in {5, 6}, multistart-only above that.
     ``starts`` of ``None`` keeps each multistart routine's own budget.
+    ``tol`` must be a finite number >= 0, and ``grid`` and ``starts`` None
+    or an integer >= 0; anything else raises ``ValueError``.
     """
 
     tol: float = 1e-6               # sign tolerance for verdict-style decisions
     grid: int | None = None         # grid points per free axis; None = auto by dimension
     starts: int | None = None       # random starts of every multistart search; None = per routine
     seed: int = 0
+
+    def __post_init__(self):
+        if isinstance(self.tol, bool) or not (isinstance(self.tol, (int, float)) and 0 <= self.tol < np.inf):
+            raise ValueError(f"tol must be a finite number >= 0, got {self.tol!r}")
+        for name, value in (("grid", self.grid), ("starts", self.starts)):
+            if value is not None and not (type(value) is int and value >= 0):
+                raise ValueError(f"{name} must be None or an integer >= 0, got {value!r}")
 
     def grid_for(self, n: int) -> int:
         if self.grid is not None:

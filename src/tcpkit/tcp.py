@@ -3,10 +3,11 @@
 An instance pairs a tensor with an offset vector q; a solution is x >= 0
 with w = q + A x^(m-1) >= 0 and x'w = 0.  Two routes are provided: exact
 support enumeration (per support, solve the polynomial system on the
-active coordinates and check the inactive rows) and a projected
-fixed-point iteration with a backtracking step on the natural-residual
-merit.  Every returned solution is re-certified by :func:`verify_solution`
-from scratch.
+active coordinates and check the inactive rows) and a semismooth Newton
+method on the Fischer-Burmeister residual
+``Phi(x)_i = sqrt(x_i^2 + w_i^2) - x_i - w_i``, which vanishes exactly at
+the solutions.  Every returned solution is re-certified by
+:func:`verify_solution` from scratch.
 """
 
 from __future__ import annotations
@@ -17,15 +18,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import CLUSTER_TOL, DEFAULT_CONFIG, POSITIVITY_FLOOR, RESIDUAL_TOL, RunConfig
-from .operators import OP_SCALED, norm_bound
 from .optimize import damped_newton, first_of_clusters, newton_lanes
 from .tensor import (
     JsonRecord,
     Tensor,
     TensorFormatError,
+    _real,
     as_vector,
     contract_m1,
+    contract_m1_batch,
     jacobian_m1,
+    jacobian_m1_batch,
     lane_maps,
     pos_part,
     power_component,
@@ -49,12 +52,15 @@ __all__ = [
 NEWTON_STARTS = 16             # random Newton starts per support
 DUST_TOL = 1e-4                # zero out components below this when the result still certifies
 SUPPORT_CAP = 6                # enumeration refuses larger dimensions
-FIXED_POINT_MAX_ITER = 10_000
-MERIT_TOL = 1e-10
 
 
 class NonConvergenceError(RuntimeError):
-    """The iterative solver exhausted its budget; carries diagnostics."""
+    """No start of :func:`solve_iterative` reached a certified solution.
+
+    ``best_merit`` is the least Fischer-Burmeister residual norm
+    ``||Phi(x)||`` over the final points of every start, and ``iterations``
+    is the number of starts run.
+    """
 
     def __init__(self, message: str, best_merit: float, iterations: int):
         super().__init__(message)
@@ -76,7 +82,9 @@ class TcpInstance:
             raise TensorFormatError("instance object needs 'tensor' and 'q' fields")
         A = tensor_from_dict(obj["tensor"])
         try:
-            q = np.asarray([float(v) for v in obj["q"]], dtype=float)
+            if not isinstance(obj["q"], list):
+                raise TypeError("q is not a list")
+            q = np.asarray([_real(v) for v in obj["q"]], dtype=float)
         except (TypeError, ValueError) as exc:
             raise TensorFormatError("'q' must be a list of reals") from exc
         if q.size != A.n:
@@ -112,10 +120,6 @@ def verify_solution(inst: TcpInstance, x, tol: float = RESIDUAL_TOL) -> Residual
     dual = float(np.min(w))
     compl = abs(float(x @ w))
     return ResidualRecord(primal, dual, compl, primal >= -tol and dual >= -tol and compl <= tol)
-
-
-def _natural_merit(inst: TcpInstance, x: np.ndarray) -> float:
-    return float(np.linalg.norm(np.minimum(x, inst.q + contract_m1(inst.A, x))))
 
 
 def _make_solution(inst: TcpInstance, x: np.ndarray, method: str) -> TcpSolution | None:
@@ -238,75 +242,46 @@ def _polish_active_set(inst: TcpInstance, x: np.ndarray, cfg: RunConfig) -> TcpS
         return _make_solution(inst, np.zeros(inst.A.n), "iterative")
     sub = principal_subtensor(inst.A, J)
     qJ = inst.q[list(J)]
-
-    def residual(y: np.ndarray) -> np.ndarray:
-        return contract_m1(sub, y) + qJ
-
-    def jac(y: np.ndarray) -> np.ndarray:
-        return jacobian_m1(sub, y)
-
-    y, ok = damped_newton(residual, jac, x[list(J)])
+    y, ok = damped_newton(lambda y: contract_m1(sub, y) + qJ, lambda y: jacobian_m1(sub, y), x[list(J)])
     if not ok or np.min(y) <= POSITIVITY_FLOOR:
         return None
     return _make_solution(inst, zero_extend(y, J, inst.A.n), "iterative")
 
 
 def solve_iterative(inst: TcpInstance, cfg: RunConfig = DEFAULT_CONFIG) -> TcpSolution:
-    """Projected fixed-point iteration x <- max(0, x - gamma*(q + A x^(m-1))).
+    """Semismooth Newton on the Fischer-Burmeister residual ``Phi``.
 
-    The step backtracks (halving) whenever the natural-residual merit does
-    not decrease and is cautiously re-enlarged after successes.  When the
-    merit plateaus, the active pattern of the iterate seeds a Newton polish
-    of that support system (projected methods identify the active set long
-    before the values converge).  Several deterministic-plus-seeded starts
-    are tried; exhausting them raises :class:`NonConvergenceError` with the
-    best merit reached instead of returning an uncertified point.
+    The generalized Jacobian is ``diag(x/rho - 1) + diag(w/rho - 1) J_w(x)``
+    with ``rho = sqrt(x^2 + w^2)``, and ``1/sqrt(2) - 1`` in both places
+    where ``rho = 0``.  The heuristic start ``pos_part(-q)^(1/(m-1))`` runs
+    alone, then zero and six seeded draws as one lane array.  The first
+    lane whose point certifies, as it stands or as the root of its active
+    support, wins; else :class:`NonConvergenceError` is raised.
     """
-    n, m = inst.A.n, inst.A.m
-    gamma0 = 1.0 / (1.0 + norm_bound(inst.A, OP_SCALED, np.inf))
+    A, q, n = inst.A, inst.q, inst.A.n
     rng = cfg.substream("tcp_iterative")
-    starts = [power_component(pos_part(-inst.q), 1.0 / (m - 1)), np.zeros(n)]
-    starts.extend(rng.uniform(0.0, 1.0, size=(6, n)))
+    starts = np.vstack([power_component(pos_part(-q), 1.0 / (A.m - 1)), np.zeros(n),
+                        rng.uniform(0.0, 1.0, size=(6, n))])
+
+    def residual(X: np.ndarray, lanes=None) -> np.ndarray:
+        flat = X.reshape(-1, n)
+        W = q + contract_m1_batch(A, flat)
+        return (np.sqrt(flat**2 + W**2) - flat - W).reshape(X.shape)
+
+    def jac(X: np.ndarray, lanes: np.ndarray) -> np.ndarray:
+        W = q + contract_m1_batch(A, X)
+        rho = np.sqrt(X**2 + W**2)
+        kink = rho == 0.0
+        dx, dw = (np.where(kink, np.sqrt(0.5), V / np.where(kink, 1.0, rho)) - 1.0 for V in (X, W))
+        return dx[:, :, None] * np.eye(n) + dw[:, :, None] * jacobian_m1_batch(A, X)
 
     best_merit = np.inf
-    total_iters = 0
-    for x0 in starts:
-        x = np.maximum(np.asarray(x0, dtype=float), 0.0)
-        merit = _natural_merit(inst, x)
-        gamma = gamma0
-        window_best = merit
-        stalled = False
-        for it in range(FIXED_POINT_MAX_ITER):
-            total_iters += 1
-            if merit <= MERIT_TOL or stalled:
-                break
-            w = inst.q + contract_m1(inst.A, x)
-            candidate = np.maximum(x - gamma * w, 0.0)
-            cand_merit = _natural_merit(inst, candidate)
-            if cand_merit < merit:
-                x, merit = candidate, cand_merit
-                gamma = min(gamma * 1.2, 10.0 * gamma0)
-            else:
-                gamma *= 0.5
-                if gamma < 1e-15:
-                    stalled = True
-            if (it + 1) % 40 == 0 or stalled:
-                sol = _polish_active_set(inst, x, cfg)
-                if sol is not None:
-                    return sol
-                if merit > 0.99 * window_best and not stalled:
-                    break  # plateau without a certifiable active set
-                window_best = merit
-        best_merit = min(best_merit, merit)
-        if merit <= MERIT_TOL:
-            sol = _make_solution(inst, x, "iterative")
+    for block in (starts[:1], starts[1:]):
+        X, _ = newton_lanes(residual, jac, block)
+        best_merit = min(best_merit, float(np.min(np.linalg.norm(residual(X), axis=1))))
+        for x in X:
+            sol = _make_solution(inst, x, "iterative") or _polish_active_set(inst, x, cfg)
             if sol is not None:
                 return sol
-        sol = _polish_active_set(inst, x, cfg)
-        if sol is not None:
-            return sol
-    raise NonConvergenceError(
-        f"projected iteration did not certify a solution (best merit {best_merit:.3e})",
-        best_merit=best_merit,
-        iterations=total_iters,
-    )
+    raise NonConvergenceError(f"semismooth Newton did not certify a solution (best merit {best_merit:.3e})",
+                              best_merit=best_merit, iterations=len(starts))

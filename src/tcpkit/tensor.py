@@ -370,6 +370,13 @@ def _whole(value) -> int:
     return int(value)
 
 
+def _real(value) -> float:
+    """A finite JSON number as a float; booleans, strings and non-finite values raise."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ValueError(f"not a finite real: {value!r}")
+    return float(value)
+
+
 def tensor_from_dict(obj) -> Tensor:
     if not isinstance(obj, dict):
         raise TensorFormatError("tensor object must be a JSON object")
@@ -394,15 +401,13 @@ def tensor_from_dict(obj) -> Tensor:
     for k, ent in enumerate(entries):
         try:
             idx = tuple(_whole(i) for i in ent["idx"])
-            val = float(ent["v"])
+            val = _real(ent["v"])
         except (KeyError, TypeError, ValueError) as exc:
-            raise TensorFormatError(f"entry {k} needs 'idx' (list of ints) and 'v' (real)") from exc
+            raise TensorFormatError(f"entry {k} needs 'idx' (list of ints) and 'v' (finite real)") from exc
         if len(idx) != m:
             raise TensorFormatError(f"entry {k}: idx has length {len(idx)}, expected {m}")
         if any(i < 1 or i > n for i in idx):
             raise TensorFormatError(f"entry {k}: index out of range 1..{n}: {idx}")
-        if not math.isfinite(val):
-            raise TensorFormatError(f"entry {k}: value must be finite")
         zero_based = tuple(i - 1 for i in idx)
         cells = set(itertools.permutations(zero_based)) if symmetric else {zero_based}
         for cell in cells:

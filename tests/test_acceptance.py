@@ -249,3 +249,17 @@ def test_criterion_9_seeded_runs_byte_identical():
         assert first.stdout == second.stdout
         assert first.stdout  # nonempty JSON
         json.loads(first.stdout)
+
+
+def test_criterion_10_eigenvalue_upper_bounds_on_beta():
+    # For an H+ (Pareto H) eigenpair with ||x||_inf = 1, x_i (A x^(m-1))_i is
+    # lambda x_i^m <= lambda on the support and 0 off it, so beta <= lambda.
+    # A Z+ eigenvector has ||x||_2 = 1, so ||x||_inf >= n^(-1/2) and scaling it
+    # to ||x||_inf = 1 gives beta <= n^((m-2)/2) mu.
+    with criterion(10, "beta below delta_H+, n^((m-2)/2) delta_Z+ and the least Pareto H-value"):
+        for A in strict_corpus():
+            value = beta(A).value
+            assert value <= delta_h_plus(A).value + 1e-8
+            if A.m % 2 == 0:
+                assert value <= A.n ** ((A.m - 2) / 2.0) * delta_z_plus(A).value + 1e-8
+            assert value <= min(rec.value for rec in pareto_h_eigenvalues(A)) + 1e-8

@@ -175,6 +175,15 @@ def test_loosely_typed_tensor_file_exits_2(capsys, tmp_path, field, value):
     assert code == EXIT_BAD_INPUT and err.startswith("error: ")
 
 
+@pytest.mark.parametrize("q,v", [("12", 1.0), ([-1.0, 2.0], True), ([-1.0, 2.0], "2.5")])
+def test_loosely_typed_instance_values_exit_2(capsys, tmp_path, q, v):
+    tensor = {"m": 3, "n": 2, "entries": [{"idx": [1, 1, 1], "v": v}, {"idx": [2, 2, 2], "v": 1.0}]}
+    path = tmp_path / "loose.instance.json"
+    path.write_text(json.dumps({"tensor": tensor, "q": q}))
+    code, _, err = run_cli(capsys, ["solve", str(path)])
+    assert code == EXIT_BAD_INPUT and err.startswith("error: ")
+
+
 def test_negative_count_exits_2_and_zero_starts_run(capsys, ident32):
     with pytest.raises(SystemExit) as exc:
         main(["verify-bounds", "--family", "matrix_m2", "--m", "2", "--n", "2", "--count", "-1"])

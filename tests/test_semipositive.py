@@ -252,3 +252,19 @@ def test_config_grid_override():
     assert res.grid_resolution == 5
     assert res.value == pytest.approx(1.0, abs=1e-6)
     assert res.certified_by == "grid+refine"
+
+
+@pytest.mark.parametrize("field,value", [
+    ("tol", -2.0), ("tol", float("nan")), ("tol", float("inf")), ("tol", "0.1"), ("tol", True),
+    ("grid", -3), ("grid", 2.5), ("grid", True), ("starts", -1), ("starts", "3"),
+])
+def test_run_config_rejects_values_outside_its_domain(field, value):
+    with pytest.raises(ValueError, match=field):
+        RunConfig(**{field: value})
+
+
+def test_run_config_accepts_its_domain():
+    cfg = RunConfig(tol=0, grid=0, starts=0)
+    assert (cfg.tol, cfg.grid, cfg.starts) == (0, 0, 0)
+    # beta of diag(-1, -1) is -1: with tol=-2 the verdict would read strict
+    assert classify(diagonal_tensor([-1.0, -1.0], 3), RunConfig(tol=0.0)).verdict == NOT_SEMI_POSITIVE

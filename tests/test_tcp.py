@@ -1,4 +1,6 @@
-"""Complementarity solving: support enumeration, projected iteration, certificates."""
+"""Complementarity solving: support enumeration, semismooth Newton, certificates."""
+
+import itertools
 
 import numpy as np
 import pytest
@@ -168,6 +170,14 @@ def test_instance_schema_errors():
         )
 
 
+@pytest.mark.parametrize("q", ["12", "1.5", 1.0, None, {"1": 1.0}, [1.0, True], [1.0, "2"], [1.0, None]])
+def test_instance_q_must_be_a_list_of_finite_reals(q):
+    from tcpkit import TensorFormatError, tensor_to_dict
+
+    with pytest.raises(TensorFormatError):
+        TcpInstance.from_dict({"tensor": tensor_to_dict(identity_tensor(2, 2)), "q": q})
+
+
 def test_multiple_solutions_sorted_and_distinct():
     # strictly semi-positive with three certified solutions:
     # (1,0), (0,1) and (1/sqrt(3), 1/sqrt(3))
@@ -188,3 +198,59 @@ def test_multiple_solutions_sorted_and_distinct():
         np.testing.assert_allclose(sol.x, want, atol=1e-8)
     norms = [float(np.max(np.abs(s.x))) for s in sols]
     assert norms == sorted(norms)
+
+
+def test_unsolvable_instance_reports_least_residual_over_all_starts():
+    A = Tensor(np.array([[0.0, -1.0], [-1.0, 0.0]]))
+    inst = TcpInstance(A, np.array([-1.0, -1.0]))
+    with pytest.raises(NonConvergenceError) as err:
+        solve_iterative(inst)
+    # the heuristic start, zero and six seeded draws
+    assert err.value.iterations == 8
+    assert 0.0 < err.value.best_merit < np.inf
+
+
+# Strictly semi-positive instances on which the projected fixed-point solver
+# that preceded the semismooth Newton method raised NonConvergenceError.
+
+
+def _diag_dominant(rng, m, n, margin):
+    data = rng.uniform(-1.0, 1.0, size=(n,) * m)
+    cell = tuple([np.arange(n)] * m)
+    data[cell] = 0.0
+    data[cell] = np.abs(data).reshape(n, -1).sum(axis=1) + margin + rng.uniform(0.0, 1.0, size=n)
+    return data
+
+
+def _nonneg_symmetric(rng, m, n):
+    data = rng.uniform(0.0, 1.0, size=(n,) * m)
+    perms = list(itertools.permutations(range(m)))
+    data = sum(np.transpose(data, p) for p in perms) / len(perms)
+    cell = tuple([np.arange(n)] * m)
+    data[cell] = data[cell] + 0.5 + rng.uniform(0.0, 1.0, size=n)
+    return data
+
+
+def _hard_instance(family, m, n, s):
+    if family == "diag_dominant":
+        rng = np.random.default_rng([s, 4, 5, 555])
+        A = _diag_dominant(rng, m, n, 0.5)
+    else:
+        rng = np.random.default_rng([s, m, n, 11])
+        A = _nonneg_symmetric(rng, m, n)
+    return TcpInstance(Tensor(A), rng.uniform(-2.0, 1.0, size=n))
+
+
+HARD_DRAWS = [("diag_dominant", 4, 5, 239)] + [
+    ("nonneg_symmetric", m, n, s)
+    for m, n, seeds in [(3, 5, (3, 46)), (3, 6, (2, 12, 15, 21, 55)), (4, 6, (10, 13, 29, 51, 56))]
+    for s in seeds
+]
+
+
+@pytest.mark.parametrize("family,m,n,s", HARD_DRAWS)
+def test_iterative_solves_strictly_semi_positive_hard_draws(family, m, n, s):
+    inst = _hard_instance(family, m, n, s)
+    sol = solve_iterative(inst)
+    assert sol.method == "iterative" and verify_solution(inst, sol.x).ok
+    assert any(np.max(np.abs(sol.x - e.x)) <= 1e-6 for e in solve_enumeration(inst))

@@ -316,6 +316,17 @@ def test_interchange_requires_whole_indices(idx):
         tensor_from_dict({"m": 3, "n": 2, "entries": [{"idx": idx, "v": 2.0}]})
 
 
+@pytest.mark.parametrize("value", [True, False, "2.5", None, [2.5], float("nan"), float("inf")])
+def test_interchange_requires_finite_real_values(value):
+    with pytest.raises(TensorFormatError):
+        tensor_from_dict({"m": 3, "n": 2, "entries": [{"idx": [1, 1, 2], "v": value}]})
+
+
+def test_interchange_accepts_integer_values():
+    A = tensor_from_dict({"m": 2, "n": 2, "entries": [{"idx": [1, 2], "v": 3}]})
+    assert A.data[0, 1] == 3.0
+
+
 def test_interchange_accepts_whole_floats():
     obj = {"m": 3.0, "n": 2.0, "symmetric": True, "entries": [{"idx": [1.0, 1, 2], "v": 2.0}]}
     A = tensor_from_dict(obj)

@@ -19,7 +19,11 @@ and ``--format text``.  Last come the ``h_plus``, ``pareto_h`` and
 matrices and on ``diag(1, 1, 2)`` and the 3x3 identity, whose repeated
 eigenvalues take the LP, and then ``verify-bounds`` on symmetric matrices:
 ``matrix_m2 --symmetric`` at n3/n4 and ``random_symmetric_copositive`` at
-order 2, n3.  Every input is drawn from a fixed seed, so two
+order 2, n3.  After them, ``solve`` runs by both methods on two nonnegative
+symmetric instances, m3 n5 and m4 n6 (``NONNEG_SOLVES``), drawn the way
+``perfbench/workloads.py``'s ``nonneg_symmetric`` draws them; on both, the
+first start of ``--method iterative`` does not certify.  Every input is
+drawn from a fixed seed, so two
 checkouts whose outputs agree give directories that ``diff -r`` finds equal.
 """
 
@@ -71,6 +75,9 @@ MATRIX_EIGEN_KINDS = ("h_plus", "pareto_h", "pareto_z")
 SYMMETRIC_MATRIX_BOUNDS = [("matrix_m2", 3, True), ("matrix_m2", 4, True),
                            ("random_symmetric_copositive", 3, False)]
 
+# (m, n, s) of the nonnegative symmetric instances drawn from default_rng([s, m, n, 11])
+NONNEG_SOLVES = [(3, 5, 3), (4, 6, 10)]
+
 
 def entries(data: np.ndarray, symmetric: bool) -> list[dict]:
     """Sparse 1-based entries; a symmetric tensor lists each sorted cell once."""
@@ -99,6 +106,22 @@ def draw(rng: np.random.Generator, m: int, n: int, kind: str) -> dict:
         data[diag] = np.abs(data).reshape(n, -1).sum(axis=1) + 0.5
     return {"m": m, "n": n, "symmetric": kind == "symmetric",
             "entries": entries(data, kind == "symmetric")}
+
+
+def nonneg_instance(m: int, n: int, s: int) -> dict:
+    """An instance object: the symmetrized uniform(0, 1) tensor with its
+    diagonal raised by 0.5 + uniform(0, 1), then q ~ uniform(-2, 1), all
+    from ``default_rng([s, m, n, 11])``; every cell is written, so the
+    values are kept bit for bit."""
+    rng = np.random.default_rng([s, m, n, 11])
+    data = rng.uniform(0.0, 1.0, size=(n,) * m)
+    perms = list(itertools.permutations(range(m)))
+    data = sum(np.transpose(data, p) for p in perms) / len(perms)
+    diag = tuple([np.arange(n)] * m)
+    data[diag] = data[diag] + 0.5 + rng.uniform(0.0, 1.0, size=n)
+    q = rng.uniform(-2.0, 1.0, size=n)
+    return {"tensor": {"m": m, "n": n, "symmetric": False, "entries": entries(data, False)},
+            "q": [float(v) for v in q]}
 
 
 def write_json(path: str, obj) -> None:
@@ -168,6 +191,11 @@ def commands() -> list[tuple[str, list[str]]]:
         for eig in MATRIX_EIGEN_KINDS:
             out.append((f"eigen_{eig}_{name}", ["eigen", f"{name}.tensor.json", "--kind", eig]))
     out.extend(bounds_command(family, 2, n, symmetric) for family, n, symmetric in SYMMETRIC_MATRIX_BOUNDS)
+    for m, n, s in NONNEG_SOLVES:
+        name = f"m{m}n{n}_nonneg_s{s}"
+        write_json(f"{name}.instance.json", nonneg_instance(m, n, s))
+        for method in ("enumeration", "iterative"):
+            out.append((f"solve_{method}_{name}", ["solve", f"{name}.instance.json", "--method", method]))
     return out
 
 
