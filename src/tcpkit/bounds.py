@@ -234,34 +234,24 @@ def lower_bounds(
     m, n = A.m, A.n
     neg = pos_part(-q)
     q_inf = float(_pnorm_rows(neg, math.inf))
-    q_two = float(_pnorm_rows(neg, 2.0))
-    q_m = float(_pnorm_rows(neg, float(m)))
-    rows = A.row_abs_sums()
-    if rows.max() == 0.0:
+    if A.row_abs_sums().max() == 0.0:
         raise ValueError("zero tensor: the row-sum denominators vanish "
                          "(the instance cannot be strictly semi-positive)")
-    scale_inf = n ** ((m - 2) / 2.0) * float(rows.max())
-    out: dict[str, float | None] = {
-        "inf": q_inf / scale_inf,
-        "two": q_two / (n ** ((m - 2) / 2.0) * float(np.sqrt((rows**2).sum()))),
-        "inf_even": None,
-        "m": None,
-    }
+    # key, operator, p, numerator, scale, exponent: numerator / (scale * norm^exponent),
+    # with the operator's closed-form norm bound, or its empirical estimate
+    forms = [
+        ("inf", OP_SCALED, math.inf, q_inf, n ** ((m - 2) / 2.0), 1),
+        ("two", OP_SCALED, 2.0, float(_pnorm_rows(neg, 2.0)), 1.0, 1),
+    ]
     if m % 2 == 0:
-        out["inf_even"] = q_inf / float(rows.max())
-        out["m"] = q_m / norm_bound(A, OP_ROOT, float(m)) ** (m - 1)
-    if estimate_budget is not None:
-        # key, operator, p, numerator, scale, exponent: numerator / (scale * norm^exponent)
-        empirical = [
-            ("inf", OP_SCALED, math.inf, q_inf, n ** ((m - 2) / 2.0), 1),
-            ("two", OP_SCALED, 2.0, q_two, 1.0, 1),
+        forms += [
+            ("inf_even", OP_ROOT, math.inf, q_inf, 1.0, m - 1),
+            ("m", OP_ROOT, float(m), float(_pnorm_rows(neg, float(m))), 1.0, m - 1),
         ]
-        if m % 2 == 0:
-            empirical += [
-                ("inf_even", OP_ROOT, math.inf, q_inf, 1.0, m - 1),
-                ("m", OP_ROOT, float(m), q_m, 1.0, m - 1),
-            ]
-        for key, op, p, numerator, scale, exponent in empirical:
+    out: dict[str, float | None] = {"inf_even": None, "m": None}
+    for key, op, p, numerator, scale, exponent in forms:
+        out[key] = numerator / (scale * norm_bound(A, op, p) ** exponent)
+        if estimate_budget is not None:
             est = estimate_norm(A, op, p, budget=estimate_budget, cfg=cfg).empirical_norm
             out[key + "_empirical"] = numerator / (scale * est**exponent) if est > 0 else None
     return out

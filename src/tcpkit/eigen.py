@@ -326,8 +326,16 @@ def _interior_candidates(
 
 def _verify(
     A: Tensor, J: tuple[int, ...], lam: float, y: np.ndarray,
-    system: str, pareto: bool,
+    system: str, check: str,
 ) -> EigenRecord | None:
+    """The record of an interior pair of support J, zero-extended and
+    normalized, or None when its residual exceeds ``RESIDUAL_TOL``.
+
+    ``check`` picks the rows the residual covers: ``"orthant"`` asks
+    equality on every row, ``"pareto"`` equality on J, nonnegativity off J
+    and the value identity, ``"delta"`` equality on J only (the sub-tensor's
+    own eigenpair).
+    """
     x = zero_extend(y, J, A.n)
     if system == "H":
         x = x / float(np.max(np.abs(x)))
@@ -337,22 +345,20 @@ def _verify(
         mass = 1.0  # ||x||_2 = 1 makes the Pareto scaling factor 1
     rows = contract_m1(A, x)
     gap = rows - lam * _rhs(system, x, A.m)
-    in_res = float(np.max(np.abs(gap[list(J)])))
+    residual = float(np.max(np.abs(gap[list(J)])))
     off = [i for i in range(A.n) if i not in J]
-    if pareto:
+    if check == "pareto":
         off_violation = float(max(0.0, -np.min(gap[off]))) if off else 0.0
         value_gap = abs(float(x @ rows) - lam * mass)
-        residual = max(in_res, off_violation, value_gap)
-    else:
-        residual = float(np.max(np.abs(gap))) if off else in_res
+        residual = max(residual, off_violation, value_gap)
+    elif check == "orthant":
+        residual = float(np.max(np.abs(gap)))
     if residual > RESIDUAL_TOL:
         return None
     orthant, pareto_kind, normalization = _SYSTEMS[system]
-    return EigenRecord(
-        kind=pareto_kind if pareto else orthant,
-        value=lam, vector=x, support=J, residual=residual,
-        normalization=normalization,
-    )
+    kind = {"orthant": orthant, "pareto": pareto_kind, "delta": f"delta_{orthant}"}[check]
+    return EigenRecord(kind=kind, value=lam, vector=x, support=J, residual=residual,
+                       normalization=normalization)
 
 
 def _dedupe_records(records: list[EigenRecord]) -> list[EigenRecord]:
@@ -413,7 +419,7 @@ def _enumerate(
     off the support by equality (orthant) or one-sided (Pareto), deduped."""
     seeds = _variational_seed(A, system, cfg) if pareto else None
     found = (
-        _verify(A, J, lam, y, system, pareto)
+        _verify(A, J, lam, y, system, "pareto" if pareto else "orthant")
         for J, cands in _interior_candidates(A, system, cfg, seeds, full_only).items()
         for lam, y in cands
     )
@@ -462,14 +468,12 @@ def pareto_z_eigenvalues(A: Tensor, cfg: RunConfig = DEFAULT_CONFIG) -> list[Eig
 
 
 def _delta(A: Tensor, system: str, cfg: RunConfig) -> DeltaResult:
-    orthant, _, normalization = _SYSTEMS[system]
-    records: list[EigenRecord] = []
-    for J, cands in _interior_candidates(A, system, cfg).items():
-        for lam, y in cands:
-            x = zero_extend(y / float(np.max(y)) if system == "H" else y, J, A.n)
-            gap = contract_m1(A, x) - lam * _rhs(system, x, A.m)
-            resid = float(np.max(np.abs(gap[list(J)])))
-            records.append(EigenRecord(f"delta_{orthant}", lam, x, J, resid, normalization))
+    found = (
+        _verify(A, J, lam, y, system, "delta")
+        for J, cands in _interior_candidates(A, system, cfg).items()
+        for lam, y in cands
+    )
+    records = [rec for rec in found if rec is not None]
     if not records:
         raise RuntimeError("no eigenvalue found for any principal sub-tensor")
     records.sort(key=lambda r: (r.value, r.support, tuple(r.vector)))

@@ -18,7 +18,7 @@ import numpy as np
 
 from .config import RunConfig, DEFAULT_CONFIG
 from .optimize import pattern_search_min
-from .tensor import JsonRecord, Tensor, as_vector, contract_m1, contract_m1_batch
+from .tensor import JsonRecord, Tensor, as_vector, contract_m1_batch
 
 __all__ = [
     "OP_SCALED",
@@ -39,19 +39,14 @@ NORM_STARTS = 64  # random starts of one norm ascent
 
 def apply_scaled(A: Tensor, x) -> np.ndarray:
     """``||x||_2^(2-m) * A x^(m-1)``, with 0 mapped to 0."""
-    v = as_vector(x, A.n)
-    nrm = float(np.linalg.norm(v))
-    if nrm == 0.0:
-        return np.zeros(A.n)
-    return nrm ** (2 - A.m) * contract_m1(A, v)
+    return _apply_batch(A, OP_SCALED, as_vector(x, A.n)[None, :])[0]
 
 
 def apply_root(A: Tensor, x) -> np.ndarray:
     """Componentwise (m-1)-th root of the contraction; requires even order."""
     if A.m % 2 != 0:
         raise ValueError("the root operator needs an even order (odd real roots)")
-    v = contract_m1(A, as_vector(x, A.n))
-    return np.sign(v) * np.abs(v) ** (1.0 / (A.m - 1))
+    return _apply_batch(A, OP_ROOT, as_vector(x, A.n)[None, :])[0]
 
 
 def apply_operator(A: Tensor, op: str, x) -> np.ndarray:
@@ -63,6 +58,8 @@ def apply_operator(A: Tensor, op: str, x) -> np.ndarray:
 
 
 def _apply_batch(A: Tensor, op: str, X: np.ndarray) -> np.ndarray:
+    """The operator ``op`` on every row of X; :func:`apply_scaled` and
+    :func:`apply_root` are its one-row calls."""
     C = contract_m1_batch(A, X)
     if op == OP_SCALED:
         nrm = np.linalg.norm(X, axis=1)

@@ -29,13 +29,8 @@ as one array, each lane solving its own support's system.
 - ``res_fn(Z, lanes)`` gets a (k, w, r) block, w points of each of the k
   lanes ``lanes``: w = 1 for the iterates, and up to 8 trial steps inside
   the line search.  ``jac_fn(Z, lanes)`` gets the (k, r) iterates of the
-  lanes still running.
-- A map that serves several tensors gathers each lane's tensor once per
-  call, by fancy indexing, and broadcasts it over the w points of the lane
-  (:func:`tcpkit.tensor.lane_maps`).  Fancy indexing gives a C-contiguous
-  stack; a stack of another layout (say, a concatenation of broadcast
-  views) makes einsum pick another inner loop, whose last bits differ from
-  the one-tensor batch kernels.
+  lanes still running.  :func:`tcpkit.tensor.lane_maps` builds both maps
+  for lanes spread over sub-tensors.
 
 Each lane follows these rules:
 

@@ -6,14 +6,16 @@ support enumeration (per support, solve the polynomial system on the
 active coordinates and check the inactive rows) and a semismooth Newton
 method on the Fischer-Burmeister residual
 ``Phi(x)_i = sqrt(x_i^2 + w_i^2) - x_i - w_i``, which vanishes exactly at
-the solutions.  Every returned solution is re-certified by
-:func:`verify_solution` from scratch.
+the solutions.  Both solve at unit scale, on ``q / ||q||_inf``, and map
+their solutions back by positive homogeneity: the solutions for ``t q`` are
+``t^(1/(m-1))`` times those for q.  Every returned solution is re-certified
+by :func:`verify_solution` from scratch, relative to the instance's scale.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -58,8 +60,9 @@ class NonConvergenceError(RuntimeError):
     """No start of :func:`solve_iterative` reached a certified solution.
 
     ``best_merit`` is the least Fischer-Burmeister residual norm
-    ``||Phi(x)||`` over the final points of every start, and ``iterations``
-    is the number of starts run.
+    ``||Phi(x)||`` over the final points of every start, taken at unit
+    scale (on ``q / ||q||_inf``), and ``iterations`` is the number of starts
+    run.
     """
 
     def __init__(self, message: str, best_merit: float, iterations: int):
@@ -113,13 +116,19 @@ class TcpSolution(JsonRecord):
 
 
 def verify_solution(inst: TcpInstance, x, tol: float = RESIDUAL_TOL) -> ResidualRecord:
-    """Recompute w and the three residuals from scratch; pass iff all within tol."""
+    """Recompute w and the three residuals from scratch; with the scale
+    ``s = ||q||_inf + ||A x^(m-1)||_inf``, pass iff ``primal >= -tol ||x||_inf``,
+    ``dual >= -tol s`` and ``compl <= tol s ||x||_inf``."""
     x = as_vector(x, inst.A.n)
-    w = inst.q + contract_m1(inst.A, x)
+    Ax = contract_m1(inst.A, x)
+    w = inst.q + Ax
     primal = float(np.min(x))
     dual = float(np.min(w))
     compl = abs(float(x @ w))
-    return ResidualRecord(primal, dual, compl, primal >= -tol and dual >= -tol and compl <= tol)
+    size = float(np.max(np.abs(x)))
+    s = float(np.max(np.abs(inst.q))) + float(np.max(np.abs(Ax)))
+    ok = primal >= -tol * size and dual >= -tol * s and compl <= tol * s * size
+    return ResidualRecord(primal, dual, compl, ok)
 
 
 def _make_solution(inst: TcpInstance, x: np.ndarray, method: str) -> TcpSolution | None:
@@ -136,6 +145,22 @@ def _make_solution(inst: TcpInstance, x: np.ndarray, method: str) -> TcpSolution
     support = tuple(i for i in range(inst.A.n) if x[i] > POSITIVITY_FLOOR)
     w = inst.q + contract_m1(inst.A, x)
     return TcpSolution(x=x, w=w, support=support, residuals=record, method=method)
+
+
+def _unit_scale(inst: TcpInstance) -> tuple[TcpInstance, float]:
+    """The instance at ``q / ||q||_inf`` (q = 0 as it is) and the factor
+    ``||q||_inf^(1/(m-1))`` that maps its solutions to those of ``inst``."""
+    t = float(np.max(np.abs(inst.q))) or 1.0
+    return TcpInstance(inst.A, inst.q / t), t ** (1.0 / (inst.A.m - 1))
+
+
+def _at_scale(inst: TcpInstance, sol: TcpSolution | None, c: float) -> TcpSolution | None:
+    """A solution of the unit-scale instance times c, recertified on ``inst``."""
+    if sol is None:
+        return None
+    x = sol.x * c
+    record = verify_solution(inst, x)
+    return replace(sol, x=x, w=inst.q + contract_m1(inst.A, x), residuals=record) if record.ok else None
 
 
 def _linear_root(inst: TcpInstance, J: tuple[int, ...]) -> list[np.ndarray]:
@@ -205,26 +230,28 @@ def solve_enumeration(inst: TcpInstance, cfg: RunConfig = DEFAULT_CONFIG) -> lis
     zero-extended and kept when the inactive rows stay nonnegative.  An
     empty list is legitimate for tensors that are not strictly
     semi-positive; for strictly semi-positive ones it indicates a missed
-    solution and triggers a warning, not an error.
+    solution and triggers a warning, not an error.  The search runs at
+    unit scale, and each solution is certified again at the caller's.
     """
     n = inst.A.n
     if n > SUPPORT_CAP:
         raise ValueError(
             f"enumeration is capped at dimension {SUPPORT_CAP}, instance has {n}"
         )
+    unit, c = _unit_scale(inst)
     solutions: list[TcpSolution] = []
-    zero = _make_solution(inst, np.zeros(n), "enumeration")
+    zero = _make_solution(unit, np.zeros(n), "enumeration")
     if zero is not None:
         solutions.append(zero)
     for group in supports_by_size(n):
-        for J, y in _support_roots(inst, group, cfg):
-            sol = _make_solution(inst, zero_extend(y, J, n), "enumeration")
+        for J, y in _support_roots(unit, group, cfg):
+            sol = _make_solution(unit, zero_extend(y, J, n), "enumeration")
             if sol is not None:
                 solutions.append(sol)
     solutions.sort(key=lambda s: (float(np.max(np.abs(s.x))), tuple(s.x)))
-    deduped = [
-        solutions[i] for i in first_of_clusters([s.x for s in solutions], CLUSTER_TOL)
-    ]
+    scaled = (_at_scale(inst, solutions[i], c)
+              for i in first_of_clusters([s.x for s in solutions], CLUSTER_TOL))
+    deduped = [sol for sol in scaled if sol is not None]
     if not deduped:
         warnings.warn(
             "enumeration found no solution; for a strictly semi-positive tensor "
@@ -236,16 +263,24 @@ def solve_enumeration(inst: TcpInstance, cfg: RunConfig = DEFAULT_CONFIG) -> lis
 
 # cfg is unused; it stays because perfbench/test_checker.py passes one
 def _polish_active_set(inst: TcpInstance, x: np.ndarray, cfg: RunConfig) -> TcpSolution | None:
-    """Solve the support system suggested by the iterate's active pattern."""
-    J = tuple(i for i in range(inst.A.n) if x[i] > 1e-6)
-    if not J:
-        return _make_solution(inst, np.zeros(inst.A.n), "iterative")
-    sub = principal_subtensor(inst.A, J)
-    qJ = inst.q[list(J)]
-    y, ok = damped_newton(lambda y: contract_m1(sub, y) + qJ, lambda y: jacobian_m1(sub, y), x[list(J)])
-    if not ok or np.min(y) <= POSITIVITY_FLOOR:
-        return None
-    return _make_solution(inst, zero_extend(y, J, inst.A.n), "iterative")
+    """Solve the support system suggested by the iterate's active pattern:
+    its components above 1e-6, then, if that fails, only those of them
+    whose row ``w_i`` is not positive (a positive row asks its component
+    to leave the support)."""
+    n = inst.A.n
+    positive = x > 1e-6
+    w = inst.q + contract_m1(inst.A, x)
+    for J in dict.fromkeys([tuple(np.flatnonzero(positive)), tuple(np.flatnonzero(positive & (w <= 0.0)))]):
+        if not J:
+            return _make_solution(inst, np.zeros(n), "iterative")
+        sub = principal_subtensor(inst.A, J)
+        qJ = inst.q[list(J)]
+        y, ok = damped_newton(lambda y: contract_m1(sub, y) + qJ, lambda y: jacobian_m1(sub, y), x[list(J)])
+        if ok and np.min(y) > POSITIVITY_FLOOR:
+            sol = _make_solution(inst, zero_extend(y, J, n), "iterative")
+            if sol is not None:
+                return sol
+    return None
 
 
 def solve_iterative(inst: TcpInstance, cfg: RunConfig = DEFAULT_CONFIG) -> TcpSolution:
@@ -256,9 +291,11 @@ def solve_iterative(inst: TcpInstance, cfg: RunConfig = DEFAULT_CONFIG) -> TcpSo
     where ``rho = 0``.  The heuristic start ``pos_part(-q)^(1/(m-1))`` runs
     alone, then zero and six seeded draws as one lane array.  The first
     lane whose point certifies, as it stands or as the root of its active
-    support, wins; else :class:`NonConvergenceError` is raised.
+    support, wins; else :class:`NonConvergenceError` is raised.  It runs at
+    unit scale, and the winner is certified again at the caller's.
     """
-    A, q, n = inst.A, inst.q, inst.A.n
+    unit, c = _unit_scale(inst)
+    A, q, n = unit.A, unit.q, unit.A.n
     rng = cfg.substream("tcp_iterative")
     starts = np.vstack([power_component(pos_part(-q), 1.0 / (A.m - 1)), np.zeros(n),
                         rng.uniform(0.0, 1.0, size=(6, n))])
@@ -280,7 +317,8 @@ def solve_iterative(inst: TcpInstance, cfg: RunConfig = DEFAULT_CONFIG) -> TcpSo
         X, _ = newton_lanes(residual, jac, block)
         best_merit = min(best_merit, float(np.min(np.linalg.norm(residual(X), axis=1))))
         for x in X:
-            sol = _make_solution(inst, x, "iterative") or _polish_active_set(inst, x, cfg)
+            sol = _at_scale(inst, _make_solution(unit, x, "iterative")
+                            or _polish_active_set(unit, x, cfg), c)
             if sol is not None:
                 return sol
     raise NonConvergenceError(f"semismooth Newton did not certify a solution (best merit {best_merit:.3e})",

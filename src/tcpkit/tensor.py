@@ -1,8 +1,16 @@
 """Dense order-m dimension-n tensors and their multilinear contractions.
 
 Storage is a plain row-major ndarray of shape ``(n,) * m``; at desk scale
-(n <= 8, m <= 4) that is at most a few thousand entries, so contractions
-are direct numpy reductions and nothing is ever kept sparse.  Indices are
+(n <= 8, m <= 4) that is at most a few thousand entries, and nothing is
+ever kept sparse.  Every contraction and Jacobian, at every order, is one
+rule on two unfoldings each tensor keeps: ``A2``, the data as an
+``(n, n^(m-1))`` matrix, and ``S``, the sum over trailing modes p of the
+data with mode p moved to position 1, as ``(n, n, n^(m-2))``.  With
+``K_p`` the row-wise p-th Kronecker power of a batch X, the contraction is
+``einsum("bk,ik->bi", K_{m-1}, A2)`` and the Jacobian
+``einsum("bk,ijk->bij", K_{m-2}, S)``.  One vector is a one-row batch, the
+lanes of :func:`lane_maps` gather stacked unfoldings, and no BLAS product
+is used, so a row's value never depends on the batch it rides in.  Indices are
 0-based everywhere in the library; JSON is 1-based, and conversion happens
 in two places: :func:`tensor_from_dict` / :func:`tensor_to_dict` for the
 tensor interchange format, and the result-record encoder
@@ -15,7 +23,6 @@ pure function that is safe to call concurrently.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import itertools
 import json
 import math
@@ -50,6 +57,9 @@ __all__ = [
 ]
 
 
+_BLOCK_ENTRIES = 1 << 16  # Kronecker entries per contraction block: 512 KiB of float64
+
+
 class TensorFormatError(ValueError):
     """Malformed tensor or instance interchange data."""
 
@@ -76,10 +86,10 @@ class Tensor:
         validates that the entries really are permutation invariant.
     """
 
-    __slots__ = ("data", "m", "n", "symmetric")
+    __slots__ = ("data", "m", "n", "symmetric", "A2", "S")
 
     def __init__(self, data, symmetric: bool | None = None):
-        arr = np.array(data, dtype=float)
+        arr = np.array(data, dtype=float, order="C")
         if arr.ndim < 2:
             raise ValueError(f"tensor order must be >= 2, got {arr.ndim}")
         n = arr.shape[0]
@@ -96,6 +106,10 @@ class Tensor:
         self.m = arr.ndim
         self.n = n
         self.symmetric = bool(symmetric)
+        # the unfoldings of every contraction and Jacobian (module docstring)
+        self.A2 = arr.reshape(n, -1)
+        self.S = sum(np.moveaxis(arr, p, 1) for p in range(1, self.m)).reshape(n, n, -1)
+        self.S.setflags(write=False)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         tag = ", symmetric" if self.symmetric else ""
@@ -141,66 +155,52 @@ def as_vector(x, n: int | None = None) -> np.ndarray:
     return v
 
 
+def _kron_rows(X: np.ndarray, p: int) -> np.ndarray:
+    """Row-wise p-th Kronecker power of the (..., n) rows of X, shape (..., n^p)."""
+    if p == 0:
+        return np.ones(X.shape[:-1] + (1,))
+    K = X
+    for _ in range(p - 1):
+        K = (K[..., :, None] * X[..., None, :]).reshape(X.shape[:-1] + (K.shape[-1] * X.shape[-1],))
+    return K
+
+
+def _contract(A: Tensor, X: np.ndarray) -> np.ndarray:
+    """The contraction of every row of X, ``_BLOCK_ENTRIES`` Kronecker
+    entries at a time; a row's value does not depend on its block."""
+    if len(X) * A.A2.shape[1] <= _BLOCK_ENTRIES:
+        return np.einsum("bk,ik->bi", _kron_rows(X, A.m - 1), A.A2)
+    block = max(1, _BLOCK_ENTRIES // A.A2.shape[1])
+    return np.concatenate([np.einsum("bk,ik->bi", _kron_rows(X[s : s + block], A.m - 1), A.A2)
+                           for s in range(0, X.shape[0], block)])
+
+
+def _rows(A: Tensor, X) -> np.ndarray:
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] != A.n:
+        raise ValueError(f"expected batch of shape (B, {A.n})")
+    return X
+
+
 def contract_m1(A: Tensor, x) -> np.ndarray:
     """Contract x into all but the first mode: the degree-(m-1) polynomial map.
 
     Component i is the sum over all trailing multi-indices of
-    ``A[i, i2, ..., im] * x[i2] * ... * x[im]``.
+    ``A[i, i2, ..., im] * x[i2] * ... * x[im]``.  This is the one-row call
+    of :func:`contract_m1_batch`'s kernel (called directly, so that a traced
+    batch count holds only batch calls).
     """
-    v = as_vector(x, A.n)
-    out = A.data
-    for _ in range(A.m - 1):
-        out = out @ v
-    return np.atleast_1d(out)
-
-
-@functools.lru_cache(maxsize=None)
-def _subscripts(m: int, tensor_prefix: str, vector_prefix: str) -> tuple[str, tuple[str, ...]]:
-    """einsum subscripts of the degree-(m-1) map and of the m-1 parts of its
-    Jacobian, for the tensor operand ``tensor_prefix + "ijk.."`` and vector
-    operands ``vector_prefix + "j"``, ``vector_prefix + "k"``, ...: the map
-    gives ``vector_prefix + "i"``, and Jacobian part p leaves trailing mode
-    p out of the vectors and keeps it as the column index."""
-    letters = "ijklmnopqr"[:m]
-    head = tensor_prefix + letters + ","
-
-    def vectors(skip: str) -> str:
-        return ",".join(vector_prefix + c for c in letters[1:] if c != skip)
-
-    contract = head + vectors("") + "->" + vector_prefix + letters[0]
-    return contract, tuple(head + vectors(c) + "->" + vector_prefix + letters[0] + c for c in letters[1:])
-
-
-def _einsum_jacobian(subs: tuple[str, ...], T: np.ndarray, Y: np.ndarray, m: int) -> np.ndarray:
-    """The Jacobian parts ``subs`` of T at Y, summed in mode order."""
-    total = np.einsum(subs[0], T, *([Y] * (m - 2)))
-    for sub in subs[1:]:
-        total += np.einsum(sub, T, *([Y] * (m - 2)))
-    return total
+    return _contract(A, as_vector(x, A.n)[None, :])[0]
 
 
 def contract_m1_batch(A: Tensor, X: np.ndarray) -> np.ndarray:
     """contract_m1 for a batch of vectors, shape (B, n) -> (B, n)."""
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] != A.n:
-        raise ValueError(f"expected batch of shape (B, {A.n})")
-    if A.m == 2:
-        return X @ A.data.T
-    return np.einsum(_subscripts(A.m, "", "b")[0], A.data, *([X] * (A.m - 1)))
+    return _contract(A, _rows(A, X))
 
 
 def jacobian_m1_batch(A: Tensor, X: np.ndarray) -> np.ndarray:
-    """jacobian_m1 for a batch of vectors, shape (B, n) -> (B, n, n).
-
-    One einsum per trailing mode p contracts the batch into every trailing
-    mode except p, which becomes the column index.
-    """
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] != A.n:
-        raise ValueError(f"expected batch of shape (B, {A.n})")
-    if A.m == 2:
-        return np.broadcast_to(A.data, (X.shape[0], A.n, A.n)).copy()
-    return _einsum_jacobian(_subscripts(A.m, "", "b")[1], A.data, X, A.m)
+    """jacobian_m1 for a batch of vectors, shape (B, n) -> (B, n, n)."""
+    return np.einsum("bk,ijk->bij", _kron_rows(_rows(A, X), A.m - 2), A.S)
 
 
 def contract_full(A: Tensor, x) -> float:
@@ -210,26 +210,14 @@ def contract_full(A: Tensor, x) -> float:
 
 
 def jacobian_m1(A: Tensor, x) -> np.ndarray:
-    """Jacobian of ``y -> contract_m1(A, y)`` at x, for general tensors.
+    """Jacobian of ``y -> contract_m1(A, y)`` at x: the one-row call of
+    :func:`jacobian_m1_batch`.
 
     Entry (i, j) sums, over each trailing mode p, the contraction of x into
     every mode except the first and p.  For symmetric tensors this equals
     (m-1) times the order-2 contraction.
     """
-    v = as_vector(x, A.n)
-    m, n = A.m, A.n
-    if m == 2:
-        return A.data.copy()
-    total = np.zeros((n, n))
-    for p in range(1, m):
-        part = A.data
-        # remove higher axes first so lower axis numbers stay valid
-        for axis in range(m - 1, 0, -1):
-            if axis == p:
-                continue
-            part = np.tensordot(part, v, axes=([axis], [0]))
-        total += part
-    return total
+    return jacobian_m1_batch(A, as_vector(x, A.n)[None, :])[0]
 
 
 def validate_index_set(J: Iterable[int], n: int) -> tuple[int, ...]:
@@ -272,36 +260,20 @@ def lane_maps(subs: list[Tensor], owner: np.ndarray):
 
     ``contract(Y, lanes)`` maps a (k, w, r) block, w points of each of the k
     lanes ``lanes``, to its (k, w, r) contractions; ``jacobian(Y, lanes)``
-    maps (k, r) points to their (k, r, r) Jacobians.  Each row equals the
-    :func:`contract_m1_batch` / :func:`jacobian_m1_batch` row of its own
-    sub-tensor bit for bit.
-
-    One sub-tensor uses its own batch kernels.  Several are stacked once and
-    gathered per lane by fancy indexing, which gives the C-contiguous layout
-    einsum needs to keep those bits; that holds above order 2 only, since
-    the order-2 batch kernel is a matrix product.
+    maps (k, r) points to their (k, r, r) Jacobians.  The unfoldings of the
+    sub-tensors are stacked once and gathered per lane, and each row is the
+    batch kernels' rule on its own sub-tensor, so it equals the
+    :func:`contract_m1_batch` / :func:`jacobian_m1_batch` row bit for bit.
     """
-    if len(subs) == 1:
-        sub = subs[0]
-
-        def contract(Y: np.ndarray, lanes: np.ndarray) -> np.ndarray:
-            return contract_m1_batch(sub, Y.reshape(-1, sub.n)).reshape(Y.shape)
-
-        def jacobian(Y: np.ndarray, lanes: np.ndarray) -> np.ndarray:
-            return jacobian_m1_batch(sub, Y)
-
-        return contract, jacobian
-
-    T = np.stack([sub.data for sub in subs])
-    m = T.ndim - 1
-    csubs = _subscripts(m, "z", "zw")[0]
-    jsubs = _subscripts(m, "z", "z")[1]
+    m = subs[0].m
+    A2 = np.stack([sub.A2 for sub in subs])
+    S = np.stack([sub.S for sub in subs])
 
     def contract(Y: np.ndarray, lanes: np.ndarray) -> np.ndarray:
-        return np.einsum(csubs, T[owner[lanes]], *([Y] * (m - 1)))
+        return np.einsum("zwk,zik->zwi", _kron_rows(Y, m - 1), A2[owner[lanes]])
 
     def jacobian(Y: np.ndarray, lanes: np.ndarray) -> np.ndarray:
-        return _einsum_jacobian(jsubs, T[owner[lanes]], Y, m)
+        return np.einsum("zk,zijk->zij", _kron_rows(Y, m - 2), S[owner[lanes]])
 
     return contract, jacobian
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from tcpkit import RunConfig, TcpInstance, Tensor, beta, estimate_norm, symmetrize
-from tcpkit import eigen, operators, optimize, tcp
+from tcpkit import eigen, operators, optimize, tcp, tensor
 from tcpkit.optimize import (
     damped_newton,
     first_of_clusters,
@@ -17,6 +17,7 @@ from tcpkit.optimize import (
     pattern_search_min,
 )
 from tcpkit.tensor import (
+    contract_m1,
     contract_m1_batch,
     jacobian_m1,
     jacobian_m1_batch,
@@ -148,9 +149,7 @@ def test_jacobian_batch_matches_stacked_jacobian(m):
     A = Tensor(rng.uniform(-1.0, 1.0, size=(4,) * m))
     assert not A.symmetric
     X = rng.uniform(-1.0, 1.0, size=(7, 4))
-    np.testing.assert_allclose(
-        jacobian_m1_batch(A, X), np.stack([jacobian_m1(A, x) for x in X]), rtol=0, atol=1e-12
-    )
+    np.testing.assert_array_equal(jacobian_m1_batch(A, X), np.stack([jacobian_m1(A, x) for x in X]))
     with pytest.raises(ValueError):
         jacobian_m1_batch(A, X[:, :3])
 
@@ -312,12 +311,10 @@ def test_retired_lanes_leave_the_batch():
     assert 8 in sweeps
 
 
-@pytest.mark.parametrize("m", [3, 4])
+@pytest.mark.parametrize("m", [2, 3, 4])
 def test_contraction_rows_do_not_depend_on_the_batch(m):
     # what lets a lane of a big batch reproduce a lone run bit for bit, at
-    # every batch size; at order 2 a one-row product can differ in the last
-    # bit from the same row in a larger batch, while batches of two rows or
-    # more agree
+    # every batch size
     rng = np.random.default_rng([8, m])
     for n in range(1, 7):
         A = Tensor(rng.uniform(-1.0, 1.0, size=(n,) * m))
@@ -325,6 +322,24 @@ def test_contraction_rows_do_not_depend_on_the_batch(m):
             X = rng.uniform(-1.0, 1.0, size=(size, n))
             rows = np.vstack([contract_m1_batch(A, x[None, :]) for x in X[:200]])
             np.testing.assert_array_equal(contract_m1_batch(A, X)[:200], rows)
+        X = rng.uniform(-1.0, 1.0, size=(50, n))
+        jacobians = np.stack([jacobian_m1_batch(A, x[None, :])[0] for x in X[:20]])
+        np.testing.assert_array_equal(jacobian_m1_batch(A, X)[:20], jacobians)
+
+
+@pytest.mark.parametrize("m,n", [(4, 6), (3, 2)])
+def test_contraction_rows_do_not_depend_on_the_block(m, n):
+    # rows go through the kernel a fixed number at a time; the rows on both
+    # sides of every block boundary equal their one-row values
+    block = tensor._BLOCK_ENTRIES // n ** (m - 1)
+    rng = np.random.default_rng([9, m, n])
+    A = Tensor(rng.uniform(-1.0, 1.0, size=(n,) * m))
+    X = rng.uniform(-1.0, 1.0, size=(2 * block + 3, n))
+    got = contract_m1_batch(A, X)
+    for i in (0, block - 1, block, block + 1, 2 * block - 1, 2 * block, 2 * block + 2):
+        np.testing.assert_array_equal(got[i], contract_m1_batch(A, X[i : i + 1])[0])
+        np.testing.assert_array_equal(got[i], contract_m1(A, X[i]))
+    np.testing.assert_array_equal(contract_m1_batch(A, X[block - 2 : block + 2]), got[block - 2 : block + 2])
 
 
 @pytest.mark.parametrize("n", [5, 6])
@@ -371,6 +386,12 @@ def test_gathered_rows_equal_per_support_kernel_rows(m, r):
     got = jacobian(Y, lanes)
     for i, lane in enumerate(lanes):
         np.testing.assert_array_equal(got[i], jacobian_m1_batch(subs[owner[lane]], Y[i : i + 1])[0])
+
+
+@pytest.mark.parametrize("r", range(1, 7))
+def test_gathered_rows_equal_per_support_kernel_rows_at_order_two(r):
+    # order 2 takes the same unfolding rule as every other order
+    test_gathered_rows_equal_per_support_kernel_rows(2, r)
 
 
 def test_maps_get_the_lane_id_of_every_row():

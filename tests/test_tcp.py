@@ -254,3 +254,84 @@ def test_iterative_solves_strictly_semi_positive_hard_draws(family, m, n, s):
     sol = solve_iterative(inst)
     assert sol.method == "iterative" and verify_solution(inst, sol.x).ok
     assert any(np.max(np.abs(sol.x - e.x)) <= 1e-6 for e in solve_enumeration(inst))
+
+
+# Positive homogeneity: the solutions for t*q are t^(1/(m-1)) times those for
+# q.  The solvers work at unit scale and certify relative to the instance's
+# scale, so scaling q by 1e6 or 1e-9 neither loses a solution nor admits a
+# spurious one.
+
+
+def _scale_cases():
+    spec = GeneratorSpec("diag_dominant", 3, 3, seed=5)
+    # verify_bounds' first instance of this spec
+    q = RunConfig(seed=5).substream("diag_dominant", 3, 3, "q", 0).uniform(-2.0, 1.0, size=3)
+    A = generate(spec)
+    cases = {"diag_dominant_m3n3_s5_q_times_1e6": (A, q, 1e6),
+             "diag_dominant_m3n3_s5_q_minus_1e-9_ones": (A, -np.ones(3), 1e-9)}
+    # the fixed bases of the benchmark's solve workload
+    for m, n, s in [(3, 3, 9), (4, 3, 3)]:
+        rng = np.random.default_rng([s, m, n, 99])
+        A = Tensor(_diag_dominant(rng, m, n, 0.5))
+        q = rng.uniform(-2.0, 1.0, size=n)
+        for t in (1e6, 1e-9):
+            cases[f"fixed_base_m{m}n{n}_s{s}_q_times_{t:g}"] = (A, q, t)
+    return cases
+
+
+SCALE_CASES = _scale_cases()
+
+
+@pytest.mark.parametrize("case", sorted(SCALE_CASES))
+def test_scaled_offset_solutions_are_scaled_base_solutions(case):
+    A, q, t = SCALE_CASES[case]
+    c = t ** (1.0 / (A.m - 1))
+    base = [s.x for s in solve_enumeration(TcpInstance(A, q))]
+    assert base
+    inst = TcpInstance(A, t * q)
+    assert not verify_solution(inst, np.zeros(A.n)).ok
+    sols = solve_enumeration(inst)
+    assert len(sols) == len(base)
+    for sol, x in zip(sols, base):
+        assert sol.residuals.ok and verify_solution(inst, sol.x).ok
+        np.testing.assert_allclose(sol.x, c * x, rtol=0, atol=1e-9 * c)
+    it = solve_iterative(inst)
+    assert verify_solution(inst, it.x).ok
+    assert any(np.max(np.abs(it.x - c * x)) <= 1e-6 * c for x in base)
+
+
+@pytest.mark.parametrize("t", [1e-9, 1e-3, 1e3, 1e6])
+def test_certificate_verdict_does_not_depend_on_the_scale(t):
+    inst = TcpInstance(identity_tensor(3, 2), np.array([-8.0, 1.0]))
+    scaled = TcpInstance(inst.A, t * inst.q)
+    for x in ([2.0 * np.sqrt(2.0), 0.0], [2.0 * np.sqrt(2.0) * (1 + 1e-6), 0.0], [1.0, 0.0], [0.0, 0.0]):
+        x = np.array(x)
+        assert verify_solution(scaled, np.sqrt(t) * x).ok == verify_solution(inst, x).ok
+
+
+def test_zero_offset_certifies_only_zero():
+    inst = TcpInstance(identity_tensor(3, 2), np.zeros(2))
+    assert verify_solution(inst, np.zeros(2)).ok
+    assert not verify_solution(inst, [1e-12, 0.0]).ok
+    np.testing.assert_array_equal(solve_enumeration(inst)[0].x, np.zeros(2))
+
+
+def _sorted_cell_symmetric(rng, m, n):
+    """|uniform(-1, 1)| entries made symmetric by copying each sorted-index
+    cell, with the diagonal raised by 0.5."""
+    data = np.abs(rng.uniform(-1.0, 1.0, size=(n,) * m))
+    for cell in itertools.product(range(n), repeat=m):
+        data[cell] = data[tuple(sorted(cell))]
+    data[tuple([np.arange(n)] * m)] += 0.5
+    return data
+
+
+def test_polish_retries_without_the_support_rows_that_are_positive():
+    # the starts stall at local minima of ||Phi|| whose active pattern
+    # {0, 1, 4} has no positive root; at the third one the row w_4 is
+    # positive, and dropping component 4 gives the support {0, 1} of a solution
+    rng = np.random.default_rng([80, 4, 5, 1, 77])
+    inst = TcpInstance(Tensor(_sorted_cell_symmetric(rng, 4, 5)), rng.uniform(-2.0, 1.0, size=5))
+    sol = solve_iterative(inst)
+    assert verify_solution(inst, sol.x).ok
+    assert any(np.max(np.abs(sol.x - e.x)) <= 1e-6 for e in solve_enumeration(inst))

@@ -67,9 +67,7 @@ def test_contract_full_examples():
 def test_contract_batch_matches_single():
     A = random_tensor(4, 3, seed=2)
     X = np.random.default_rng(3).normal(size=(7, 3))
-    np.testing.assert_allclose(
-        contract_m1_batch(A, X), np.array([contract_m1(A, x) for x in X]), atol=1e-12
-    )
+    np.testing.assert_array_equal(contract_m1_batch(A, X), np.array([contract_m1(A, x) for x in X]))
 
 
 def test_contract_dimension_mismatch():

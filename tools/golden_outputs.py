@@ -22,9 +22,12 @@ eigenvalues take the LP, and then ``verify-bounds`` on symmetric matrices:
 order 2, n3.  After them, ``solve`` runs by both methods on two nonnegative
 symmetric instances, m3 n5 and m4 n6 (``NONNEG_SOLVES``), drawn the way
 ``perfbench/workloads.py``'s ``nonneg_symmetric`` draws them; on both, the
-first start of ``--method iterative`` does not certify.  Every input is
-drawn from a fixed seed, so two
-checkouts whose outputs agree give directories that ``diff -r`` finds equal.
+first start of ``--method iterative`` does not certify.  Last, ``solve``
+runs by both methods on the four scaled copies of ``perfbench``'s
+``solve`` workload (``SCALED_SOLVES``): its two fixed diagonally dominant
+bases, m3 n3 and m4 n3, with ``q`` times 1e6 and times 1e-9.  Every input
+is drawn from a fixed seed, so two checkouts whose outputs agree give
+directories that ``diff -r`` finds equal.
 """
 
 from __future__ import annotations
@@ -77,6 +80,10 @@ SYMMETRIC_MATRIX_BOUNDS = [("matrix_m2", 3, True), ("matrix_m2", 4, True),
 
 # (m, n, s) of the nonnegative symmetric instances drawn from default_rng([s, m, n, 11])
 NONNEG_SOLVES = [(3, 5, 3), (4, 6, 10)]
+# (m, n, s) of the diagonally dominant bases drawn from default_rng([s, m, n, 99]),
+# and the factors their q is scaled by
+SCALED_SOLVES = [(3, 3, 9), (4, 3, 3)]
+SCALES = {"1e6": 1e6, "1e-9": 1e-9}
 
 
 def entries(data: np.ndarray, symmetric: bool) -> list[dict]:
@@ -120,6 +127,22 @@ def nonneg_instance(m: int, n: int, s: int) -> dict:
     diag = tuple([np.arange(n)] * m)
     data[diag] = data[diag] + 0.5 + rng.uniform(0.0, 1.0, size=n)
     q = rng.uniform(-2.0, 1.0, size=n)
+    return {"tensor": {"m": m, "n": n, "symmetric": False, "entries": entries(data, False)},
+            "q": [float(v) for v in q]}
+
+
+def scaled_instance(m: int, n: int, s: int, t: float) -> dict:
+    """An instance object: the diagonally dominant tensor with margin 0.5
+    (off-diagonal entries uniform(-1, 1), each diagonal entry its row's
+    off-diagonal absolute sum plus 0.5 + uniform(0, 1)), then q ~
+    uniform(-2, 1) times ``t``, all from ``default_rng([s, m, n, 99])``;
+    every cell is written."""
+    rng = np.random.default_rng([s, m, n, 99])
+    data = rng.uniform(-1.0, 1.0, size=(n,) * m)
+    diag = tuple([np.arange(n)] * m)
+    data[diag] = 0.0
+    data[diag] = np.abs(data).reshape(n, -1).sum(axis=1) + 0.5 + rng.uniform(0.0, 1.0, size=n)
+    q = rng.uniform(-2.0, 1.0, size=n) * t
     return {"tensor": {"m": m, "n": n, "symmetric": False, "entries": entries(data, False)},
             "q": [float(v) for v in q]}
 
@@ -196,6 +219,12 @@ def commands() -> list[tuple[str, list[str]]]:
         write_json(f"{name}.instance.json", nonneg_instance(m, n, s))
         for method in ("enumeration", "iterative"):
             out.append((f"solve_{method}_{name}", ["solve", f"{name}.instance.json", "--method", method]))
+    for m, n, s in SCALED_SOLVES:
+        for label, t in SCALES.items():
+            name = f"m{m}n{n}_base_s{s}_q_times_{label}"
+            write_json(f"{name}.instance.json", scaled_instance(m, n, s, t))
+            for method in ("enumeration", "iterative"):
+                out.append((f"solve_{method}_{name}", ["solve", f"{name}.instance.json", "--method", method]))
     return out
 
 
