@@ -49,6 +49,9 @@ __all__ = [
 ]
 
 SANDWICH_TOL = 1e-6
+GENERATOR_MARGIN = 0.5  # least diagonal excess of the dominant families
+Q_RANGE = (-2.0, 1.0)   # q ~ U(Q_RANGE) on every instance but each tenth
+GENERATOR_PARAMETERS = ("c", "epsilon", "symmetric")  # the keys a GeneratorSpec reads
 
 GENERATOR_FAMILIES = (
     "identity_shift",
@@ -73,17 +76,19 @@ class GeneratorSpec:
             raise ValueError("matrix_m2 generates order-2 tensors only")
         if self.m < 2 or self.n < 1:
             raise ValueError("need m >= 2 and n >= 1")
+        unknown = sorted(set(self.parameters) - set(GENERATOR_PARAMETERS))
+        if unknown:
+            raise ValueError(f"unknown generator parameter(s) {unknown}; known: {GENERATOR_PARAMETERS}")
 
 
 def _draw_tensor(spec: GeneratorSpec, rng: np.random.Generator) -> Tensor:
     m, n, params = spec.m, spec.n, spec.parameters
-    margin = float(params.get("margin", 0.5))
     if spec.family == "identity_shift":
         eps = float(params.get("epsilon", 0.3))
         noise = Tensor(rng.uniform(-1.0, 1.0, size=(n,) * m))
         c = params.get("c")
         if c is None:
-            c = margin + eps * norm_bound(noise, OP_SCALED, np.inf) * n ** ((m - 2) / 2.0)
+            c = GENERATOR_MARGIN + eps * norm_bound(noise, OP_SCALED, np.inf) * n ** ((m - 2) / 2.0)
         return identity_tensor(m, n).scale(float(c)).add(noise.scale(eps))
     if spec.family == "diag_dominant":
         data = rng.uniform(-1.0, 1.0, size=(n,) * m)
@@ -91,20 +96,20 @@ def _draw_tensor(spec: GeneratorSpec, rng: np.random.Generator) -> Tensor:
         diag_cell = tuple([idx] * m)
         data[diag_cell] = 0.0
         off = np.abs(data).reshape(n, -1).sum(axis=1)
-        data[diag_cell] = off + margin + rng.uniform(0.0, 1.0, size=n)
+        data[diag_cell] = off + GENERATOR_MARGIN + rng.uniform(0.0, 1.0, size=n)
         return Tensor(data)
     if spec.family == "random_symmetric_copositive":
         base = symmetrize(Tensor(rng.uniform(0.0, 1.0, size=(n,) * m)))
         data = base.data.copy()
         idx = np.arange(n)
-        data[tuple([idx] * m)] += margin + rng.uniform(0.0, 1.0, size=n)
+        data[tuple([idx] * m)] += GENERATOR_MARGIN + rng.uniform(0.0, 1.0, size=n)
         return Tensor(data, symmetric=True)
     # matrix_m2: strictly diagonally dominant with positive diagonal
     off = rng.uniform(-1.0, 1.0, size=(n, n))
     if params.get("symmetric", False):
         off = (off + off.T) / 2.0
     np.fill_diagonal(off, 0.0)
-    diag = np.abs(off).sum(axis=1) + margin + rng.uniform(0.0, 1.0, size=n)
+    diag = np.abs(off).sum(axis=1) + GENERATOR_MARGIN + rng.uniform(0.0, 1.0, size=n)
     return Tensor(off + np.diag(diag))
 
 
@@ -350,17 +355,20 @@ def verify_bounds(
     applicable sandwich; the first violation aborts the run by raising
     :class:`BoundViolationError` with the instance attached.  Roughly one
     instance in ten gets a nonnegative q to exercise the zero-solution
-    branch, where all bounds and achieved norms collapse to zero.
+    branch, where all bounds and achieved norms collapse to zero.  On
+    symmetric tensors the margin must also stay below the least Pareto H
+    value, the paper's eigenvalue bound
+    ``beta <= lambda + SANDWICH_TOL * max(1, |lambda|)``; a failure is an
+    internal fault and raises ``RuntimeError``.
     """
     reports: list[BoundsReport] = []
     for k in range(count):
         A, cls = _generate_gated(spec, k, cfg)
         rng = RunConfig(seed=spec.seed).substream(spec.family, spec.m, spec.n, "q", k)
-        q_low, q_high = spec.parameters.get("q_range", (-2.0, 1.0))
         if k % 10 == 9:
             q = rng.uniform(0.0, 1.0, size=spec.n)
         else:
-            q = rng.uniform(q_low, q_high, size=spec.n)
+            q = rng.uniform(*Q_RANGE, size=spec.n)
         inst = TcpInstance(A, q)
         solutions = solve_enumeration(inst, cfg)
         if not solutions:
@@ -368,6 +376,9 @@ def verify_bounds(
         lam = mu = None
         if A.symmetric:
             lam = min_pareto_h(A, cfg)
+            if cls.beta.value > lam + SANDWICH_TOL * max(1.0, abs(lam)):
+                raise RuntimeError(f"internal invariant failed on {spec.family} instance {k}: "
+                                   f"beta = {cls.beta.value!r} exceeds the least Pareto H value {lam!r}")
             if A.m % 2 == 0:
                 mu = min_pareto_z(A, cfg)
         provenance = {

@@ -2,7 +2,10 @@
 
 Commands: classify | beta | eigen | norms | solve | verify-bounds.
 Exit codes: 0 success, 2 malformed input, 3 solver non-convergence,
-4 bound violation (the counterexample is serialized next to the report).
+4 bound violation (the counterexample is serialized next to the report),
+5 internal failure (an invariant the library checks itself, such as the
+margin staying below the least Pareto H value, or a generator gate that
+never passed).
 All randomness flows from --seed through per-task substreams, so repeated
 runs with identical flags produce byte-identical output.
 """
@@ -23,7 +26,7 @@ from .bounds import (
     verify_bounds,
 )
 from .config import RunConfig
-from .eigen import _SPECTRUM, spectrum
+from .eigen import EIGEN_KINDS, spectrum
 from .operators import OP_ROOT, OP_SCALED, estimate_norm
 from .semipositive import beta as compute_beta
 from .semipositive import classify
@@ -34,8 +37,7 @@ EXIT_OK = 0
 EXIT_BAD_INPUT = 2
 EXIT_NO_CONVERGENCE = 3
 EXIT_BOUND_VIOLATION = 4
-
-EIGEN_CLI_KINDS = tuple(_SPECTRUM)  # every kind that ``spectrum`` accepts
+EXIT_INTERNAL = 5
 
 
 def _nonnegative_int(text: str) -> int:
@@ -225,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eigen", help="eigenpair enumeration and derived minima")
     p.add_argument("tensor")
-    p.add_argument("--kind", choices=EIGEN_CLI_KINDS, required=True)
+    p.add_argument("--kind", choices=EIGEN_KINDS, required=True)
     _add_common(p)
     p.set_defaults(fn=_cmd_eigen)
 
@@ -260,12 +262,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, FileNotFoundError) as exc:  # TensorFormatError is a ValueError
+    except (ValueError, FileNotFoundError, RuntimeError) as exc:  # TensorFormatError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except NonConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
+        if isinstance(exc, NonConvergenceError):
+            return EXIT_NO_CONVERGENCE
+        return EXIT_INTERNAL if isinstance(exc, RuntimeError) else EXIT_BAD_INPUT
 
 
 if __name__ == "__main__":

@@ -21,13 +21,12 @@ zero-extended, with the residual taken on the support's rows.
 summary field of its minimum.
 
 Per-support solving is exact for matrices and closed form on singleton
-supports.  A matrix support takes a dense eigensolver; a one-dimensional
-eigenspace has a strictly positive vector exactly when its basis vector has
-one sign, which is checked in closed form, and only a repeated eigenvalue's
-eigenspace (or a near-zero component, see :func:`_positive_eigvec`) needs a
-small LP, the one place scipy is imported, at call time.  Everything else
-is damped Newton from many random positive starts, so completeness is
-heuristic and flagged as such.
+supports.  A matrix support takes a dense eigensolver, and an eigenspace
+counts when it meets the open positive orthant: :func:`_positive_eigvec`
+maximizes the smallest component over the span exactly, in closed form for
+a one-dimensional eigenspace and by its k-row vertices for a repeated
+eigenvalue's, with numpy alone.  Everything else is damped Newton from many
+random positive starts, so completeness is heuristic and flagged as such.
 For symmetric tensors the minimum Pareto value is additionally seeded from
 a direct minimization of the full contraction over the feasible cone
 (its KKT points are exactly the Pareto eigenpairs), which makes the
@@ -36,6 +35,8 @@ minimum — the quantity downstream bounds divide by — reliable.
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -127,56 +128,33 @@ def distinct_values(records: list[EigenRecord], tol: float = 1e-6) -> list[float
 # ---------------------------------------------------------------------------
 
 
-POSITIVE_BAND = 1e-6  # closed-form smallest components at or below this go to the LP
+POSITIVE_CUT = 1e-10  # least smallest component of a positive vector scaled to sum 1
 
 
 def _positive_eigvec(basis: np.ndarray) -> np.ndarray | None:
-    """A strictly positive unit vector in the column span, or None.
+    """A strictly positive unit vector in the column span of ``basis``, or None.
 
-    A one-column basis ``b`` has a single candidate, ``b / sum(b)``, which
-    is what the LP below returns for it bit for bit (HiGHS presolve solves
-    the one equality as ``c = 1 / sum(b)``).  So that case is closed form,
-    except in a band: when the smallest component of ``b / sum(b)`` is
-    positive but at most ``POSITIVE_BAND``, HiGHS's feasibility tolerance
-    can reject the vector, and the LP keeps the verdict.  Bases of two or
-    more columns (repeated eigenvalues) always take the LP.
+    Maximizes the smallest component t of ``y = basis @ c`` over ``sum(y) = 1``
+    and accepts iff ``t > POSITIVE_CUT``.  One column ``b`` has the one point
+    ``b * (1 / sum(b))``.  For k >= 2 orthonormal columns the optimum is a
+    vertex where k components of y are equal, so each k-row subset s gives
+    the system ``[colsum; basis[s_j] - basis[s_0]] c = e_1`` (at most
+    ``C(8, 4) = 70`` of them).  A point with ``min(y) > 0`` has
+    ``||c||_2 = ||y||_2 <= sum(y)``, so its sum, and with it t, is accurate
+    however ill-conditioned its system.
     """
-    if basis.shape[1] == 1:
-        total = basis.sum(axis=0)[0]
-        if total == 0.0:
-            return None
-        y = basis[:, 0] * (1.0 / total)
-        smallest = float(np.min(y))
-        if smallest <= 0.0:
-            return None
-        if smallest > POSITIVE_BAND:
-            return y / np.linalg.norm(y)
-    return _lp_positive_vector(basis)
-
-
-def _lp_positive_vector(basis: np.ndarray) -> np.ndarray | None:
-    """A strictly positive unit vector in the column span, found by a small
-    LP that maximizes the smallest component over ``sum = 1``.  scipy is
-    imported here, so ``import tcpkit`` does not load it."""
-    from scipy.optimize import linprog
-
     r, k = basis.shape
-    if k == 0:
-        return None
-    c = np.zeros(k + 1)
-    c[-1] = -1.0  # maximize the smallest component
-    A_ub = np.hstack([-basis, np.ones((r, 1))])
-    b_ub = np.zeros(r)
-    A_eq = np.hstack([basis.sum(axis=0)[None, :], np.zeros((1, 1))])
-    b_eq = np.array([1.0])
-    res = linprog(
-        c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
-        bounds=[(None, None)] * (k + 1), method="highs",
-    )
-    if not res.success or res.x[-1] <= 1e-10:
-        return None
-    y = basis @ res.x[:k]
-    if np.min(y) <= 0:
+    colsum = basis.sum(axis=0)
+    if k == 1:  # the one point, with no solve
+        points = [basis[:, 0] * (1.0 / colsum[0])] if colsum[0] != 0.0 else []
+    else:
+        points = []
+        for s in itertools.combinations(range(r), k):
+            system = np.vstack([colsum, basis[list(s[1:])] - basis[s[0]]])
+            with contextlib.suppress(np.linalg.LinAlgError):  # exactly singular
+                points.append(basis @ np.linalg.solve(system, np.eye(k)[0]))
+    y = max(points, key=np.min, default=None)
+    if y is None or np.min(y) <= POSITIVE_CUT:
         return None
     return y / np.linalg.norm(y)
 
@@ -513,7 +491,7 @@ _SPECTRUM = {
     "delta_h_plus": (delta_h_plus, "delta_h_plus"),
     "delta_z_plus": (delta_z_plus, "delta_z_plus"),
 }
-EIGEN_KINDS = tuple(kind for kind in _SPECTRUM if not kind.startswith("delta_"))
+EIGEN_KINDS = tuple(_SPECTRUM)  # every kind that ``spectrum`` accepts
 
 
 def spectrum(A: Tensor, kind: str, cfg: RunConfig = DEFAULT_CONFIG) -> SpectrumSummary:

@@ -134,6 +134,7 @@ def estimate_norm(
     of the unit p-sphere (default ``cfg.budget(NORM_STARTS)``).  Every evaluation
     happens at an exactly renormalized feasible point, so the maximum seen
     is a valid lower estimate of the true norm; it is never claimed exact.
+    The witness is signed so that its largest-magnitude component is positive.
     """
     p = _check_p(p)
     bound = norm_bound(A, op, p)  # validates op/order as a side effect
@@ -166,6 +167,10 @@ def estimate_norm(
         ):
             best_val, best_x = gain, x
     assert best_x is not None
+    # op(-x) = +-op(x) exactly, so -x has the same norm to the bit: report the
+    # sign whose largest-magnitude component is positive, not rounding's pick
+    if best_x[np.argmax(np.abs(best_x))] < 0:
+        best_x = -best_x
     return NormReport(
         op=op, p=p, empirical_norm=float(best_val),
         closed_form_bound=float(bound), witness=best_x,

@@ -151,6 +151,24 @@ def pareto_matrix_oracle(M: np.ndarray, tol: float = 1e-9) -> list[float]:
     return out
 
 
+def highs_max_min_component(basis: np.ndarray) -> float | None:
+    """The largest smallest component of ``y = basis @ c`` over ``sum(y) = 1``,
+    as HiGHS solves the LP ``max t  s.t.  basis @ c >= t, colsum @ c = 1``;
+    None when the LP reports no optimum."""
+    from scipy.optimize import linprog
+
+    r, k = basis.shape
+    objective = np.zeros(k + 1)
+    objective[-1] = -1.0
+    res = linprog(
+        objective,
+        A_ub=np.hstack([-basis, np.ones((r, 1))]), b_ub=np.zeros(r),
+        A_eq=np.hstack([basis.sum(axis=0)[None, :], np.zeros((1, 1))]), b_eq=[1.0],
+        bounds=[(None, None)] * (k + 1), method="highs",
+    )
+    return float(res.x[-1]) if res.success else None
+
+
 def lemke_lcp(M: np.ndarray, q: np.ndarray, max_iter: int = 200) -> np.ndarray | None:
     """Textbook complementary pivoting for w = q + Mz, w, z >= 0, w'z = 0.
 

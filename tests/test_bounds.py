@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from tcpkit import (
+    SANDWICH_TOL,
     STRICTLY_SEMI_POSITIVE,
     BoundViolationError,
     GeneratorSpec,
@@ -212,6 +213,12 @@ def test_generator_spec_validation():
         GeneratorSpec("matrix_m2", 3, 3)
 
 
+@pytest.mark.parametrize("key", ["symetric", "margin", "q_range"])
+def test_generator_spec_rejects_unknown_parameters(key):
+    with pytest.raises(ValueError, match=key):
+        GeneratorSpec("matrix_m2", 2, 3, parameters={key: True})
+
+
 # --- harness ---------------------------------------------------------------------
 
 
@@ -244,6 +251,22 @@ def test_single_solution_satisfies_all_norm_sandwiches_at_once():
     for r in reports:
         ids = {e.entry_id for e in r.entries if e.applicable and e.passed}
         assert {"inf_general", "inf_even_order", "two_norm_symmetric", "m_norm_symmetric_even"} <= ids
+
+
+def test_margin_is_checked_against_the_least_pareto_value(monkeypatch):
+    # beta <= lambda_min_pareto_h + SANDWICH_TOL * max(1, |lambda|) on symmetric tensors;
+    # the check reuses the Pareto value the upper bounds already divide by
+    import tcpkit.bounds as bounds_mod
+
+    spec = GeneratorSpec("random_symmetric_copositive", 3, 2, seed=4)
+    b = beta(generate(spec, FAST), FAST).value
+    slack = SANDWICH_TOL * max(1.0, abs(b))
+    monkeypatch.setattr(bounds_mod, "min_pareto_h", lambda A, cfg: b - 0.5 * slack)
+    assert verify_bounds(spec, 1, FAST, estimate_budget=None)
+    monkeypatch.setattr(bounds_mod, "min_pareto_h", lambda A, cfg: b - 2.0 * slack)
+    with pytest.raises(RuntimeError, match="exceeds the least Pareto H value") as err:
+        verify_bounds(spec, 1, FAST, estimate_budget=None)
+    assert not isinstance(err.value, BoundViolationError)
 
 
 def test_violation_error_carries_counterexample():

@@ -15,6 +15,7 @@ from tcpkit import (
 from tcpkit.cli import (
     EXIT_BAD_INPUT,
     EXIT_BOUND_VIOLATION,
+    EXIT_INTERNAL,
     EXIT_NO_CONVERGENCE,
     EXIT_OK,
     main,
@@ -261,6 +262,31 @@ def test_verify_bounds_violation_exits_4(capsys, tmp_path, monkeypatch):
     payload = json.loads(out_file.read_text())
     assert payload["report"]["instance_id"] == "fake-0000"
     assert str(out_file) in err
+
+
+def test_margin_above_least_pareto_value_exits_5(capsys, monkeypatch):
+    # an internal invariant failure is neither malformed input nor a bound violation
+    import tcpkit.bounds as bounds_mod
+
+    monkeypatch.setattr(bounds_mod, "min_pareto_h", lambda A, cfg: 1e-3)
+    code, out, err = run_cli(
+        capsys,
+        [
+            "verify-bounds", "--family", "matrix_m2", "--m", "2", "--n", "2",
+            "--count", "1", "--symmetric",
+        ],
+    )
+    assert code == EXIT_INTERNAL and out == ""
+    assert err.startswith("error: internal invariant failed") and "Pareto H" in err
+
+
+def test_failed_generator_gate_exits_5(capsys, monkeypatch):
+    import tcpkit.bounds as bounds_mod
+
+    monkeypatch.setattr(bounds_mod, "_draw_tensor", lambda spec, rng: identity_tensor(2, 2).scale(-1.0))
+    code, _, err = run_cli(capsys, ["verify-bounds", "--family", "matrix_m2", "--m", "2", "--n", "2"])
+    assert code == EXIT_INTERNAL
+    assert err.startswith("error: generator matrix_m2 failed")
 
 
 def test_verify_bounds_seeded_runs_identical(capsys):

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from tcpkit import (
+    EIGEN_KINDS,
     Tensor,
     beta,
     contract_m1,
@@ -30,9 +31,8 @@ from tcpkit import (
     z_plusplus_eigenpairs,
 )
 from tcpkit import eigen
-from tcpkit.cli import EIGEN_CLI_KINDS
 from tcpkit.config import POSITIVITY_FLOOR, RESIDUAL_TOL, RunConfig
-from oracles import pareto_matrix_oracle
+from oracles import highs_max_min_component, pareto_matrix_oracle
 
 FAST = RunConfig(starts=12)
 
@@ -337,9 +337,9 @@ MINIMUM_FIELDS = {
 }
 
 
-@pytest.mark.parametrize("kind", EIGEN_CLI_KINDS)
+@pytest.mark.parametrize("kind", EIGEN_KINDS)
 def test_spectrum_gives_its_kinds_records_and_only_its_minimum(kind):
-    assert set(EIGEN_CLI_KINDS) == set(KIND_FUNCTIONS)
+    assert set(EIGEN_KINDS) == set(KIND_FUNCTIONS)
     A = strictly_positive_sample(41, m=4, n=3)
     summary = spectrum(A, kind, FAST)
     want = KIND_FUNCTIONS[kind](A, FAST)
@@ -379,23 +379,9 @@ def test_enumeration_is_deterministic():
 # --- the strictly positive vector of a matrix eigenspace -----------------------
 
 
-def count_lp_calls(monkeypatch):
-    """Route eigen's LP through a wrapper that records the bases it gets."""
-    calls = []
-    lp = eigen._lp_positive_vector
-
-    def counted(basis):
-        calls.append(basis.copy())
-        return lp(basis)
-
-    monkeypatch.setattr(eigen, "_lp_positive_vector", counted)
-    return calls, lp
-
-
-def test_closed_form_equals_the_lp_bit_for_bit(monkeypatch):
-    # unit columns as the SVD gives them: either overall sign, mixed signs,
-    # exact zeros and tiny components on both sides of the LP band
-    calls, lp = count_lp_calls(monkeypatch)
+def one_column_bases():
+    """Unit columns as the SVD gives them: either overall sign, mixed signs,
+    exact zeros and tiny components on both sides of the positive cut."""
     rng = np.random.default_rng(2015)
     columns = []
     for i in range(2400):
@@ -409,52 +395,101 @@ def test_closed_form_equals_the_lp_bit_for_bit(monkeypatch):
             b[rng.integers(b.size)] = 0.0
         b = b * rng.choice([-1.0, 1.0]) / np.linalg.norm(b)
         columns.append(b[:, None])
-    for basis in columns:
-        got, want = eigen._positive_eigvec(basis), lp(basis)
-        assert (got is None) == (want is None)
+    return columns
+
+
+def test_one_column_rule_is_the_closed_form_bit_for_bit():
+    # at k = 1 the vertex system is the 1x1 equation sum(b) c = 1, whose
+    # solution is c = 1 / sum(b): the rule keeps b * c iff its smallest
+    # component passes the cut, with no linear solve
+    verdicts = []
+    for basis in one_column_bases():
+        b = basis[:, 0]
+        c = np.linalg.solve(basis.sum(axis=0)[None, :], [1.0])[0]
+        assert c == 1.0 / b.sum()
+        y = b * c
+        got = eigen._positive_eigvec(basis)
+        if np.min(y) > eigen.POSITIVE_CUT:
+            np.testing.assert_array_equal(got, y / np.linalg.norm(y))
+        else:
+            assert got is None
+        verdicts.append(got is not None)
+    assert 0 < sum(verdicts) < len(verdicts)
+
+
+def multi_column_bases(count):
+    """Orthonormal bases of 2 to 8 rows and at least 2 columns; every other
+    one has a positive vector built into its span."""
+    rng = np.random.default_rng(2016)
+    bases = []
+    for i in range(count):
+        r = int(rng.integers(2, 9))
+        M = rng.standard_normal((r, int(rng.integers(2, r + 1))))
+        if i % 2:
+            M[:, 0] = rng.uniform(0.05, 1.0, size=r)
+        bases.append(np.linalg.qr(M)[0])
+    return bases
+
+
+def test_multi_column_rule_matches_the_highs_lp():
+    # the k-row vertices reach the LP optimum: the same verdict at the same
+    # cut, and the same largest smallest component to 1e-12 relative
+    verdicts = []
+    for basis in multi_column_bases(1000):
+        t = highs_max_min_component(basis)
+        got = eigen._positive_eigvec(basis)
+        assert (got is not None) == (t is not None and t > eigen.POSITIVE_CUT)
         if got is not None:
-            np.testing.assert_array_equal(got, want)
-    assert len(columns) - len(calls) >= 2000  # the closed form decided these
+            assert np.min(got) / np.sum(got) == pytest.approx(t, rel=1e-12, abs=0.0)
+        verdicts.append(got is not None)
+    assert 100 < sum(verdicts) < 900
 
 
-def test_column_in_the_lp_band_keeps_the_lp_verdict(monkeypatch):
-    # b / sum(b) has a positive smallest component of about 5e-10: the closed
-    # form would accept it, HiGHS's feasibility tolerance does not
-    calls, _ = count_lp_calls(monkeypatch)
-    b = np.array([1.0, 4.95464632e-10])
-    basis = (b / np.linalg.norm(b))[:, None]
-    assert eigen._positive_eigvec(basis) is None
-    assert len(calls) == 1
+def test_positive_cut_accepts_the_old_lp_band_and_rejects_below_it():
+    # b / sum(b) with a smallest component of about 5e-10 or 1e-6 was left to
+    # the LP, whose feasibility tolerance rejected it; the cut is 1e-10
+    for tail, accepted in [(4.95464632e-10, True), (1e-6, True), (1e-10, False), (5e-11, False)]:
+        b = np.array([1.0, tail])
+        assert (eigen._positive_eigvec((b / np.linalg.norm(b))[:, None]) is not None) == accepted
 
 
-def test_repeated_eigenvalue_takes_the_lp(monkeypatch):
-    calls, _ = count_lp_calls(monkeypatch)
+def test_repeated_eigenvalue_takes_the_vertex_rule(monkeypatch):
+    widths = []
+    rule = eigen._positive_eigvec
+    monkeypatch.setattr(eigen, "_positive_eigvec", lambda basis: widths.append(basis.shape[1]) or rule(basis))
     recs = h_plus_eigenpairs(identity_tensor(2, 3), FAST)
     assert sorted(r.support for r in recs) == sorted(
         J for k in (1, 2, 3) for J in itertools.combinations(range(3), k)
     )
     assert all(r.value == pytest.approx(1.0) for r in recs)
-    assert calls and all(basis.shape[1] >= 2 for basis in calls)
+    full = next(r for r in recs if r.support == (0, 1, 2))
+    np.testing.assert_allclose(full.vector, np.ones(3), rtol=0.0, atol=1e-15)
+    assert widths and all(k >= 2 for k in widths)
 
 
 def test_order_2_bounds_run_without_scipy():
-    # a fresh interpreter: importing tcpkit and checking the symmetric order-2
-    # sandwiches (which divide by least Pareto values) must not load scipy
+    # a fresh interpreter in which any scipy import fails: every order-2 eigen
+    # kind, repeated eigenvalues included, and the symmetric order-2
+    # sandwiches (which divide by least Pareto values) run on numpy alone
     script = "\n".join([
         "import sys",
-        "import tcpkit",
-        "from tcpkit import GeneratorSpec, eigen, verify_bounds",
-        "calls = []",
-        "closed_form = eigen._positive_eigvec",
-        "eigen._positive_eigvec = lambda basis: calls.append(1) or closed_form(basis)",
+        "sys.modules['scipy'] = None",
+        "import numpy as np",
+        "from tcpkit import EIGEN_KINDS, GeneratorSpec, Tensor, eigen, spectrum, verify_bounds",
+        "widths = []",
+        "rule = eigen._positive_eigvec",
+        "eigen._positive_eigvec = lambda basis: widths.append(basis.shape[1]) or rule(basis)",
+        "for A in (Tensor(np.eye(3)), Tensor(np.diag([1.0, 1.0, 2.0]))):",
+        "    for kind in EIGEN_KINDS:",
+        "        spectrum(A, kind)",
+        "assert abs(spectrum(Tensor(np.eye(3)), 'pareto_h').lambda_min_pareto_h - 1.0) < 1e-15",
         "for spec in (GeneratorSpec('matrix_m2', 2, 4, seed=3, parameters={'symmetric': True}),",
         "             GeneratorSpec('random_symmetric_copositive', 2, 4, seed=3)):",
         "    assert verify_bounds(spec, 3)",
-        "print(len(calls), sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+        "print(len(EIGEN_KINDS), min(widths), max(widths))",
     ])
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                         text=True, check=True).stdout.split(maxsplit=1)
-    assert int(out[0]) > 0
-    assert out[1].strip() == "[]"
+                         text=True, check=True).stdout.split()
+    assert out == ["8", "1", "3"]

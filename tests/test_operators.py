@@ -198,3 +198,28 @@ def test_estimate_is_seed_reproducible():
     r2 = estimate_norm(A, OP_SCALED, 2.0, budget=8, cfg=cfg)
     assert r1.empirical_norm == r2.empirical_norm
     np.testing.assert_array_equal(r1.witness, r2.witness)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_witness_sign_is_fixed_by_its_largest_component(m):
+    # op(-x) = +-op(x) exactly, so the sign of a witness is a convention: its
+    # largest-magnitude component is positive, and -witness has the same norm
+    # to the bit
+    for seed in range(4):
+        A = random_tensor(m, 3, seed=70 + seed)
+        for op in [OP_SCALED] + ([OP_ROOT] if m % 2 == 0 else []):
+            for p in (1.0, 2.0, math.inf):
+                w = estimate_norm(A, op, p, budget=8).witness
+                assert w[np.argmax(np.abs(w))] > 0
+                assert vec_norm(apply_operator(A, op, -w), p) == vec_norm(apply_operator(A, op, w), p)
+
+
+def test_witness_sign_does_not_follow_rounding_noise():
+    # +-x tie within 1e-12 at every p here; a lexicographic tie-break picked
+    # [-0.209, -0.978] at p = 2 and [-1, -1] at p = inf, and [-1.7e-15, 1] at
+    # p = 1, where the rounding noise of the first component decided
+    A = Tensor(np.array([[-0.22623134115000454, -0.9684729140018429],
+                         [0.1830275204575862, -0.1306955762227009]]))
+    for p in (1.0, 2.0, math.inf):
+        w = estimate_norm(A, OP_SCALED, p).witness
+        assert w[1] > 0.9

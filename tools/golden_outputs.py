@@ -17,7 +17,7 @@ every family at m3/m4, n3/n4 (order 2 for ``matrix_m2``), with the
 and ``--format text``.  Last come the ``h_plus``, ``pareto_h`` and
 ``pareto_z`` eigen kinds at order 2, on shifted and symmetric n3/n5
 matrices and on ``diag(1, 1, 2)`` and the 3x3 identity, whose repeated
-eigenvalues take the LP, and then ``verify-bounds`` on symmetric matrices:
+eigenvalues take the multi-column vertex rule, and then ``verify-bounds`` on symmetric matrices:
 ``matrix_m2 --symmetric`` at n3/n4 and ``random_symmetric_copositive`` at
 order 2, n3.  After them, ``solve`` runs by both methods on two nonnegative
 symmetric instances, m3 n5 and m4 n6 (``NONNEG_SOLVES``), drawn the way
@@ -51,15 +51,16 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from tcpkit.bounds import GENERATOR_FAMILIES  # noqa: E402
-from tcpkit.cli import EIGEN_CLI_KINDS, main as cli_main  # noqa: E402
+from tcpkit.cli import main as cli_main  # noqa: E402
+from tcpkit.eigen import EIGEN_KINDS  # noqa: E402
 
 SHAPES = [(2, 2), (2, 5), (3, 2), (3, 3), (3, 4), (3, 5), (3, 6), (4, 2), (4, 3), (4, 4), (4, 5), (4, 6)]
 # the eigen kinds run at each shape that ``solve`` runs at; n5/n6 give large
 # groups of supports of one size
 SOLVE_SHAPES = {
-    (3, 3): EIGEN_CLI_KINDS, (3, 4): EIGEN_CLI_KINDS,
-    (4, 3): EIGEN_CLI_KINDS, (4, 4): EIGEN_CLI_KINDS,
-    (3, 5): ("h_plus", "pareto_h"), (3, 6): (), (4, 5): EIGEN_CLI_KINDS, (4, 6): (),
+    (3, 3): EIGEN_KINDS, (3, 4): EIGEN_KINDS,
+    (4, 3): EIGEN_KINDS, (4, 4): EIGEN_KINDS,
+    (3, 5): ("h_plus", "pareto_h"), (3, 6): (), (4, 5): EIGEN_KINDS, (4, 6): (),
 }
 BOUND_SHAPES = [(3, 3), (3, 4), (4, 3), (4, 4)]
 BOUND_COUNT = 2
@@ -68,7 +69,8 @@ CSV_FAMILY = "random_symmetric_copositive"
 FORMAT_SHAPES = [(3, 3), (4, 4)]
 FORMAT_EIGEN_KINDS = ("h_plus", "pareto_h", "delta_h_plus")
 # order-2 eigen runs: generic matrices have one-dimensional eigenspaces (the
-# closed-form positive eigenvector), the diagonal ones repeated eigenvalues (the LP)
+# closed-form positive eigenvector), the diagonal ones repeated eigenvalues
+# (the k-row vertex rule of ``eigen._positive_eigvec``)
 MATRIX_DIAGONALS = {"m2n3_diag112": [1.0, 1.0, 2.0], "m2n3_identity": [1.0, 1.0, 1.0]}
 MATRIX_EIGEN_INPUTS = ("m2n3_shifted", "m2n3_symmetric", "m2n5_shifted", "m2n5_symmetric",
                        *MATRIX_DIAGONALS)
