@@ -136,8 +136,9 @@ def generate(spec: GeneratorSpec, cfg: RunConfig = DEFAULT_CONFIG) -> Tensor:
 
 
 def _least_value(records) -> float:
+    # every symmetric tensor has a Pareto value, so finding none is an internal miss
     if not records:
-        raise ValueError("no Pareto value found; cannot form an upper bound")
+        raise RuntimeError("no Pareto value found; cannot form an upper bound")
     return min(r.value for r in records)
 
 

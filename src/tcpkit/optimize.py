@@ -49,6 +49,11 @@ Each lane follows these rules:
   ``NEWTON_STEP_TOL * (1 + ||z||)`` stops, converged iff its residual
   is below 1e-8.  A lane still running after ``NEWTON_MAX_ITER``
   iterations is converged iff its residual is below 1e-10.
+- Every ``STALL_WINDOW`` iterations, a lane whose residual norm is above
+  1e-8 and above ``STALL_RATIO`` times its norm at the previous such
+  checkpoint (the start, for the first) stops unconverged.  Such a lane
+  is most often crawling toward a nonzero local minimum of its residual
+  norm, and above 1e-8 it could pass none of the rules above.
 
 :func:`damped_newton` is the one-lane call of the same kernel.
 
@@ -72,6 +77,8 @@ FACE_STARTS = 16          # random pattern-search starts per face
 REFINE_TOP = 3            # best grid points refined per face
 NEWTON_MAX_ITER = 200
 NEWTON_STEP_TOL = 1e-12
+STALL_WINDOW = 10         # iterations between stall checkpoints
+STALL_RATIO = 0.9         # share of its last checkpoint a residual must fall below
 
 
 def pattern_search_min(
@@ -245,11 +252,16 @@ def newton_lanes(
     live = np.arange(Z.shape[0])
     R = res_fn(Z[:, None, :], live)[:, 0]
     rnorm = np.linalg.norm(R, axis=1)
+    checkpoint = rnorm.copy()
     ok = np.zeros(Z.shape[0], dtype=bool)
-    for _ in range(NEWTON_MAX_ITER):
+    for it in range(NEWTON_MAX_ITER):
         done = rnorm[live] < 1e-14
         ok[live[done]] = True
         live = live[~done]
+        if it and it % STALL_WINDOW == 0:
+            stalled = (rnorm[live] > 1e-8) & (rnorm[live] > STALL_RATIO * checkpoint[live])
+            live = live[~stalled]
+            checkpoint[live] = rnorm[live]
         if live.size == 0:
             break
         dZ = _newton_steps(jac_fn(Z[live], live), R[live])

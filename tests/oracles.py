@@ -80,6 +80,29 @@ def draw_decisive_tensor(
             return data
 
 
+def diag_dominant_data(rng: np.random.Generator, m: int, n: int, margin: float) -> np.ndarray:
+    """The draw of ``perfbench/workloads.py``'s ``diag_dominant``: mixed-sign
+    entries, each diagonal entry its row's off-diagonal absolute sum plus
+    ``margin`` plus a uniform [0, 1) draw."""
+    data = rng.uniform(-1.0, 1.0, size=(n,) * m)
+    cell = tuple([np.arange(n)] * m)
+    data[cell] = 0.0
+    data[cell] = np.abs(data).reshape(n, -1).sum(axis=1) + margin + rng.uniform(0.0, 1.0, size=n)
+    return data
+
+
+def nonneg_symmetric_data(rng: np.random.Generator, m: int, n: int) -> np.ndarray:
+    """The draw of ``perfbench/workloads.py``'s ``nonneg_symmetric`` with a
+    raised diagonal: symmetrized uniform [0, 1) entries, each diagonal entry
+    raised by 0.5 plus a uniform [0, 1) draw."""
+    data = rng.uniform(0.0, 1.0, size=(n,) * m)
+    perms = list(itertools.permutations(range(m)))
+    data = sum(np.transpose(data, p) for p in perms) / len(perms)
+    cell = tuple([np.arange(n)] * m)
+    data[cell] = data[cell] + 0.5 + rng.uniform(0.0, 1.0, size=n)
+    return data
+
+
 def classify_grid_oracle(data: np.ndarray, points: int = 41) -> str:
     """Definition-direct verdict on the feasible grid.
 
@@ -215,7 +238,8 @@ def lemke_lcp(M: np.ndarray, q: np.ndarray, max_iter: int = 200) -> np.ndarray |
     return None
 
 
-def reference_newton(res_fn, jac_fn, z0, max_iter: int = 200, step_tol: float = 1e-12):
+def reference_newton(res_fn, jac_fn, z0, max_iter: int = 200, step_tol: float = 1e-12,
+                     stall_window: int = 10, stall_ratio: float = 0.9):
     """One start of damped Newton at a time, written as a plain scalar loop.
 
     Same stop rules as the library's lane kernel: converged below a residual
@@ -223,14 +247,21 @@ def reference_newton(res_fn, jac_fn, z0, max_iter: int = 200, step_tol: float = 
     longer than 1e8) falls back to least squares, and a non-finite
     least-squares step fails; halving line search from t = 1 to 1e-12; no
     accepted step ends the run at 1e-10, a short step at 1e-8, and the
-    iteration budget at 1e-10.
+    iteration budget at 1e-10.  Every ``stall_window`` iterations the run
+    fails when its residual norm is above 1e-8 and above ``stall_ratio``
+    times its norm at the previous checkpoint (the start, for the first).
     """
     z = np.array(z0, dtype=float)
     r = res_fn(z)
     rnorm = float(np.linalg.norm(r))
-    for _ in range(max_iter):
+    checkpoint = rnorm
+    for it in range(max_iter):
         if rnorm < 1e-14:
             return z, True
+        if it > 0 and it % stall_window == 0:
+            if rnorm > 1e-8 and rnorm > stall_ratio * checkpoint:
+                return z, False
+            checkpoint = rnorm
         J = jac_fn(z)
         try:
             dz = np.linalg.solve(J, -r)

@@ -280,6 +280,19 @@ def test_margin_above_least_pareto_value_exits_5(capsys, monkeypatch):
     assert err.startswith("error: internal invariant failed") and "Pareto H" in err
 
 
+def test_empty_pareto_enumeration_exits_5(capsys, monkeypatch):
+    # a symmetric tensor always has a Pareto H value: finding none is an internal miss
+    import tcpkit.bounds as bounds_mod
+
+    monkeypatch.setattr(bounds_mod, "pareto_h_eigenvalues", lambda A, cfg: [])
+    code, out, err = run_cli(
+        capsys,
+        ["verify-bounds", "--family", "random_symmetric_copositive", "--m", "3", "--n", "3", "--count", "1"],
+    )
+    assert code == EXIT_INTERNAL and out == ""
+    assert err.startswith("error: no Pareto value found")
+
+
 def test_failed_generator_gate_exits_5(capsys, monkeypatch):
     import tcpkit.bounds as bounds_mod
 

@@ -27,6 +27,8 @@ from tcpkit.tensor import (
 )
 
 from oracles import (
+    diag_dominant_data,
+    nonneg_symmetric_data,
     reference_eigen_candidates,
     reference_newton,
     reference_pattern_search,
@@ -141,6 +143,79 @@ def test_jacobians_are_taken_on_running_lanes_only():
     newton_lanes(*lane_fns(res_fn, counted), starts)
     assert sizes[0] == len(starts) and sizes[-1] < len(starts)
     assert sizes == sorted(sizes, reverse=True)
+
+
+def counting(jac_fn, counts):
+    """The Jacobian map, adding one to ``counts[-1]`` per call."""
+    def counted(Z, lanes):
+        counts[-1] += 1
+        return jac_fn(Z, lanes)
+
+    return counted
+
+
+def test_linear_convergence_to_a_double_root_is_not_a_stall():
+    # z^2 = 0 from z = 1: every step halves z and quarters the residual, so
+    # each stall window cuts it by 4^10 and the lane converges at iteration 24
+    res_fn, jac_fn = (lambda Z: Z**2), (lambda Z: (2.0 * Z)[:, :, None])
+    counts = [0]
+    Z, ok = newton_lanes(rows_map(res_fn), counting(lambda Z, ids: jac_fn(Z), counts), np.array([[1.0]]))
+    assert ok[0] and counts == [24] and Z[0, 0] == 0.5**24
+    assert_lanes_match_reference(res_fn, jac_fn, np.array([[1.0], [-3.0]]))
+
+
+def test_lane_that_gains_under_a_tenth_per_window_stops_at_the_checkpoint():
+    # z = 0 with a Jacobian 100 times too large: every step cuts the
+    # residual by 1%, 0.99^10 > 0.9 over the first window, so the lane stops
+    # unconverged after 10 iterations
+    res_fn, jac_fn = (lambda Z: Z), (lambda Z: np.full((len(Z), 1, 1), 100.0))
+    counts = [0]
+    Z, ok = newton_lanes(rows_map(res_fn), counting(lambda Z, ids: jac_fn(Z), counts), np.array([[1.0]]))
+    assert not ok[0] and counts == [optimize.STALL_WINDOW]
+    assert Z[0, 0] == pytest.approx(0.99**10, rel=1e-12)
+    assert_lanes_match_reference(res_fn, jac_fn, np.array([[1.0], [-3.0], [1e-9]]))
+
+
+def test_support_group_without_roots_stops_at_a_stall_checkpoint(monkeypatch):
+    # no size-2 support of this instance has a positive root: all 48 lanes of
+    # that group stall
+    rng = np.random.default_rng([10, 3, 3, 5])
+    inst = TcpInstance(Tensor(diag_dominant_data(rng, 3, 3, 0.5)), rng.uniform(-2.0, 1.0, size=3))
+    jacobians: list[int] = []
+
+    def spy(res_fn, jac_fn, Z0):
+        jacobians.append(0)
+        return newton_lanes(res_fn, counting(jac_fn, jacobians), Z0)
+
+    monkeypatch.setattr(tcp, "newton_lanes", spy)
+    sols = tcp.solve_enumeration(inst, CFG)
+    assert len(jacobians) == 2 and max(jacobians) <= 30
+    # the solution found without the rule, when the size-2 group ran every iteration
+    assert [s.x.tolist() for s in sols] == [[0.0, 0.0, 0.4794207341132934]]
+    jacobians.clear()
+    monkeypatch.setattr(optimize, "STALL_WINDOW", optimize.NEWTON_MAX_ITER + 1)
+    assert [s.x.tolist() for s in tcp.solve_enumeration(inst, CFG)] == [s.x.tolist() for s in sols]
+    assert jacobians[0] == optimize.NEWTON_MAX_ITER
+
+
+RULE_OFF_DRAWS = [(family, m, n) for family in ("diag_dominant", "nonneg_symmetric")
+                  for m in (3, 4) for n in (3, 4, 5)]
+
+
+@pytest.mark.parametrize("family,m,n", RULE_OFF_DRAWS)
+def test_stall_rule_changes_no_solution_or_pareto_value(monkeypatch, family, m, n):
+    rng = np.random.default_rng([n, m, 99])
+    data = diag_dominant_data(rng, m, n, 0.5) if family == "diag_dominant" else nonneg_symmetric_data(rng, m, n)
+    inst = TcpInstance(Tensor(data), rng.uniform(-2.0, 1.0, size=n))
+
+    def run():
+        return ([s.to_jsonable() for s in tcp.solve_enumeration(inst, CFG)],
+                [r.to_jsonable() for r in eigen.pareto_h_eigenvalues(inst.A, CFG)])
+
+    default = run()
+    monkeypatch.setattr(optimize, "STALL_WINDOW", optimize.NEWTON_MAX_ITER + 1)  # no checkpoint
+    assert run() == default
+    assert default[0] and default[1]
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])

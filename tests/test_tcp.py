@@ -17,7 +17,7 @@ from tcpkit import (
 )
 from tcpkit.bounds import GeneratorSpec, generate
 from tcpkit.config import RunConfig
-from oracles import lemke_lcp
+from oracles import diag_dominant_data, lemke_lcp, nonneg_symmetric_data
 
 FAST = RunConfig(starts=8)
 
@@ -214,30 +214,13 @@ def test_unsolvable_instance_reports_least_residual_over_all_starts():
 # that preceded the semismooth Newton method raised NonConvergenceError.
 
 
-def _diag_dominant(rng, m, n, margin):
-    data = rng.uniform(-1.0, 1.0, size=(n,) * m)
-    cell = tuple([np.arange(n)] * m)
-    data[cell] = 0.0
-    data[cell] = np.abs(data).reshape(n, -1).sum(axis=1) + margin + rng.uniform(0.0, 1.0, size=n)
-    return data
-
-
-def _nonneg_symmetric(rng, m, n):
-    data = rng.uniform(0.0, 1.0, size=(n,) * m)
-    perms = list(itertools.permutations(range(m)))
-    data = sum(np.transpose(data, p) for p in perms) / len(perms)
-    cell = tuple([np.arange(n)] * m)
-    data[cell] = data[cell] + 0.5 + rng.uniform(0.0, 1.0, size=n)
-    return data
-
-
 def _hard_instance(family, m, n, s):
     if family == "diag_dominant":
         rng = np.random.default_rng([s, 4, 5, 555])
-        A = _diag_dominant(rng, m, n, 0.5)
+        A = diag_dominant_data(rng, m, n, 0.5)
     else:
         rng = np.random.default_rng([s, m, n, 11])
-        A = _nonneg_symmetric(rng, m, n)
+        A = nonneg_symmetric_data(rng, m, n)
     return TcpInstance(Tensor(A), rng.uniform(-2.0, 1.0, size=n))
 
 
@@ -272,7 +255,7 @@ def _scale_cases():
     # the fixed bases of the benchmark's solve workload
     for m, n, s in [(3, 3, 9), (4, 3, 3)]:
         rng = np.random.default_rng([s, m, n, 99])
-        A = Tensor(_diag_dominant(rng, m, n, 0.5))
+        A = Tensor(diag_dominant_data(rng, m, n, 0.5))
         q = rng.uniform(-2.0, 1.0, size=n)
         for t in (1e6, 1e-9):
             cases[f"fixed_base_m{m}n{n}_s{s}_q_times_{t:g}"] = (A, q, t)
