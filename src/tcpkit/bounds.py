@@ -232,9 +232,10 @@ def lower_bounds(
     Keys: "inf" (any order), "inf_even" (even order, via the root
     operator), "two", "m" (even order).  When ``estimate_budget`` is not
     None the raw operator-norm forms are also evaluated with empirical
-    norm estimates under keys suffixed ``_empirical``; estimates sit below
-    the closed-form bounds, so these can only be larger (tighter), and
-    they are reported for comparison, not certification.
+    norm estimates (``cfg.budget(estimate_budget)`` random starts each)
+    under keys suffixed ``_empirical``; estimates sit below the
+    closed-form bounds, so these can only be larger (tighter), and they
+    are reported for comparison, not certification.
     """
     A, q = inst.A, inst.q
     m, n = A.m, A.n
@@ -258,7 +259,7 @@ def lower_bounds(
     for key, op, p, numerator, scale, exponent in forms:
         out[key] = numerator / (scale * norm_bound(A, op, p) ** exponent)
         if estimate_budget is not None:
-            est = estimate_norm(A, op, p, budget=estimate_budget, cfg=cfg).empirical_norm
+            est = estimate_norm(A, op, p, budget=cfg.budget(estimate_budget), cfg=cfg).empirical_norm
             out[key + "_empirical"] = numerator / (scale * est**exponent) if est > 0 else None
     return out
 

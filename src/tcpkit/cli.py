@@ -53,68 +53,39 @@ def _tolerance(text: str) -> float:
         raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}") from None
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--tol", type=_tolerance, default=1e-6, help="sign-decision tolerance (default 1e-6)")
-    parser.add_argument("--grid", type=_nonnegative_int, default=None, help="grid points per axis (default: by dimension)")
-    parser.add_argument("--starts", type=_nonnegative_int, default=None, help="override every multistart budget")
-    parser.add_argument("--seed", type=int, default=0, help="64-bit master seed (default 0)")
-    parser.add_argument(
-        "--format", choices=("json", "csv", "text"), default="json", help="output format (default json)"
-    )
+_COMMON_FLAGS = (
+    ("--tol", dict(type=_tolerance, default=1e-6, help="sign-decision tolerance (default 1e-6)")),
+    ("--grid", dict(type=_nonnegative_int, default=None, help="grid points per axis (default: by dimension)")),
+    ("--starts", dict(type=_nonnegative_int, default=None, help="override every multistart budget")),
+    ("--seed", dict(type=int, default=0, help="64-bit master seed (default 0)")),
+    ("--format", dict(choices=("json", "csv", "text"), default="json", help="output format (default json)")),
+)
 
 
-def _config(args) -> RunConfig:
-    return RunConfig(tol=args.tol, grid=args.grid, starts=args.starts, seed=args.seed)
-
-
-def _emit(payload: dict, args, text_lines: list[str], csv_text: str | None = None) -> None:
-    if args.format == "json":
-        print(json.dumps(payload, sort_keys=True, indent=2))
-    elif args.format == "csv":
-        if csv_text is None:
-            rows = ["key,value"]
-            rows.extend(f"{k},{json.dumps(v, sort_keys=True)}" for k, v in sorted(payload["result"].items()))
-            csv_text = "\n".join(rows) + "\n"
-        sys.stdout.write(csv_text)
-    else:
-        for line in text_lines:
-            print(line)
-
-
-def _payload(command: str, cfg: RunConfig, result) -> dict:
-    return {"command": command, "config": cfg.to_dict(), "result": result}
-
-
-def _cmd_classify(args) -> int:
-    cfg = _config(args)
-    A = load_tensor(args.tensor)
-    cls = classify(A, cfg)
+# Every command is (args, cfg) -> (result, text lines, csv text or None);
+# ``main`` wraps the result in the {command, config, result} payload.
+def _cmd_classify(args, cfg: RunConfig):
+    cls = classify(load_tensor(args.tensor), cfg)
     result = cls.to_jsonable()
     lines = [f"{cls.verdict}, beta={cls.beta.value}"]
     if cls.counterexample is not None:
         lines.append(f"counterexample: {result['counterexample']}")
-    _emit(_payload("classify", cfg, result), args, lines)
-    return EXIT_OK
+    return result, lines, None
 
 
-def _cmd_beta(args) -> int:
-    cfg = _config(args)
-    A = load_tensor(args.tensor)
-    res = compute_beta(A, cfg)
+def _cmd_beta(args, cfg: RunConfig):
+    res = compute_beta(load_tensor(args.tensor), cfg)
     result = res.to_jsonable()
     lines = [
         f"beta={res.value}",
         f"argmin={result['argmin']}",
         f"certified_by={res.certified_by} grid={res.grid_resolution}",
     ]
-    _emit(_payload("beta", cfg, result), args, lines)
-    return EXIT_OK
+    return result, lines, None
 
 
-def _cmd_eigen(args) -> int:
-    cfg = _config(args)
-    A = load_tensor(args.tensor)
-    summary = spectrum(A, args.kind, cfg)
+def _cmd_eigen(args, cfg: RunConfig):
+    summary = spectrum(load_tensor(args.tensor), args.kind, cfg)
     result = summary.to_jsonable()
     lines = [f"kind={args.kind} completeness={summary.completeness}"]
     for rec in result["records"]:
@@ -123,12 +94,10 @@ def _cmd_eigen(args) -> int:
         val = result[name]
         if val is not None:
             lines.append(f"{name}={val}")
-    _emit(_payload("eigen", cfg, result), args, lines)
-    return EXIT_OK
+    return result, lines, None
 
 
-def _cmd_norms(args) -> int:
-    cfg = _config(args)
+def _cmd_norms(args, cfg: RunConfig):
     A = load_tensor(args.tensor)
     m = A.m
     p_values = [1.0, 2.0, float(m), m / (m - 1.0), math.inf]
@@ -141,13 +110,10 @@ def _cmd_norms(args) -> int:
     lines = ["op,p,empirical_norm,closed_form_bound"]
     for r in rows:
         lines.append(f"{r['op']},{r['p']},{r['empirical_norm']},{r['closed_form_bound']}")
-    csv_text = "\n".join(lines) + "\n"
-    _emit(_payload("norms", cfg, {"reports": rows}), args, lines, csv_text)
-    return EXIT_OK
+    return {"reports": rows}, lines, "\n".join(lines) + "\n"
 
 
-def _cmd_solve(args) -> int:
-    cfg = _config(args)
+def _cmd_solve(args, cfg: RunConfig):
     try:
         with open(args.instance, "r", encoding="utf-8") as fh:
             inst = TcpInstance.from_dict(json.load(fh))
@@ -164,12 +130,10 @@ def _cmd_solve(args) -> int:
         solutions, status, lines = [solve_iterative(inst, cfg)], "ok", []
     records = [s.to_jsonable() for s in solutions]
     lines += [f"x={r['x']}" for r in records]
-    _emit(_payload("solve", cfg, {"status": status, "solutions": records}), args, lines)
-    return EXIT_OK
+    return {"status": status, "solutions": records}, lines, None
 
 
-def _cmd_verify_bounds(args) -> int:
-    cfg = _config(args)
+def _cmd_verify_bounds(args, cfg: RunConfig):
     spec = GeneratorSpec(
         family=args.family,
         m=args.m,
@@ -177,18 +141,11 @@ def _cmd_verify_bounds(args) -> int:
         seed=args.seed,
         parameters={"symmetric": args.symmetric} if args.symmetric else {},
     )
-    try:
-        reports = verify_bounds(spec, args.count, cfg)
-    except BoundViolationError as err:
-        with open(args.violation_out, "w", encoding="utf-8") as fh:
-            json.dump(err.payload(), fh, sort_keys=True, indent=2)
-        print(f"bound violation; counterexample written to {args.violation_out}", file=sys.stderr)
-        return EXIT_BOUND_VIOLATION
-    jsonl = reports_to_jsonl(reports)
+    reports = verify_bounds(spec, args.count, cfg)
     csv_text = reports_to_csv(reports)
     if args.report:
         with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(jsonl)
+            fh.write(reports_to_jsonl(reports))
     if args.csv:
         with open(args.csv, "w", encoding="utf-8") as fh:
             fh.write(csv_text)
@@ -201,9 +158,17 @@ def _cmd_verify_bounds(args) -> int:
         "reports": len(reports),
         "violations": 0,
     }
-    lines = [f"{len(reports)} reports, 0 violations"]
-    _emit(_payload("verify-bounds", cfg, result), args, lines, csv_text)
-    return EXIT_OK
+    return result, [f"{len(reports)} reports, 0 violations"], csv_text
+
+
+_COMMANDS = {
+    "classify": (_cmd_classify, "three-way semi-positivity verdict"),
+    "beta": (_cmd_beta, "activity margin over the nonnegative unit sphere"),
+    "eigen": (_cmd_eigen, "eigenpair enumeration and derived minima"),
+    "norms": (_cmd_norms, "closed-form bounds and empirical operator norms"),
+    "solve": (_cmd_solve, "solve a complementarity instance"),
+    "verify-bounds": (_cmd_verify_bounds, "generate instances and check every sandwich"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -214,35 +179,14 @@ def build_parser() -> argparse.ArgumentParser:
         "for dense order-m tensors.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("classify", help="three-way semi-positivity verdict")
-    p.add_argument("tensor", help="tensor JSON file")
-    _add_common(p)
-    p.set_defaults(fn=_cmd_classify)
-
-    p = sub.add_parser("beta", help="activity margin over the nonnegative unit sphere")
-    p.add_argument("tensor")
-    _add_common(p)
-    p.set_defaults(fn=_cmd_beta)
-
-    p = sub.add_parser("eigen", help="eigenpair enumeration and derived minima")
-    p.add_argument("tensor")
-    p.add_argument("--kind", choices=EIGEN_KINDS, required=True)
-    _add_common(p)
-    p.set_defaults(fn=_cmd_eigen)
-
-    p = sub.add_parser("norms", help="closed-form bounds and empirical operator norms")
-    p.add_argument("tensor")
-    _add_common(p)
-    p.set_defaults(fn=_cmd_norms)
-
-    p = sub.add_parser("solve", help="solve a complementarity instance")
+    parsers = {name: sub.add_parser(name, help=text) for name, (_, text) in _COMMANDS.items()}
+    for name in ("classify", "beta", "eigen", "norms"):
+        parsers[name].add_argument("tensor", help="tensor JSON file")
+    parsers["eigen"].add_argument("--kind", choices=EIGEN_KINDS, required=True)
+    p = parsers["solve"]
     p.add_argument("instance", help="instance JSON file: {tensor, q}")
     p.add_argument("--method", choices=("enumeration", "iterative", "auto"), default="auto")
-    _add_common(p)
-    p.set_defaults(fn=_cmd_solve)
-
-    p = sub.add_parser("verify-bounds", help="generate instances and check every sandwich")
+    p = parsers["verify-bounds"]
     p.add_argument("--family", choices=GENERATOR_FAMILIES, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
@@ -251,22 +195,40 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", default=None, help="write one report per line (JSON) here")
     p.add_argument("--csv", default=None, help="write the CSV summary here")
     p.add_argument("--violation-out", default="bound_violation.json")
-    _add_common(p)
-    p.set_defaults(fn=_cmd_verify_bounds)
-
+    for p in parsers.values():
+        for flag, kwargs in _COMMON_FLAGS:
+            p.add_argument(flag, **kwargs)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        cfg = RunConfig(tol=args.tol, grid=args.grid, starts=args.starts, seed=args.seed)
+        try:
+            result, text_lines, csv_text = _COMMANDS[args.command][0](args, cfg)
+        except BoundViolationError as err:  # a RuntimeError: caught before the mapping below
+            with open(args.violation_out, "w", encoding="utf-8") as fh:
+                json.dump(err.payload(), fh, sort_keys=True, indent=2)
+            print(f"bound violation; counterexample written to {args.violation_out}", file=sys.stderr)
+            return EXIT_BOUND_VIOLATION
     except (ValueError, FileNotFoundError, RuntimeError) as exc:  # TensorFormatError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, NonConvergenceError):
             return EXIT_NO_CONVERGENCE
         return EXIT_INTERNAL if isinstance(exc, RuntimeError) else EXIT_BAD_INPUT
+    if args.format == "json":
+        print(json.dumps({"command": args.command, "config": cfg.to_dict(), "result": result}, sort_keys=True, indent=2))
+    elif args.format == "csv":
+        if csv_text is None:
+            rows = ["key,value"]
+            rows.extend(f"{k},{json.dumps(v, sort_keys=True)}" for k, v in sorted(result.items()))
+            csv_text = "\n".join(rows) + "\n"
+        sys.stdout.write(csv_text)
+    else:
+        for line in text_lines:
+            print(line)
+    return EXIT_OK
 
 
 if __name__ == "__main__":

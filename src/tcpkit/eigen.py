@@ -10,8 +10,8 @@ Two switches pick the variant:
   records to ``max|x| = 1``; ``"Z"`` solves ``A x^(m-1) = lam x`` with
   ``||x||_2 = 1`` (``_SYSTEMS`` names each system's record kinds and
   normalization);
-- ``pareto``: equality off the support gives the orthant eigenpairs
-  (``h_plus`` / ``z_plus``), a one-sided inequality the Pareto variants.
+- the check (:func:`_verify`): equality off the support gives ``h_plus`` /
+  ``z_plus``, a one-sided inequality the Pareto variants, none ``delta_*``.
 
 ``*plusplus`` solves only the full support and keeps its orthant records,
 and ``delta_*`` takes the least interior eigenvalue of every principal
@@ -390,14 +390,14 @@ def _variational_seed(
 
 
 def _enumerate(
-    A: Tensor, system: str, pareto: bool, cfg: RunConfig, full_only: bool = False
+    A: Tensor, system: str, check: str, cfg: RunConfig, full_only: bool = False
 ) -> list[EigenRecord]:
     """Certified records of one system: interior candidates of every support
     (variationally seeded for the Pareto variant), zero-extended, checked
-    off the support by equality (orthant) or one-sided (Pareto), deduped."""
-    seeds = _variational_seed(A, system, cfg) if pareto else None
+    by :func:`_verify`'s ``check``, deduped."""
+    seeds = _variational_seed(A, system, cfg) if check == "pareto" else None
     found = (
-        _verify(A, J, lam, y, system, "pareto" if pareto else "orthant")
+        _verify(A, J, lam, y, system, check)
         for J, cands in _interior_candidates(A, system, cfg, seeds, full_only).items()
         for lam, y in cands
     )
@@ -411,7 +411,7 @@ def _full_support(A: Tensor, system: str, kind: str, cfg: RunConfig) -> list[Eig
     support is solved."""
     return [
         replace(r, kind=kind)
-        for r in _enumerate(A, system, False, cfg, full_only=True)
+        for r in _enumerate(A, system, "orthant", cfg, full_only=True)
         if np.min(r.vector) > POSITIVITY_FLOOR
     ]
 
@@ -419,11 +419,11 @@ def _full_support(A: Tensor, system: str, kind: str, cfg: RunConfig) -> list[Eig
 def h_plus_eigenpairs(A: Tensor, cfg: RunConfig = DEFAULT_CONFIG) -> list[EigenRecord]:
     """Orthant eigenpairs: per-support interior solves whose zero-extension
     satisfies the full eigen system (off-support rows must vanish)."""
-    return _enumerate(A, "H", False, cfg)
+    return _enumerate(A, "H", "orthant", cfg)
 
 
 def z_plus_eigenpairs(A: Tensor, cfg: RunConfig = DEFAULT_CONFIG) -> list[EigenRecord]:
-    return _enumerate(A, "Z", False, cfg)
+    return _enumerate(A, "Z", "orthant", cfg)
 
 
 def h_plusplus_eigenpairs(A: Tensor, cfg: RunConfig = DEFAULT_CONFIG) -> list[EigenRecord]:
@@ -436,25 +436,19 @@ def z_plusplus_eigenpairs(A: Tensor, cfg: RunConfig = DEFAULT_CONFIG) -> list[Ei
 
 def pareto_h_eigenvalues(A: Tensor, cfg: RunConfig = DEFAULT_CONFIG) -> list[EigenRecord]:
     """Pareto variant: off-support rows only need to be nonnegative."""
-    return _enumerate(A, "H", True, cfg)
+    return _enumerate(A, "H", "pareto", cfg)
 
 
 def pareto_z_eigenvalues(A: Tensor, cfg: RunConfig = DEFAULT_CONFIG) -> list[EigenRecord]:
     if A.m % 2 != 0:
         raise ValueError("the Pareto Z variant is only defined here for even order")
-    return _enumerate(A, "Z", True, cfg)
+    return _enumerate(A, "Z", "pareto", cfg)
 
 
 def _delta(A: Tensor, system: str, cfg: RunConfig) -> DeltaResult:
-    found = (
-        _verify(A, J, lam, y, system, "delta")
-        for J, cands in _interior_candidates(A, system, cfg).items()
-        for lam, y in cands
-    )
-    records = [rec for rec in found if rec is not None]
+    records = _enumerate(A, system, "delta", cfg)
     if not records:
         raise RuntimeError("no eigenvalue found for any principal sub-tensor")
-    records.sort(key=lambda r: (r.value, r.support, tuple(r.vector)))
     return DeltaResult(
         value=min(r.value for r in records),
         heuristic=_completeness(A) == "heuristic",

@@ -1,5 +1,7 @@
 """Sandwich-bound evaluation, generator gates, and the verification harness."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from tcpkit import (
     TcpInstance,
     beta,
     classify,
+    estimate_norm,
     evaluate_instance,
     generate,
     identity_tensor,
@@ -147,6 +150,18 @@ def test_closed_form_lower_never_exceeds_empirical_variant():
             emp = lo.get(f"{key}_empirical")
             if lo[key] is not None and emp is not None:
                 assert lo[key] <= emp + 1e-8
+
+
+def test_starts_reach_the_norm_estimates():
+    # identity_shift m4 n4 seed 3: 0 and 8 random starts give different inf-norm estimates
+    A = generate(GeneratorSpec("identity_shift", 4, 4, seed=3))
+    inst = TcpInstance(A, -np.ones(4))
+    est0 = estimate_norm(A, "T", math.inf, budget=0).empirical_norm
+    est8 = estimate_norm(A, "T", math.inf, budget=8).empirical_norm
+    assert abs(est0 - est8) > 1e-8 * est8
+    scale = 4 ** ((4 - 2) / 2.0)  # n^((m-2)/2), the "inf" form's scale; ||q-||_inf = 1
+    assert lower_bounds(inst, RunConfig(starts=0))["inf_empirical"] == pytest.approx(1 / (scale * est0), rel=1e-12)
+    assert lower_bounds(inst)["inf_empirical"] == pytest.approx(1 / (scale * est8), rel=1e-12)
 
 
 def test_monotone_slack_in_offset_scale():

@@ -251,14 +251,14 @@ def test_verify_bounds_violation_exits_4(capsys, tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli_mod, "verify_bounds", failing)
     out_file = tmp_path / "violation.json"
-    code, _, err = run_cli(
+    code, out, err = run_cli(
         capsys,
         [
             "verify-bounds", "--family", "diag_dominant", "--m", "2", "--n", "2",
             "--count", "1", "--violation-out", str(out_file),
         ],
     )
-    assert code == EXIT_BOUND_VIOLATION
+    assert code == EXIT_BOUND_VIOLATION and out == ""
     payload = json.loads(out_file.read_text())
     assert payload["report"]["instance_id"] == "fake-0000"
     assert str(out_file) in err
@@ -336,3 +336,63 @@ def test_config_echo_has_exactly_the_caller_values(capsys, ident32):
     code, out, _ = run_cli(capsys, ["beta", ident32, "--starts", "3", "--format", "json"])
     assert code == EXIT_OK
     assert json.loads(out)["config"] == RunConfig(starts=3).to_dict()
+
+
+def test_violation_out_in_a_missing_directory_exits_2(capsys, tmp_path, monkeypatch):
+    import tcpkit.cli as cli_mod
+    from tcpkit import BoundViolationError, BoundsReport
+
+    inst = TcpInstance(identity_tensor(3, 2), np.array([-1.0, 0.0]))
+
+    def failing(spec, count, cfg):
+        raise BoundViolationError(inst, BoundsReport("fake-0000", 0, [], {}, passed=False))
+
+    monkeypatch.setattr(cli_mod, "verify_bounds", failing)
+    argv = ["verify-bounds", "--family", "matrix_m2", "--m", "2", "--n", "2",
+            "--violation-out", str(tmp_path / "missing" / "violation.json")]
+    code, out, err = run_cli(capsys, argv)
+    assert code == EXIT_BAD_INPUT and out == "" and err.startswith("error: ")
+
+
+# one argv per command, all with the same config flags; a cheap input each
+CONFIG_FLAGS = ["--grid", "5", "--starts", "4", "--seed", "5"]
+COMMAND_ARGS = {
+    "classify": ["TENSOR"],
+    "beta": ["TENSOR"],
+    "eigen": ["TENSOR", "--kind", "h_plus"],
+    "norms": ["TENSOR"],
+    "solve": ["INSTANCE"],
+    "verify-bounds": ["--family", "matrix_m2", "--m", "2", "--n", "2", "--count", "1"],
+}
+
+
+def command_argv(command, tmp_path, ident32):
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps(TcpInstance(identity_tensor(3, 2), np.array([-8.0, 1.0])).to_dict()))
+    files = {"TENSOR": ident32, "INSTANCE": str(inst)}
+    return [command] + [files.get(a, a) for a in COMMAND_ARGS[command]] + CONFIG_FLAGS
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_ARGS))
+def test_every_command_prints_one_payload_and_some_text(capsys, tmp_path, ident32, command):
+    argv = command_argv(command, tmp_path, ident32)
+    code, out, _ = run_cli(capsys, argv)
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    assert set(payload) == {"command", "config", "result"}
+    assert payload["command"] == command
+    assert payload["config"] == RunConfig(grid=5, starts=4, seed=5).to_dict()
+    code, out, _ = run_cli(capsys, argv + ["--format", "text"])
+    assert code == EXIT_OK and out.splitlines()
+
+
+@pytest.mark.parametrize("command", ["classify", "beta", "eigen", "solve"])
+def test_csv_without_a_table_is_one_row_per_sorted_result_key(capsys, tmp_path, ident32, command):
+    argv = command_argv(command, tmp_path, ident32)
+    result = json.loads(run_cli(capsys, argv)[1])["result"]
+    code, out, _ = run_cli(capsys, argv + ["--format", "csv"])
+    assert code == EXIT_OK
+    header, *rows = out.splitlines()
+    assert header == "key,value"
+    assert [row.split(",", 1)[0] for row in rows] == sorted(result)
+    assert [json.loads(row.split(",", 1)[1]) for row in rows] == [result[k] for k in sorted(result)]
