@@ -53,6 +53,7 @@ from .tensor import (
     contract_m1_batch,
     lane_maps,
     principal_subtensor,
+    stacked_subtensors,
     supports_by_size,
     zero_extend,
 )
@@ -191,24 +192,26 @@ def _newton_candidates(
 ) -> list[list[tuple[float, np.ndarray]]]:
     """Multi-start damped Newton on the support systems of one size, every
     start of every support as one lane array; y normalized to the 2-sphere
-    inside the iteration, strict positivity enforced afterwards.  Returns
+    inside the iteration, strict positivity enforced afterwards.  The start
+    eigenvalues of the whole group take one batched contraction.  Returns
     one candidate list per support, in group order; each support keeps its
     own start stream, certificate and clustering."""
     r, m = len(group[0]), A.m
-    subs = [principal_subtensor(A, J) for J in group]
-    starts = []
-    for J, sub in zip(group, subs):
+    Y0, lam0, counts = [], [], []
+    for J in group:
         rng = cfg.substream("eigen", system, str(J))
-        pairs = list(seeds.get(J, []))
-        uniform = np.ones(r) / np.sqrt(r)
-        pairs.append((uniform, _rayleigh(sub, uniform, system)))
+        pairs = seeds.get(J, [])
         raw = rng.uniform(0.1, 1.0, size=(cfg.budget(NEWTON_STARTS), r))
-        for row in raw:
-            y0 = row / np.linalg.norm(row)
-            pairs.append((y0, _rayleigh(sub, y0, system)))
-        starts.append(np.array([np.append(y0, lam0) for y0, lam0 in pairs]))
-    owner = np.repeat(np.arange(len(group)), [len(Z0) for Z0 in starts])
-    contract, jacobian = lane_maps(subs, owner)
+        Y0 += [y0 for y0, _ in pairs] + [np.ones(r) / np.sqrt(r)]
+        Y0 += [row / np.linalg.norm(row) for row in raw]
+        lam0 += [lam for _, lam in pairs] + [None] * (1 + len(raw))
+        counts.append(len(pairs) + 1 + len(raw))
+    owner = np.repeat(np.arange(len(group)), counts)
+    contract, jacobian = lane_maps(*stacked_subtensors(A, group), owner)
+    Y0 = np.array(Y0)
+    core = contract(Y0[:, None, :], np.arange(len(Y0)))[:, 0]
+    lam0 = [_rayleigh(y, c, system, m) if lam is None else lam for y, c, lam in zip(Y0, core, lam0)]
+    Z0 = np.column_stack([Y0, lam0])
 
     def residual(Z: np.ndarray, lanes: np.ndarray) -> np.ndarray:
         Y, lam = Z[..., :r], Z[..., r:]
@@ -229,7 +232,7 @@ def _newton_candidates(
         out[:, r, :r] = 2.0 * Y
         return out
 
-    Z, ok = newton_lanes(residual, jac, np.vstack(starts))
+    Z, ok = newton_lanes(residual, jac, Z0)
     Y, lam = Z[:, :r], Z[:, r]
     nrm = np.linalg.norm(Y, axis=1)
     # roots with dust components are boundary solutions of this support;
@@ -253,10 +256,10 @@ def _rhs(system: str, x: np.ndarray, m: int) -> np.ndarray:
     return x ** (m - 1) if system == "H" else x
 
 
-def _rayleigh(A_sub: Tensor, y: np.ndarray, system: str) -> float:
-    core = contract_m1(A_sub, y)
+def _rayleigh(y: np.ndarray, core: np.ndarray, system: str, m: int) -> float:
+    """The start eigenvalue of y, with ``core = A_J y^(m-1)``."""
     if system == "H":
-        denom = float(np.sum(y**A_sub.m))
+        denom = float(np.sum(y**m))
         return float(y @ core) / denom if denom > 0 else 0.0
     return float(y @ core)
 

@@ -10,10 +10,20 @@ the solutions.  Both solve at unit scale, on ``q / ||q||_inf``, and map
 their solutions back by positive homogeneity: the solutions for ``t q`` are
 ``t^(1/(m-1))`` times those for q.  Every returned solution is re-certified
 by :func:`verify_solution` from scratch, relative to the instance's scale.
+
+Above order 2, enumeration first rules out every support whose active
+system is certified to have no root it could keep: the row margin of
+``A_J`` (a lower bound on its activity margin ``beta``) confines every
+near-root to a box, and an outward-rounded natural-interval branch and
+bound shows that no point of the box solves the system to within a
+tolerance (:func:`_rootless`).  Only the other supports run multistart
+Newton, so the search is complete on the ruled-out supports and remains
+heuristic on the rest.
 """
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass, replace
 
@@ -25,6 +35,8 @@ from .tensor import (
     JsonRecord,
     Tensor,
     TensorFormatError,
+    _BLOCK_ENTRIES,
+    _kron_rows,
     _real,
     as_vector,
     contract_m1,
@@ -35,6 +47,7 @@ from .tensor import (
     pos_part,
     power_component,
     principal_subtensor,
+    stacked_subtensors,
     supports_by_size,
     tensor_from_dict,
     tensor_to_dict,
@@ -54,6 +67,9 @@ __all__ = [
 NEWTON_STARTS = 16             # random Newton starts per support
 DUST_TOL = 1e-4                # zero out components below this when the result still certifies
 SUPPORT_CAP = 6                # enumeration refuses larger dimensions
+EXCLUDE_TOL = 1e-8             # times 1 + max|q_J|: a row farther from zero rules a box out
+EXCLUDE_CELLS = 200            # boxes a support may spend before it runs Newton anyway
+_UNIT_ROUNDOFF = 2.0 ** -53
 
 
 class NonConvergenceError(RuntimeError):
@@ -176,6 +192,96 @@ def _linear_root(inst: TcpInstance, J: tuple[int, ...]) -> list[np.ndarray]:
     return [y] if np.min(y) > POSITIVITY_FLOOR else []
 
 
+def _gamma(terms: int) -> float:
+    """Higham's ``gamma_N = N u / (1 - N u)`` (Higham 2002, section 3.1):
+    a sum of N rounded operations errs by at most gamma_N times the sum of
+    its terms' absolute values."""
+    return terms * _UNIT_ROUNDOFF / (1.0 - terms * _UNIT_ROUNDOFF)
+
+
+def _row_margins(data: np.ndarray) -> np.ndarray:
+    """The row margin ``mu = min_k (a_{k..k} - sum of |negative off-diagonal
+    entries of row k|)`` of every stacked tensor of ``data`` (shape
+    ``(g,) + (r,) * m``), rounded down.
+
+    It bounds the activity margin ``beta`` from below: at a point ``x >= 0``
+    whose largest component is ``x_k = 1``, no monomial of row k exceeds 1,
+    so ``(A x^(m-1))_k >= mu``.
+    """
+    g, r = data.shape[:2]
+    rows = data.reshape(g, r, -1)
+    diag = np.maximum(data[(slice(None),) + (np.arange(r),) * (data.ndim - 1)], 0.0)
+    negative = np.minimum(rows, 0.0).sum(axis=2)  # the diagonal entry too, when it is negative
+    slack = _gamma(rows.shape[2] + 3) * (diag - negative)
+    return np.min(diag + negative - slack, axis=1)
+
+
+def _rootless(data: np.ndarray, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Which active systems ``A_J y^(m-1) + q_J = 0`` are certified to have
+    no root that :func:`_support_roots` could keep, and the boxes each spent.
+
+    ``data`` stacks the sub-tensors of one support size (shape
+    ``(g,) + (r,) * m``) and ``Q`` their offsets.  With the row margin
+    ``mu_J > 0``, every ``y >= 0`` whose rows all lie within
+    ``tol_J = EXCLUDE_TOL (1 + max|q_J|)`` of zero has, at its largest
+    component k, ``mu_J ||y||_inf^(m-1) <= tol_J - q_k``, so it lies in the
+    box ``[0, R]^r`` with ``R^(m-1) = (max(-q_J) + tol_J) / mu_J``.  A
+    branch and bound over that box drops every box where the natural
+    interval extension puts some row wholly beyond ``tol_J``: for y in
+    ``[l, u]``, row i lies between ``A+_i (l) + A-_i (u) + q_i`` and
+    ``A+_i (u) + A-_i (l) + q_i``, with ``A+`` / ``A-`` the positive /
+    negative entries contracted at the box ends.  Each bound is widened by
+    ``gamma_N`` times its absolute term sum, ``mu`` rounded down and ``R``
+    up, so the rule holds in floating point at any scale.  A survivor is
+    halved on every side, into ``2^r`` boxes, so that a level of boxes
+    refines each axis once.  A support is rootless once no box survives;
+    one with ``mu_J <= 0``, or with boxes left when the next level would
+    take it past ``EXCLUDE_CELLS`` boxes, is not.  Each support's result
+    depends on its own boxes only.
+    """
+    g, r = data.shape[:2]
+    m = data.ndim - 1
+    rows = data.reshape(g, r, -1)
+    signed = np.stack([np.maximum(rows, 0.0), np.minimum(rows, 0.0)], axis=1)  # A+ and A-
+    tol = EXCLUDE_TOL * (1.0 + np.abs(Q).max(axis=1))
+    block = max(1, _BLOCK_ENTRIES // signed[0].size)
+    # N counts m - 2 products, a scaling, the sums and q; doubled for the slack's own rounding
+    widen = 2.0 * _gamma(rows.shape[2] + m)
+    mu = _row_margins(data)
+    rootless = mu > 0.0
+    reach = np.maximum(np.max(-Q, axis=1) + tol, 0.0) / np.where(rootless, mu, 1.0)
+    radius = reach ** (1.0 / (m - 1)) * (1.0 + 1e-12)  # far above the rounding of either step
+    owner = np.flatnonzero(rootless)
+    lo, hi = np.zeros((owner.size, r)), np.repeat(radius[owner, None], r, axis=1)
+    cells = np.zeros(g, dtype=int)
+    corners = np.array(list(itertools.product((False, True), repeat=r)))
+    while owner.size:
+        boxes = np.bincount(owner, minlength=g)
+        over = cells + boxes > EXCLUDE_CELLS
+        rootless &= ~over
+        keep = ~over[owner]
+        owner, lo, hi = owner[keep], lo[keep], hi[keep]
+        if not owner.size:
+            break
+        cells += np.where(over, 0, boxes)
+        K = _kron_rows(np.stack([lo, hi], axis=1), m - 1)
+        # A+ and A- at both ends, gathered a block of boxes at a time
+        (Pl, Pu), (Nl, Nu) = np.concatenate([
+            np.einsum("zwk,zsik->swzi", K[b : b + block], signed[owner[b : b + block]])
+            for b in range(0, owner.size, block)], axis=2)
+        q, t = Q[owner], tol[owner, None]
+        slack = widen * (Pu - Nu + np.abs(q))
+        # a NaN from an overflowing box drops nothing
+        beyond = (Pl + Nu + q - slack > t) | (Pu + Nl + q + slack < -t)
+        alive = ~np.any(beyond, axis=1)
+        owner, lo, hi = owner[alive], lo[alive], hi[alive]
+        mid = 0.5 * (lo + hi)
+        owner = np.repeat(owner, len(corners))
+        lo = np.where(corners, mid[:, None], lo[:, None]).reshape(-1, r)
+        hi = np.where(corners, hi[:, None], mid[:, None]).reshape(-1, r)
+    return rootless, cells
+
+
 def _support_roots(
     inst: TcpInstance, group: list[tuple[int, ...]], cfg: RunConfig
 ) -> list[tuple[tuple[int, ...], np.ndarray]]:
@@ -186,8 +292,12 @@ def _support_roots(
     ``y = (-q_j / a_{j..j})^(1/(m-1))`` when that ratio is positive, and
     none otherwise; a zero diagonal with ``q_j = 0`` (a continuum of roots,
     never the case for a strictly semi-positive tensor) is not enumerated.
-    The starts of every larger support run as one Newton lane array; each
-    support keeps its own start stream, certificate and clustering.
+    The supports of every larger size first pass :func:`_rootless`, and a
+    support certified to have no root that could be kept gets no starts.
+    The starts of every other support run as one Newton lane array; each
+    support keeps its own start stream, certificate and clustering.  Those
+    supports are complete only as far as their multistart Newton is, which
+    is heuristic.
     """
     m = inst.A.m
     if m == 2:
@@ -197,15 +307,19 @@ def _support_roots(
         d, q = inst.A.diagonal(), inst.q
         return [((j,), np.array([(-q[j] / d[j]) ** (1.0 / (m - 1))]))
                 for (j,) in group if d[j] != 0.0 and -q[j] / d[j] > 0.0]
-    Q = np.stack([inst.q[list(J)] for J in group])
+    data, S = stacked_subtensors(inst.A, group)
+    Q = inst.q[np.array(group)]
+    live = np.flatnonzero(~_rootless(data, Q)[0])
     starts = []
-    for J, qJ in zip(group, Q):
-        rng = cfg.substream("tcp", tuple(J))
+    for i in live:
+        rng = cfg.substream("tcp", group[i])
         Y0 = rng.uniform(0.1, 1.0, size=(cfg.budget(NEWTON_STARTS), r))
-        heuristic = power_component(pos_part(-qJ), 1.0 / (m - 1))
+        heuristic = power_component(pos_part(-Q[i]), 1.0 / (m - 1))
         starts.append(np.vstack([heuristic, Y0]) if np.min(heuristic) > 0 else Y0)
-    owner = np.repeat(np.arange(len(group)), [len(Y0) for Y0 in starts])
-    contract, jac = lane_maps([principal_subtensor(inst.A, J) for J in group], owner)
+    if not starts:
+        return []
+    owner = np.repeat(live, [len(Y0) for Y0 in starts])
+    contract, jac = lane_maps(data, S, owner)
 
     def residual(Y: np.ndarray, lanes: np.ndarray) -> np.ndarray:
         return contract(Y, lanes) + Q[owner[lanes]][:, None, :]
@@ -216,9 +330,9 @@ def _support_roots(
     resid = np.linalg.norm(residual(Y[lanes][:, None, :], lanes)[:, 0], axis=1)
     lanes = lanes[resid <= 1e-9 * scale[owner[lanes]]]
     roots: list[tuple[tuple[int, ...], np.ndarray]] = []
-    for s, J in enumerate(group):
-        found = Y[lanes[owner[lanes] == s]]
-        roots.extend((J, found[i]) for i in first_of_clusters(found, CLUSTER_TOL))
+    for i in live:
+        found = Y[lanes[owner[lanes] == i]]
+        roots.extend((group[i], found[k]) for k in first_of_clusters(found, CLUSTER_TOL))
     return roots
 
 

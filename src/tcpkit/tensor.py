@@ -43,6 +43,7 @@ __all__ = [
     "principal_subtensor",
     "supports_by_size",
     "zero_extend",
+    "stacked_subtensors",
     "lane_maps",
     "validate_index_set",
     "identity_tensor",
@@ -254,20 +255,35 @@ def supports_by_size(n: int) -> Iterator[list[tuple[int, ...]]]:
         yield list(itertools.combinations(range(n), size))
 
 
-def lane_maps(subs: list[Tensor], owner: np.ndarray):
-    """Contraction and Jacobian maps for Newton lanes spread over sub-tensors
-    of one shape, lane ``l`` belonging to ``subs[owner[l]]``.
+def stacked_subtensors(A: Tensor, group: list[tuple[int, ...]]) -> tuple[np.ndarray, np.ndarray]:
+    """The entries and the ``S`` unfolding of every principal sub-tensor
+    ``A_J``, J in ``group`` (index subsets of one size r), stacked, both of
+    shape ``(g,) + (r,) * m``.
+
+    Both are one fancy index of ``A``'s own arrays, and no sub-tensor is
+    built.  Restriction commutes with the sum over modes behind ``S``, so
+    each slice holds :func:`principal_subtensor`'s values bit for bit.
+    """
+    G = np.array(group, dtype=int)
+    g, r = G.shape
+    idx = tuple(G.reshape((g,) + (1,) * p + (r,) + (1,) * (A.m - 1 - p)) for p in range(A.m))
+    return A.data[idx], A.S.reshape(A.data.shape)[idx]
+
+
+def lane_maps(data: np.ndarray, S: np.ndarray, owner: np.ndarray):
+    """Contraction and Jacobian maps for Newton lanes spread over the
+    sub-tensors of :func:`stacked_subtensors`, lane ``l`` belonging to
+    sub-tensor ``owner[l]``.
 
     ``contract(Y, lanes)`` maps a (k, w, r) block, w points of each of the k
     lanes ``lanes``, to its (k, w, r) contractions; ``jacobian(Y, lanes)``
-    maps (k, r) points to their (k, r, r) Jacobians.  The unfoldings of the
-    sub-tensors are stacked once and gathered per lane, and each row is the
-    batch kernels' rule on its own sub-tensor, so it equals the
-    :func:`contract_m1_batch` / :func:`jacobian_m1_batch` row bit for bit.
+    maps (k, r) points to their (k, r, r) Jacobians.  The unfoldings are
+    gathered per lane, and each row is the batch kernels' rule on its own
+    sub-tensor, so it equals the :func:`contract_m1_batch` /
+    :func:`jacobian_m1_batch` row of that sub-tensor bit for bit.
     """
-    m = subs[0].m
-    A2 = np.stack([sub.A2 for sub in subs])
-    S = np.stack([sub.S for sub in subs])
+    g, r, m = data.shape[0], data.shape[1], data.ndim - 1
+    A2, S = data.reshape(g, r, -1), S.reshape(g, r, r, -1)
 
     def contract(Y: np.ndarray, lanes: np.ndarray) -> np.ndarray:
         return np.einsum("zwk,zik->zwi", _kron_rows(Y, m - 1), A2[owner[lanes]])

@@ -23,6 +23,7 @@ from tcpkit.tensor import (
     jacobian_m1_batch,
     lane_maps,
     principal_subtensor,
+    stacked_subtensors,
     supports_by_size,
 )
 
@@ -177,25 +178,42 @@ def test_lane_that_gains_under_a_tenth_per_window_stops_at_the_checkpoint():
 
 
 def test_support_group_without_roots_stops_at_a_stall_checkpoint(monkeypatch):
-    # no size-2 support of this instance has a positive root: all 48 lanes of
-    # that group stall
+    # no size-2 support of this instance has a positive root: the interval
+    # exclusion rules the group out before Newton, and its 48 lanes, run
+    # through newton_lanes directly, stall
     rng = np.random.default_rng([10, 3, 3, 5])
     inst = TcpInstance(Tensor(diag_dominant_data(rng, 3, 3, 0.5)), rng.uniform(-2.0, 1.0, size=3))
-    jacobians: list[int] = []
-
-    def spy(res_fn, jac_fn, Z0):
-        jacobians.append(0)
-        return newton_lanes(res_fn, counting(jac_fn, jacobians), Z0)
-
-    monkeypatch.setattr(tcp, "newton_lanes", spy)
+    calls = []
+    monkeypatch.setattr(tcp, "newton_lanes", lambda *args: calls.append(args) or newton_lanes(*args))
     sols = tcp.solve_enumeration(inst, CFG)
-    assert len(jacobians) == 2 and max(jacobians) <= 30
-    # the solution found without the rule, when the size-2 group ran every iteration
+    assert calls == []  # the size-3 group is ruled out too
+    # the solution found when the size-2 group ran Newton to the end
     assert [s.x.tolist() for s in sols] == [[0.0, 0.0, 0.4794207341132934]]
-    jacobians.clear()
+
+    unit, _ = tcp._unit_scale(inst)
+    group = list(supports_by_size(3))[1]
+    data, S = stacked_subtensors(unit.A, group)
+    Q = unit.q[np.array(group)]
+    assert tcp._rootless(data, Q)[0].all()
+    starts = []
+    for J, qJ in zip(group, Q):
+        Y0 = CFG.substream("tcp", J).uniform(0.1, 1.0, size=(tcp.NEWTON_STARTS, 2))
+        heuristic = np.sqrt(np.maximum(-qJ, 0.0))
+        starts.append(np.vstack([heuristic, Y0]) if np.min(heuristic) > 0 else Y0)
+    owner = np.repeat(np.arange(3), [len(Y0) for Y0 in starts])
+    assert owner.size == 48
+    contract, jac = lane_maps(data, S, owner)
+
+    def run() -> int:
+        jacobians = [0]
+        _, ok = newton_lanes(lambda Y, lanes: contract(Y, lanes) + Q[owner[lanes]][:, None, :],
+                             counting(jac, jacobians), np.vstack(starts))
+        assert not ok.any()
+        return jacobians[0]
+
+    assert run() <= 30
     monkeypatch.setattr(optimize, "STALL_WINDOW", optimize.NEWTON_MAX_ITER + 1)
-    assert [s.x.tolist() for s in tcp.solve_enumeration(inst, CFG)] == [s.x.tolist() for s in sols]
-    assert jacobians[0] == optimize.NEWTON_MAX_ITER
+    assert run() == optimize.NEWTON_MAX_ITER
 
 
 RULE_OFF_DRAWS = [(family, m, n) for family in ("diag_dominant", "nonneg_symmetric")
@@ -447,9 +465,15 @@ def test_supports_by_size_groups_the_nonempty_subsets():
 @pytest.mark.parametrize("r", range(1, 7))
 def test_gathered_rows_equal_per_support_kernel_rows(m, r):
     rng = np.random.default_rng([21, m, r])
-    subs = [Tensor(rng.uniform(-1.0, 1.0, size=(r,) * m)) for _ in range(3)]
+    A = Tensor(rng.uniform(-1.0, 1.0, size=(7,) * m))
+    group = [tuple(sorted(rng.choice(7, size=r, replace=False))) for _ in range(3)]
+    subs = [principal_subtensor(A, J) for J in group]
+    data, S = stacked_subtensors(A, group)
+    for sub, d, s in zip(subs, data, S):  # one gather holds each sub-tensor's own values
+        np.testing.assert_array_equal(d, sub.data)
+        np.testing.assert_array_equal(s.reshape(sub.S.shape), sub.S)
     owner = np.array([0, 2, 1, 2, 0, 1, 1])
-    contract, jacobian = lane_maps(subs, owner)
+    contract, jacobian = lane_maps(data, S, owner)
     lanes = np.array([1, 2, 4, 5, 6])  # lanes of every sub-tensor, not all lanes
     for w in (1, 8):
         Z = rng.uniform(-1.0, 1.0, size=(lanes.size, w, r + 1))

@@ -9,15 +9,19 @@ from tcpkit import (
     NonConvergenceError,
     Tensor,
     TcpInstance,
+    beta,
     diagonal_tensor,
     identity_tensor,
     solve_enumeration,
     solve_iterative,
     verify_solution,
 )
-from tcpkit.bounds import GeneratorSpec, generate
+from tcpkit import tcp
+from tcpkit.bounds import GeneratorSpec, _draw_tensor, generate
 from tcpkit.config import RunConfig
-from oracles import diag_dominant_data, lemke_lcp, nonneg_symmetric_data
+from tcpkit.optimize import newton_lanes
+from tcpkit.tensor import contract_m1, principal_subtensor, stacked_subtensors, supports_by_size
+from oracles import diag_dominant_data, lemke_lcp, nonneg_symmetric_data, reference_support_roots
 
 FAST = RunConfig(starts=8)
 
@@ -318,3 +322,104 @@ def test_polish_retries_without_the_support_rows_that_are_positive():
     sol = solve_iterative(inst)
     assert verify_solution(inst, sol.x).ok
     assert any(np.max(np.abs(sol.x - e.x)) <= 1e-6 for e in solve_enumeration(inst))
+
+
+# ---------------------------------------------------------------------------
+# certified exclusion of rootless supports
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("family", ["identity_shift", "diag_dominant", "random_symmetric_copositive"])
+@pytest.mark.parametrize("m", [2, 3, 4])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_row_margin_is_a_lower_bound_on_beta(family, m, n):
+    spec = GeneratorSpec(family, m, n, seed=7)
+    A = _draw_tensor(spec, RunConfig(seed=7).substream(family, m, n))
+    mu = tcp._row_margins(A.data[None])[0]
+    assert mu <= beta(A, FAST).value
+    if family == "diag_dominant":  # every diagonal entry exceeds its row's absolute sum by 0.5
+        assert mu >= 0.5
+
+
+def test_nonpositive_row_margin_rules_out_nothing(monkeypatch):
+    # negative off-diagonal entries outweigh the diagonal: mu <= 0 on every
+    # support, so every support of size >= 2 runs Newton, q > 0 or not
+    n = 3
+    data = -np.ones((n,) * 3)
+    data[tuple([np.arange(n)] * 3)] = 1.0
+    A = Tensor(data)
+    for group in list(supports_by_size(n))[1:]:
+        stacked, _ = stacked_subtensors(A, group)
+        assert np.all(tcp._row_margins(stacked) <= 0.0)
+        rootless, cells = tcp._rootless(stacked, np.ones((len(group), len(group[0]))))
+        assert not rootless.any() and not cells.any()
+    lanes = []
+    monkeypatch.setattr(tcp, "newton_lanes",
+                        lambda res, jac, Z0: lanes.append(len(Z0)) or newton_lanes(res, jac, Z0))
+    solve_enumeration(TcpInstance(A, np.array([0.5, 1.0, 2.0])), FAST)
+    assert lanes == [3 * FAST.starts, FAST.starts]
+
+
+EXCLUSION_DRAWS = [(family, m, n) for family in ("diag_dominant", "nonneg_symmetric")
+                   for m in (3, 4) for n in (3, 4, 5)]
+
+
+def _exclusion_instance(family, m, n, draw=0):
+    rng = np.random.default_rng([n, m, 31])
+    data = diag_dominant_data(rng, m, n, 0.5) if family == "diag_dominant" else nonneg_symmetric_data(rng, m, n)
+    q = np.random.default_rng([n, m, 31, draw]).uniform(-2.0, 1.0, size=n)
+    return TcpInstance(Tensor(data), q)
+
+
+def _ruled_out(monkeypatch, inst):
+    """The supports that solve_enumeration rules out before Newton."""
+    out = []
+
+    def spy(data, Q):
+        rootless, cells = rootless_rule(data, Q)
+        assert np.all(cells <= tcp.EXCLUDE_CELLS)
+        out.append(rootless)
+        return rootless, cells
+
+    rootless_rule = tcp._rootless
+    monkeypatch.setattr(tcp, "_rootless", spy)
+    solve_enumeration(inst, FAST)
+    monkeypatch.setattr(tcp, "_rootless", rootless_rule)
+    groups = [g for g in supports_by_size(inst.A.n) if len(g[0]) >= 2]
+    return [J for g, rootless in zip(groups, out) for J, ruled in zip(g, rootless) if ruled]
+
+
+@pytest.mark.parametrize("family,m,n", EXCLUSION_DRAWS)
+def test_ruled_out_supports_have_no_root_that_newton_keeps(monkeypatch, family, m, n):
+    ruled_any = False
+    for draw in range(3):
+        inst = _exclusion_instance(family, m, n, draw)
+        ruled = _ruled_out(monkeypatch, inst)
+        ruled_any |= bool(ruled)
+        unit = TcpInstance(inst.A, inst.q / np.max(np.abs(inst.q)))
+        for J in ruled:  # every lane of the support, run through newton_lanes on its own
+            assert reference_support_roots(unit, J, FAST) == []
+            assert reference_support_roots(unit, J, RunConfig(starts=64, seed=3)) == []
+    assert ruled_any
+
+
+@pytest.mark.parametrize("family,m,n", EXCLUSION_DRAWS[::2])
+def test_the_same_supports_are_ruled_out_at_every_scale_of_q(monkeypatch, family, m, n):
+    inst = _exclusion_instance(family, m, n)
+    ruled = _ruled_out(monkeypatch, inst)
+    for t in (1e-9, 3.7, 1e6):
+        assert _ruled_out(monkeypatch, TcpInstance(inst.A, t * inst.q)) == ruled
+
+
+@pytest.mark.parametrize("m", [3, 4])
+@pytest.mark.parametrize("t", [1e-150, 1.0, 1e150])
+def test_a_support_with_a_root_is_never_ruled_out(m, t):
+    # q_J = -A_J y^(m-1) plants the root y on every support, at every scale
+    rng = np.random.default_rng([m, 5])
+    A = Tensor(diag_dominant_data(rng, m, 5, 0.5) * t)
+    for group in list(supports_by_size(5))[1:]:
+        stacked, _ = stacked_subtensors(A, group)
+        Y = rng.uniform(0.01, 2.0, size=(len(group), len(group[0])))
+        Q = -np.stack([contract_m1(principal_subtensor(A, J), y) for J, y in zip(group, Y)])
+        rootless, _ = tcp._rootless(stacked, Q)
+        assert not rootless.any()
