@@ -27,10 +27,10 @@ maximizes the smallest component over the span exactly, in closed form for
 a one-dimensional eigenspace and by its k-row vertices for a repeated
 eigenvalue's, with numpy alone.  Everything else is damped Newton from many
 random positive starts, so completeness is heuristic and flagged as such.
-For symmetric tensors the minimum Pareto value is additionally seeded from
-a direct minimization of the full contraction over the feasible cone
-(its KKT points are exactly the Pareto eigenpairs), which makes the
-minimum — the quantity downstream bounds divide by — reliable.
+Where it is heuristic (order 3 and up, n >= 2), the least Pareto value of a
+symmetric tensor is also seeded from a minimization of the contraction over
+the feasible cone (its KKT points are the Pareto eigenpairs), which makes
+the minimum reliable; at order 2 the eigendecomposition is exact alone.
 """
 
 from __future__ import annotations
@@ -52,7 +52,6 @@ from .tensor import (
     contract_m1,
     contract_m1_batch,
     lane_maps,
-    principal_subtensor,
     stacked_subtensors,
     supports_by_size,
     zero_extend,
@@ -271,32 +270,27 @@ def _cluster_pairs(pairs: list[tuple[float, np.ndarray]]) -> list[tuple[float, n
 
 def _interior_candidates(
     A: Tensor, system: str, cfg: RunConfig,
-    extra_seeds: dict[tuple[int, ...], list[tuple[np.ndarray, float]]] | None = None,
+    seeds: dict[tuple[int, ...], list[tuple[np.ndarray, float]]],
     full_only: bool = False,
 ) -> dict[tuple[int, ...], list[tuple[float, np.ndarray]]]:
     """Interior (strictly positive, 2-normalized) eigenpairs of A restricted
     to every support J (only the full support with ``full_only``), in
     support order.
 
-    Singletons are closed form and matrices exact (with a Newton run on a
-    seeded support); above order 2 the supports of one size share one
-    Newton lane array.
+    Singletons are closed form and matrices exact, read from one gather of
+    each size's sub-matrices; above order 2 the supports of one size share
+    one Newton lane array, which also starts from ``seeds``.
     """
-    extra_seeds = extra_seeds or {}
     out: dict[tuple[int, ...], list[tuple[float, np.ndarray]]] = {}
     for group in [[tuple(range(A.n))]] if full_only else supports_by_size(A.n):
         if len(group[0]) == 1:
             for J in group:
                 out[J] = [(float(A.data[tuple([J[0]] * A.m)]), np.array([1.0]))]
         elif A.m == 2:
-            for J in group:
-                exact = _matrix_support_candidates(principal_subtensor(A, J).data)
-                if extra_seeds.get(J):
-                    newton = _newton_candidates(A, [J], system, cfg, extra_seeds)[0]
-                    exact = _cluster_pairs(exact + newton)
-                out[J] = exact
+            data, _ = stacked_subtensors(A, group)
+            out.update(zip(group, map(_matrix_support_candidates, data)))
         else:
-            out.update(zip(group, _newton_candidates(A, group, system, cfg, extra_seeds)))
+            out.update(zip(group, _newton_candidates(A, group, system, cfg, seeds)))
     return out
 
 
@@ -359,7 +353,9 @@ def _completeness(A: Tensor) -> str:
 # (s the m-th power sum for the H variant, the m/2 power of x.x for Z) are
 # exactly the Pareto eigenpairs and the global minimum attains the least
 # one, so a cone minimization of the scale-invariant ratio supplies a
-# high-quality Newton seed on the minimizer's support.
+# high-quality Newton seed on the minimizer's support.  It runs only where
+# completeness is heuristic: a matrix's Pareto values are eigenvalues found
+# exactly, and a seeded root would only copy one with different rounding.
 # ---------------------------------------------------------------------------
 
 
@@ -396,9 +392,10 @@ def _enumerate(
     A: Tensor, system: str, check: str, cfg: RunConfig, full_only: bool = False
 ) -> list[EigenRecord]:
     """Certified records of one system: interior candidates of every support
-    (variationally seeded for the Pareto variant), zero-extended, checked
-    by :func:`_verify`'s ``check``, deduped."""
-    seeds = _variational_seed(A, system, cfg) if check == "pareto" else None
+    (seeded for the Pareto variant where completeness is heuristic),
+    zero-extended, checked by :func:`_verify`'s ``check``, deduped."""
+    seeded = check == "pareto" and _completeness(A) == "heuristic"
+    seeds = _variational_seed(A, system, cfg) if seeded else {}
     found = (
         _verify(A, J, lam, y, system, check)
         for J, cands in _interior_candidates(A, system, cfg, seeds, full_only).items()

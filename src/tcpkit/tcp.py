@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -147,7 +147,8 @@ def verify_solution(inst: TcpInstance, x, tol: float = RESIDUAL_TOL) -> Residual
     return ResidualRecord(primal, dual, compl, ok)
 
 
-def _make_solution(inst: TcpInstance, x: np.ndarray, method: str) -> TcpSolution | None:
+def _certified_point(inst: TcpInstance, x: np.ndarray) -> np.ndarray | None:
+    """x clipped to the orthant, or None when it does not certify on ``inst``."""
     x = np.maximum(x, 0.0)
     # Newton stalls on boundary roots (x_i^(m-1) = 0) leave dust components;
     # canonicalize to the zeroed vector whenever that still certifies, so the
@@ -155,12 +156,7 @@ def _make_solution(inst: TcpInstance, x: np.ndarray, method: str) -> TcpSolution
     dusted = np.where(x > DUST_TOL, x, 0.0)
     if not np.array_equal(dusted, x) and verify_solution(inst, dusted, RESIDUAL_TOL).ok:
         x = dusted
-    record = verify_solution(inst, x, RESIDUAL_TOL)
-    if not record.ok:
-        return None
-    support = tuple(i for i in range(inst.A.n) if x[i] > POSITIVITY_FLOOR)
-    w = inst.q + contract_m1(inst.A, x)
-    return TcpSolution(x=x, w=w, support=support, residuals=record, method=method)
+    return x if verify_solution(inst, x, RESIDUAL_TOL).ok else None
 
 
 def _unit_scale(inst: TcpInstance) -> tuple[TcpInstance, float]:
@@ -170,24 +166,24 @@ def _unit_scale(inst: TcpInstance) -> tuple[TcpInstance, float]:
     return TcpInstance(inst.A, inst.q / t), t ** (1.0 / (inst.A.m - 1))
 
 
-def _at_scale(inst: TcpInstance, sol: TcpSolution | None, c: float) -> TcpSolution | None:
-    """A solution of the unit-scale instance times c, recertified on ``inst``."""
-    if sol is None:
+def _at_scale(inst: TcpInstance, x: np.ndarray | None, c: float, method: str) -> TcpSolution | None:
+    """The solution ``c x`` of ``inst`` for a point x certified at unit
+    scale, certified again on ``inst``; its support is read at unit scale."""
+    if x is None:
         return None
-    x = sol.x * c
+    support = tuple(i for i in range(inst.A.n) if x[i] > POSITIVITY_FLOOR)
+    x = x * c
     record = verify_solution(inst, x)
-    return replace(sol, x=x, w=inst.q + contract_m1(inst.A, x), residuals=record) if record.ok else None
+    return TcpSolution(x, inst.q + contract_m1(inst.A, x), support, record, method) if record.ok else None
 
 
-def _linear_root(inst: TcpInstance, J: tuple[int, ...]) -> list[np.ndarray]:
-    """The strictly positive solution of the order-2 active system, if any."""
-    sub = principal_subtensor(inst.A, J)
-    qJ = inst.q[list(J)]
+def _linear_root(M: np.ndarray, qJ: np.ndarray) -> list[np.ndarray]:
+    """The strictly positive solution of the order-2 system ``M y = -q_J``, if any."""
     try:
-        y = np.linalg.solve(sub.data, -qJ)
+        y = np.linalg.solve(M, -qJ)
     except np.linalg.LinAlgError:
-        y, *_ = np.linalg.lstsq(sub.data, -qJ, rcond=None)
-    if float(np.max(np.abs(sub.data @ y + qJ))) > 1e-9 * (1.0 + float(np.abs(qJ).max(initial=0.0))):
+        y, *_ = np.linalg.lstsq(M, -qJ, rcond=None)
+    if float(np.max(np.abs(M @ y + qJ))) > 1e-9 * (1.0 + float(np.abs(qJ).max(initial=0.0))):
         return []
     return [y] if np.min(y) > POSITIVITY_FLOOR else []
 
@@ -288,7 +284,9 @@ def _support_roots(
     """Strictly positive roots of the active systems A_J y^(m-1) = -q_J of
     the supports J of one size, as (J, y) pairs in support order.
 
-    Above order 2 a singleton {j} has the closed-form root
+    At order 2 every support's linear system is solved directly
+    (:func:`_linear_root`), its matrix read from one gather of the group's
+    sub-matrices.  Above order 2 a singleton {j} has the closed-form root
     ``y = (-q_j / a_{j..j})^(1/(m-1))`` when that ratio is positive, and
     none otherwise; a zero diagonal with ``q_j = 0`` (a continuum of roots,
     never the case for a strictly semi-positive tensor) is not enumerated.
@@ -299,16 +297,15 @@ def _support_roots(
     supports are complete only as far as their multistart Newton is, which
     is heuristic.
     """
-    m = inst.A.m
-    if m == 2:
-        return [(J, y) for J in group for y in _linear_root(inst, J)]
-    r = len(group[0])
-    if r == 1:
+    m, r = inst.A.m, len(group[0])
+    if m > 2 and r == 1:
         d, q = inst.A.diagonal(), inst.q
         return [((j,), np.array([(-q[j] / d[j]) ** (1.0 / (m - 1))]))
                 for (j,) in group if d[j] != 0.0 and -q[j] / d[j] > 0.0]
     data, S = stacked_subtensors(inst.A, group)
     Q = inst.q[np.array(group)]
+    if m == 2:
+        return [(J, y) for J, M, qJ in zip(group, data, Q) for y in _linear_root(M, qJ)]
     live = np.flatnonzero(~_rootless(data, Q)[0])
     starts = []
     for i in live:
@@ -353,18 +350,12 @@ def solve_enumeration(inst: TcpInstance, cfg: RunConfig = DEFAULT_CONFIG) -> lis
             f"enumeration is capped at dimension {SUPPORT_CAP}, instance has {n}"
         )
     unit, c = _unit_scale(inst)
-    solutions: list[TcpSolution] = []
-    zero = _make_solution(unit, np.zeros(n), "enumeration")
-    if zero is not None:
-        solutions.append(zero)
-    for group in supports_by_size(n):
-        for J, y in _support_roots(unit, group, cfg):
-            sol = _make_solution(unit, zero_extend(y, J, n), "enumeration")
-            if sol is not None:
-                solutions.append(sol)
-    solutions.sort(key=lambda s: (float(np.max(np.abs(s.x))), tuple(s.x)))
-    scaled = (_at_scale(inst, solutions[i], c)
-              for i in first_of_clusters([s.x for s in solutions], CLUSTER_TOL))
+    found = [_certified_point(unit, np.zeros(n))] + [
+        _certified_point(unit, zero_extend(y, J, n))
+        for group in supports_by_size(n) for J, y in _support_roots(unit, group, cfg)
+    ]
+    points = sorted((x for x in found if x is not None), key=lambda x: (float(np.max(np.abs(x))), tuple(x)))
+    scaled = (_at_scale(inst, points[i], c, "enumeration") for i in first_of_clusters(points, CLUSTER_TOL))
     deduped = [sol for sol in scaled if sol is not None]
     if not deduped:
         warnings.warn(
@@ -376,24 +367,24 @@ def solve_enumeration(inst: TcpInstance, cfg: RunConfig = DEFAULT_CONFIG) -> lis
 
 
 # cfg is unused; it stays because perfbench/test_checker.py passes one
-def _polish_active_set(inst: TcpInstance, x: np.ndarray, cfg: RunConfig) -> TcpSolution | None:
-    """Solve the support system suggested by the iterate's active pattern:
-    its components above 1e-6, then, if that fails, only those of them
-    whose row ``w_i`` is not positive (a positive row asks its component
-    to leave the support)."""
+def _polish_active_set(inst: TcpInstance, x: np.ndarray, cfg: RunConfig) -> np.ndarray | None:
+    """The certified root of the support system suggested by the iterate's
+    active pattern: its components above 1e-6, then, if that fails, only
+    those of them whose row ``w_i`` is not positive (a positive row asks its
+    component to leave the support)."""
     n = inst.A.n
     positive = x > 1e-6
     w = inst.q + contract_m1(inst.A, x)
     for J in dict.fromkeys([tuple(np.flatnonzero(positive)), tuple(np.flatnonzero(positive & (w <= 0.0)))]):
         if not J:
-            return _make_solution(inst, np.zeros(n), "iterative")
+            return _certified_point(inst, np.zeros(n))
         sub = principal_subtensor(inst.A, J)
         qJ = inst.q[list(J)]
         y, ok = damped_newton(lambda y: contract_m1(sub, y) + qJ, lambda y: jacobian_m1(sub, y), x[list(J)])
         if ok and np.min(y) > POSITIVITY_FLOOR:
-            sol = _make_solution(inst, zero_extend(y, J, n), "iterative")
-            if sol is not None:
-                return sol
+            point = _certified_point(inst, zero_extend(y, J, n))
+            if point is not None:
+                return point
     return None
 
 
@@ -431,8 +422,9 @@ def solve_iterative(inst: TcpInstance, cfg: RunConfig = DEFAULT_CONFIG) -> TcpSo
         X, _ = newton_lanes(residual, jac, block)
         best_merit = min(best_merit, float(np.min(np.linalg.norm(residual(X), axis=1))))
         for x in X:
-            sol = _at_scale(inst, _make_solution(unit, x, "iterative")
-                            or _polish_active_set(unit, x, cfg), c)
+            point = _certified_point(unit, x)
+            point = _polish_active_set(unit, x, cfg) if point is None else point
+            sol = _at_scale(inst, point, c, "iterative")
             if sol is not None:
                 return sol
     raise NonConvergenceError(f"semismooth Newton did not certify a solution (best merit {best_merit:.3e})",

@@ -31,6 +31,7 @@ from tcpkit import (
     z_plusplus_eigenpairs,
 )
 from tcpkit import eigen
+from tcpkit.bounds import GeneratorSpec, generate, min_pareto_h, min_pareto_z
 from tcpkit.config import POSITIVITY_FLOOR, RESIDUAL_TOL, RunConfig
 from oracles import highs_max_min_component, pareto_matrix_oracle
 
@@ -493,3 +494,35 @@ def test_order_2_bounds_run_without_scipy():
     out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                          text=True, check=True).stdout.split()
     assert out == ["8", "1", "3"]
+
+
+def order_2_symmetric_draws():
+    """Symmetric ``matrix_m2`` and ``random_symmetric_copositive`` draws at
+    order 2, n 2-4, seeds 0-4: 30 matrices."""
+    return [
+        generate(GeneratorSpec(family, 2, n, seed=seed, parameters=parameters))
+        for family, parameters in (("matrix_m2", {"symmetric": True}), ("random_symmetric_copositive", {}))
+        for n in (2, 3, 4)
+        for seed in range(5)
+    ]
+
+
+def test_order_2_least_pareto_h_and_z_values_are_one_eigenvalue():
+    # for a symmetric matrix both least Pareto values are the least eigenvalue
+    # of some principal submatrix, found by one eigendecomposition
+    draws = order_2_symmetric_draws()
+    assert len(draws) == 30
+    for A in draws:
+        assert min_pareto_h(A) == min_pareto_z(A)
+
+
+def test_order_2_pareto_runs_no_sphere_search_and_no_newton(monkeypatch):
+    draws = order_2_symmetric_draws()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("order 2 takes the eigendecomposition alone")
+
+    monkeypatch.setattr(eigen, "minimize_nonneg_sphere", refuse)
+    monkeypatch.setattr(eigen, "newton_lanes", refuse)
+    for A in draws:
+        assert pareto_h_eigenvalues(A) and pareto_z_eigenvalues(A)

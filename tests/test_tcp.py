@@ -49,6 +49,20 @@ def test_matrix_instance_scalar_per_coordinate():
     np.testing.assert_allclose(sols[0].x, [1.0, 0.0], atol=1e-10)
 
 
+def test_order_2_singular_support_falls_back_to_least_squares(monkeypatch):
+    # support {0, 1} of [[1, 1], [1, 1]] is exactly singular: its root is the
+    # least-squares solution, and each singleton has its own root
+    calls = []
+    lstsq = np.linalg.lstsq
+    monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **k: calls.append(a[0].shape) or lstsq(*a, **k))
+    inst = TcpInstance(Tensor(np.ones((2, 2))), np.array([-1.0, -1.0]))
+    sols = solve_enumeration(inst, FAST)
+    assert calls == [(2, 2)]
+    assert [s.x.tolist() for s in sols] == [[0.5, 0.4999999999999999], [0.0, 1.0], [1.0, 0.0]]
+    assert [s.support for s in sols] == [(0, 1), (1,), (0,)]
+    assert all(s.method == "enumeration" and s.residuals.ok for s in sols)
+
+
 def test_diagonal_higher_order():
     inst = TcpInstance(diagonal_tensor([2.0, 5.0], 4), np.array([-2.0, -5.0]))
     sols = solve_enumeration(inst, FAST)
