@@ -16,9 +16,11 @@ system is certified to have no root it could keep: the row margin of
 ``A_J`` (a lower bound on its activity margin ``beta``) confines every
 near-root to a box, and an outward-rounded natural-interval branch and
 bound shows that no point of the box solves the system to within a
-tolerance (:func:`_rootless`).  Only the other supports run multistart
-Newton, so the search is complete on the ruled-out supports and remains
-heuristic on the rest.
+tolerance (:func:`_rootless`).  The same search runs Krawczyk's existence
+test on its surviving boxes, and a support certified to hold an exact root
+leaves it at once.  Only the supports not ruled out run multistart Newton,
+so the search is complete on the ruled-out supports and remains heuristic
+on the rest, those certified to hold a root included.
 """
 
 from __future__ import annotations
@@ -212,39 +214,111 @@ def _row_margins(data: np.ndarray) -> np.ndarray:
     return np.min(diag + negative - slack, axis=1)
 
 
-def _rootless(data: np.ndarray, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Which active systems ``A_J y^(m-1) + q_J = 0`` are certified to have
-    no root that :func:`_support_roots` could keep, and the boxes each spent.
+def _blocked(spec: str, K: np.ndarray, stacked: np.ndarray, owner: np.ndarray) -> np.ndarray:
+    """``einsum(spec, K, stacked[owner])`` over boxes (the first axis of both
+    operands, the third of the result), with ``stacked`` gathered a block of
+    ``_BLOCK_ENTRIES`` entries at a time."""
+    block = max(1, _BLOCK_ENTRIES // stacked[0].size)
+    return np.concatenate([np.einsum(spec, K[b : b + block], stacked[owner[b : b + block]])
+                           for b in range(0, owner.size, block)], axis=2)
 
-    ``data`` stacks the sub-tensors of one support size (shape
-    ``(g,) + (r,) * m``) and ``Q`` their offsets.  With the row margin
-    ``mu_J > 0``, every ``y >= 0`` whose rows all lie within
-    ``tol_J = EXCLUDE_TOL (1 + max|q_J|)`` of zero has, at its largest
-    component k, ``mu_J ||y||_inf^(m-1) <= tol_J - q_k``, so it lies in the
-    box ``[0, R]^r`` with ``R^(m-1) = (max(-q_J) + tol_J) / mu_J``.  A
-    branch and bound over that box drops every box where the natural
-    interval extension puts some row wholly beyond ``tol_J``: for y in
-    ``[l, u]``, row i lies between ``A+_i (l) + A-_i (u) + q_i`` and
+
+def _root_boxes(S: np.ndarray, S_err: np.ndarray, Q: np.ndarray, m: int, owner: np.ndarray,
+                lo: np.ndarray, hi: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Which boxes ``[lo, hi]`` (rows, ``y >= 0``) of the order-m systems
+    ``F(y) = A_J y^(m-1) + q_J`` Krawczyk's test certifies to hold an exact
+    root, box ``k`` belonging to support ``owner[k]`` and centred at
+    ``c[k]``.
+
+    ``S`` stacks the ``S`` and ``|S|`` unfoldings of every support, and
+    ``S_err`` bounds the rounding of each support's ``S`` entries.  On
+    ``y >= 0`` the Kronecker powers grow with y, so the Jacobian ``J(y) =
+    S y^(m-2)`` lies within ``|S| (u^(m-2) - l^(m-2)) / 2`` of ``Jm = S
+    (l^(m-2) + u^(m-2)) / 2``; call that radius ``Jr``.  ``F(c)`` is ``J(c)
+    c / (m-1) + q_J`` (Euler's identity for the homogeneous ``A_J``).  With
+    ``Y`` the computed inverse of ``J(c)`` and ``h`` the half-widths, the
+    box holds a root when ``|Y F(c)| + (|I - Y Jm| + |Y| Jr) h < h`` in every
+    component (Krawczyk 1969; Moore 1977).  Every bound is widened by
+    ``gamma_N`` times its absolute term sum, as in :func:`_rootless`, so the
+    test is a certificate in floating point; a singular or non-finite
+    ``J(c)`` proves nothing.
+    """
+    z, r = lo.shape
+    if not z:
+        return np.zeros(0, dtype=int)
+    eye = np.eye(r)
+    # an overflowing bound is inf or NaN, and proves nothing
+    with np.errstate(over="ignore", invalid="ignore"):
+        K = _kron_rows(np.stack([lo, hi, c], axis=1), m - 2)
+        (Sl, Su, Sc), (Al, Au, Ac) = _blocked("zwk,zsijk->swzij", K, S, owner)
+        # N counts m - 3 products, a scaling, the sums, the r-term product with c and
+        # the terms of Jm, Jr and F; doubled for the slack's own rounding
+        widen = 2.0 * _gamma(K.shape[2] + m + r + 4)
+        S_round = (S_err[owner] * hi.sum(axis=1) ** (m - 2))[:, None, None]
+        Jm, Jr = 0.5 * (Sl + Su), 0.5 * (Au - Al) + widen * (Au + S_round)
+        q = Q[owner]
+        F = np.einsum("zij,zj->zi", Sc, c) / (m - 1) + q
+        F_err = widen * (np.einsum("zij,zj->zi", Ac + S_round, c) / (m - 1) + np.abs(q))
+        usable = np.isfinite(Sc).all(axis=(1, 2))
+        Jc = np.where(usable[:, None, None], Sc, eye)
+        try:
+            Y = np.linalg.inv(Jc)
+        except np.linalg.LinAlgError:  # some J(c) is singular
+            usable &= np.linalg.slogdet(Jc)[0] != 0.0
+            Y = np.linalg.inv(np.where(usable[:, None, None], Jc, eye))
+        h = 0.5 * (hi - lo)
+        d = 4.0 * _UNIT_ROUNDOFF * (c + h)  # c and h each err by at most u (c + h)
+        h_out = h + d
+        # N counts the r-term products with Y, the products with h, the three
+        # sums and the rounding of Jm, Jr and h; doubled for the slack's own rounding
+        widen = 2.0 * _gamma(3 * r + 8)
+        # |Y| times F's error, Jr h, and the slack on the absolute terms |F| and (|Jm| + Jr) h
+        v = np.einsum("zij,zj->zi", Jr + widen * (np.abs(Jm) + Jr), h_out) + F_err + widen * np.abs(F)
+        bound = (np.abs(np.einsum("zij,zj->zi", Y, F)) + widen * h_out
+                 + np.einsum("zij,zj->zi", np.abs(eye - np.einsum("zij,zjk->zik", Y, Jm)), h_out)
+                 + np.einsum("zij,zj->zi", np.abs(Y), v))
+        return np.flatnonzero(usable & np.all(bound < h - d, axis=1))
+
+
+def _rootless(data: np.ndarray, S: np.ndarray, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Which active systems ``A_J y^(m-1) + q_J = 0`` are certified to have
+    no root that :func:`_support_roots` could keep, the boxes each spent,
+    and which are certified to hold a root.
+
+    ``data`` and ``S`` stack the sub-tensors of one support size and their
+    ``S`` unfoldings (both of shape ``(g,) + (r,) * m``), and ``Q`` their
+    offsets.  With the row margin ``mu_J > 0``, every ``y >= 0`` whose rows
+    all lie within ``tol_J = EXCLUDE_TOL (1 + max|q_J|)`` of zero has, at
+    its largest component k, ``mu_J ||y||_inf^(m-1) <= tol_J - q_k``, so it
+    lies in the box ``[0, R]^r`` with ``R^(m-1) = (max(-q_J) + tol_J) /
+    mu_J``.  A branch and bound over that box drops every box where the
+    natural interval extension puts some row wholly beyond ``tol_J``: for y
+    in ``[l, u]``, row i lies between ``A+_i (l) + A-_i (u) + q_i`` and
     ``A+_i (u) + A-_i (l) + q_i``, with ``A+`` / ``A-`` the positive /
     negative entries contracted at the box ends.  Each bound is widened by
     ``gamma_N`` times its absolute term sum, ``mu`` rounded down and ``R``
-    up, so the rule holds in floating point at any scale.  A survivor is
-    halved on every side, into ``2^r`` boxes, so that a level of boxes
-    refines each axis once.  A support is rootless once no box survives;
-    one with ``mu_J <= 0``, or with boxes left when the next level would
-    take it past ``EXCLUDE_CELLS`` boxes, is not.  Each support's result
-    depends on its own boxes only.
+    up, so the rule holds in floating point at any scale.  Krawczyk's test
+    (:func:`_root_boxes`) then runs on the surviving boxes: a support with
+    a box that holds an exact root is proven, leaves the search and is not
+    rootless.  Every other survivor is halved on every side, into ``2^r``
+    boxes, so that a level of boxes refines each axis once.  A support is
+    rootless once no box survives; one with ``mu_J <= 0``, or with boxes
+    left when the next level would take it past ``EXCLUDE_CELLS`` boxes, is
+    not.  Each support's result depends on its own boxes only.
     """
     g, r = data.shape[:2]
     m = data.ndim - 1
     rows = data.reshape(g, r, -1)
     signed = np.stack([np.maximum(rows, 0.0), np.minimum(rows, 0.0)], axis=1)  # A+ and A-
+    S = np.stack([S, np.abs(S)], axis=1).reshape(g, 2, r, r, -1)  # S and |S|
+    # S sums m - 1 entries, each at most max|A_J|: the gamma_(m-2) rounding of that sum
+    S_err = (m - 1) * np.abs(rows).max(axis=(1, 2))
     tol = EXCLUDE_TOL * (1.0 + np.abs(Q).max(axis=1))
-    block = max(1, _BLOCK_ENTRIES // signed[0].size)
     # N counts m - 2 products, a scaling, the sums and q; doubled for the slack's own rounding
     widen = 2.0 * _gamma(rows.shape[2] + m)
     mu = _row_margins(data)
     rootless = mu > 0.0
+    proven = np.zeros(g, dtype=bool)
     reach = np.maximum(np.max(-Q, axis=1) + tol, 0.0) / np.where(rootless, mu, 1.0)
     radius = reach ** (1.0 / (m - 1)) * (1.0 + 1e-12)  # far above the rounding of either step
     owner = np.flatnonzero(rootless)
@@ -262,9 +336,7 @@ def _rootless(data: np.ndarray, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         cells += np.where(over, 0, boxes)
         K = _kron_rows(np.stack([lo, hi], axis=1), m - 1)
         # A+ and A- at both ends, gathered a block of boxes at a time
-        (Pl, Pu), (Nl, Nu) = np.concatenate([
-            np.einsum("zwk,zsik->swzi", K[b : b + block], signed[owner[b : b + block]])
-            for b in range(0, owner.size, block)], axis=2)
+        (Pl, Pu), (Nl, Nu) = _blocked("zwk,zsik->swzi", K, signed, owner)
         q, t = Q[owner], tol[owner, None]
         slack = widen * (Pu - Nu + np.abs(q))
         # a NaN from an overflowing box drops nothing
@@ -272,10 +344,20 @@ def _rootless(data: np.ndarray, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         alive = ~np.any(beyond, axis=1)
         owner, lo, hi = owner[alive], lo[alive], hi[alive]
         mid = 0.5 * (lo + hi)
+        # a box at the origin holds J(0) = 0, which fails the test: skip it
+        test = np.flatnonzero(lo.any(axis=1))
+        holds = test[_root_boxes(S, S_err, Q, m, owner[test], lo[test], hi[test], mid[test])]
+        if holds.size:
+            found = np.zeros(g, dtype=bool)
+            found[owner[holds]] = True
+            proven |= found
+            rootless &= ~found
+            keep = ~found[owner]
+            owner, lo, hi, mid = owner[keep], lo[keep], hi[keep], mid[keep]
         owner = np.repeat(owner, len(corners))
         lo = np.where(corners, mid[:, None], lo[:, None]).reshape(-1, r)
         hi = np.where(corners, hi[:, None], mid[:, None]).reshape(-1, r)
-    return rootless, cells
+    return rootless, cells, proven
 
 
 def _support_roots(
@@ -290,12 +372,14 @@ def _support_roots(
     ``y = (-q_j / a_{j..j})^(1/(m-1))`` when that ratio is positive, and
     none otherwise; a zero diagonal with ``q_j = 0`` (a continuum of roots,
     never the case for a strictly semi-positive tensor) is not enumerated.
-    The supports of every larger size first pass :func:`_rootless`, and a
-    support certified to have no root that could be kept gets no starts.
-    The starts of every other support run as one Newton lane array; each
-    support keeps its own start stream, certificate and clustering.  Those
-    supports are complete only as far as their multistart Newton is, which
-    is heuristic.
+    The supports of every larger size first pass :func:`_rootless`, with
+    the group's entries and ``S`` unfoldings from one gather, and a support
+    certified to have no root that could be kept gets no starts.  A support
+    certified to hold a root leaves that search early.  The starts of every
+    support not ruled out run as one Newton lane array; each support keeps
+    its own start stream, certificate and clustering.  Those supports are
+    complete only as far as their multistart Newton is, which is heuristic,
+    even where a root is certified to exist.
     """
     m, r = inst.A.m, len(group[0])
     if m > 2 and r == 1:
@@ -306,7 +390,7 @@ def _support_roots(
     Q = inst.q[np.array(group)]
     if m == 2:
         return [(J, y) for J, M, qJ in zip(group, data, Q) for y in _linear_root(M, qJ)]
-    live = np.flatnonzero(~_rootless(data, Q)[0])
+    live = np.flatnonzero(~_rootless(data, S, Q)[0])
     starts = []
     for i in live:
         rng = cfg.substream("tcp", group[i])

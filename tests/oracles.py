@@ -5,7 +5,9 @@ pivoting) and shares no code path with the library beyond numpy/scipy
 primitives, except the per-support Newton references at the end: they run
 the library's Newton kernel and batch contractions on one support at a
 time, so the solvers that share one lane array across supports can be
-checked against them bit for bit.
+checked against them bit for bit.  The last one, :func:`reference_rootless`,
+is the support exclusion as it stood before Krawczyk's existence test: the
+test may only stop supports earlier, never change which are ruled out.
 """
 
 from __future__ import annotations
@@ -18,7 +20,10 @@ from scipy.linalg import null_space
 from tcpkit import eigen, tcp
 from tcpkit.config import CLUSTER_TOL, POSITIVITY_FLOOR
 from tcpkit.optimize import newton_lanes
+from tcpkit.tcp import EXCLUDE_CELLS, EXCLUDE_TOL, _gamma, _row_margins
 from tcpkit.tensor import (
+    _BLOCK_ENTRIES,
+    _kron_rows,
     contract_m1,
     contract_m1_batch,
     jacobian_m1_batch,
@@ -422,3 +427,74 @@ def reference_eigen_candidates(sub, kind, cfg, tag, seeds=None):
             continue
         kept.append((l, y))
     return kept
+
+
+# ---------------------------------------------------------------------------
+# the exclusion search before it gained Krawczyk's existence test
+# ---------------------------------------------------------------------------
+
+
+def reference_rootless(data: np.ndarray, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Which active systems ``A_J y^(m-1) + q_J = 0`` are certified to have
+    no root that :func:`_support_roots` could keep, and the boxes each spent.
+
+    ``data`` stacks the sub-tensors of one support size (shape
+    ``(g,) + (r,) * m``) and ``Q`` their offsets.  With the row margin
+    ``mu_J > 0``, every ``y >= 0`` whose rows all lie within
+    ``tol_J = EXCLUDE_TOL (1 + max|q_J|)`` of zero has, at its largest
+    component k, ``mu_J ||y||_inf^(m-1) <= tol_J - q_k``, so it lies in the
+    box ``[0, R]^r`` with ``R^(m-1) = (max(-q_J) + tol_J) / mu_J``.  A
+    branch and bound over that box drops every box where the natural
+    interval extension puts some row wholly beyond ``tol_J``: for y in
+    ``[l, u]``, row i lies between ``A+_i (l) + A-_i (u) + q_i`` and
+    ``A+_i (u) + A-_i (l) + q_i``, with ``A+`` / ``A-`` the positive /
+    negative entries contracted at the box ends.  Each bound is widened by
+    ``gamma_N`` times its absolute term sum, ``mu`` rounded down and ``R``
+    up, so the rule holds in floating point at any scale.  A survivor is
+    halved on every side, into ``2^r`` boxes, so that a level of boxes
+    refines each axis once.  A support is rootless once no box survives;
+    one with ``mu_J <= 0``, or with boxes left when the next level would
+    take it past ``EXCLUDE_CELLS`` boxes, is not.  Each support's result
+    depends on its own boxes only.
+    """
+    g, r = data.shape[:2]
+    m = data.ndim - 1
+    rows = data.reshape(g, r, -1)
+    signed = np.stack([np.maximum(rows, 0.0), np.minimum(rows, 0.0)], axis=1)  # A+ and A-
+    tol = EXCLUDE_TOL * (1.0 + np.abs(Q).max(axis=1))
+    block = max(1, _BLOCK_ENTRIES // signed[0].size)
+    # N counts m - 2 products, a scaling, the sums and q; doubled for the slack's own rounding
+    widen = 2.0 * _gamma(rows.shape[2] + m)
+    mu = _row_margins(data)
+    rootless = mu > 0.0
+    reach = np.maximum(np.max(-Q, axis=1) + tol, 0.0) / np.where(rootless, mu, 1.0)
+    radius = reach ** (1.0 / (m - 1)) * (1.0 + 1e-12)  # far above the rounding of either step
+    owner = np.flatnonzero(rootless)
+    lo, hi = np.zeros((owner.size, r)), np.repeat(radius[owner, None], r, axis=1)
+    cells = np.zeros(g, dtype=int)
+    corners = np.array(list(itertools.product((False, True), repeat=r)))
+    while owner.size:
+        boxes = np.bincount(owner, minlength=g)
+        over = cells + boxes > EXCLUDE_CELLS
+        rootless &= ~over
+        keep = ~over[owner]
+        owner, lo, hi = owner[keep], lo[keep], hi[keep]
+        if not owner.size:
+            break
+        cells += np.where(over, 0, boxes)
+        K = _kron_rows(np.stack([lo, hi], axis=1), m - 1)
+        # A+ and A- at both ends, gathered a block of boxes at a time
+        (Pl, Pu), (Nl, Nu) = np.concatenate([
+            np.einsum("zwk,zsik->swzi", K[b : b + block], signed[owner[b : b + block]])
+            for b in range(0, owner.size, block)], axis=2)
+        q, t = Q[owner], tol[owner, None]
+        slack = widen * (Pu - Nu + np.abs(q))
+        # a NaN from an overflowing box drops nothing
+        beyond = (Pl + Nu + q - slack > t) | (Pu + Nl + q + slack < -t)
+        alive = ~np.any(beyond, axis=1)
+        owner, lo, hi = owner[alive], lo[alive], hi[alive]
+        mid = 0.5 * (lo + hi)
+        owner = np.repeat(owner, len(corners))
+        lo = np.where(corners, mid[:, None], lo[:, None]).reshape(-1, r)
+        hi = np.where(corners, hi[:, None], mid[:, None]).reshape(-1, r)
+    return rootless, cells

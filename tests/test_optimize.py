@@ -194,7 +194,7 @@ def test_support_group_without_roots_stops_at_a_stall_checkpoint(monkeypatch):
     group = list(supports_by_size(3))[1]
     data, S = stacked_subtensors(unit.A, group)
     Q = unit.q[np.array(group)]
-    assert tcp._rootless(data, Q)[0].all()
+    assert tcp._rootless(data, S, Q)[0].all()
     starts = []
     for J, qJ in zip(group, Q):
         Y0 = CFG.substream("tcp", J).uniform(0.1, 1.0, size=(tcp.NEWTON_STARTS, 2))

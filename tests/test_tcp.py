@@ -1,6 +1,7 @@
 """Complementarity solving: support enumeration, semismooth Newton, certificates."""
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -21,7 +22,13 @@ from tcpkit.bounds import GeneratorSpec, _draw_tensor, generate
 from tcpkit.config import RunConfig
 from tcpkit.optimize import newton_lanes
 from tcpkit.tensor import contract_m1, principal_subtensor, stacked_subtensors, supports_by_size
-from oracles import diag_dominant_data, lemke_lcp, nonneg_symmetric_data, reference_support_roots
+from oracles import (
+    diag_dominant_data,
+    lemke_lcp,
+    nonneg_symmetric_data,
+    reference_rootless,
+    reference_support_roots,
+)
 
 FAST = RunConfig(starts=8)
 
@@ -355,17 +362,21 @@ def test_row_margin_is_a_lower_bound_on_beta(family, m, n):
         assert mu >= 0.5
 
 
-def test_nonpositive_row_margin_rules_out_nothing(monkeypatch):
-    # negative off-diagonal entries outweigh the diagonal: mu <= 0 on every
-    # support, so every support of size >= 2 runs Newton, q > 0 or not
-    n = 3
+def _nonpositive_margin_tensor(n=3):
+    # negative off-diagonal entries outweigh the diagonal: mu <= 0 on every support
     data = -np.ones((n,) * 3)
     data[tuple([np.arange(n)] * 3)] = 1.0
-    A = Tensor(data)
+    return Tensor(data)
+
+
+def test_nonpositive_row_margin_rules_out_nothing(monkeypatch):
+    # mu <= 0 on every support, so every support of size >= 2 runs Newton, q > 0 or not
+    n = 3
+    A = _nonpositive_margin_tensor(n)
     for group in list(supports_by_size(n))[1:]:
-        stacked, _ = stacked_subtensors(A, group)
+        stacked, S = stacked_subtensors(A, group)
         assert np.all(tcp._row_margins(stacked) <= 0.0)
-        rootless, cells = tcp._rootless(stacked, np.ones((len(group), len(group[0]))))
+        rootless, cells, _ = tcp._rootless(stacked, S, np.ones((len(group), len(group[0]))))
         assert not rootless.any() and not cells.any()
     lanes = []
     monkeypatch.setattr(tcp, "newton_lanes",
@@ -389,11 +400,11 @@ def _ruled_out(monkeypatch, inst):
     """The supports that solve_enumeration rules out before Newton."""
     out = []
 
-    def spy(data, Q):
-        rootless, cells = rootless_rule(data, Q)
+    def spy(data, S, Q):
+        rootless, cells, proven = rootless_rule(data, S, Q)
         assert np.all(cells <= tcp.EXCLUDE_CELLS)
         out.append(rootless)
-        return rootless, cells
+        return rootless, cells, proven
 
     rootless_rule = tcp._rootless
     monkeypatch.setattr(tcp, "_rootless", spy)
@@ -425,15 +436,110 @@ def test_the_same_supports_are_ruled_out_at_every_scale_of_q(monkeypatch, family
         assert _ruled_out(monkeypatch, TcpInstance(inst.A, t * inst.q)) == ruled
 
 
-@pytest.mark.parametrize("m", [3, 4])
-@pytest.mark.parametrize("t", [1e-150, 1.0, 1e150])
-def test_a_support_with_a_root_is_never_ruled_out(m, t):
-    # q_J = -A_J y^(m-1) plants the root y on every support, at every scale
+def _planted_groups(m, t):
+    """Every support group of size >= 2 of an n = 5 tensor at scale t, as
+    ``(group, stacked, S, Q)``, with ``q_J = -A_J y^(m-1)`` planting a root
+    y on every support."""
     rng = np.random.default_rng([m, 5])
     A = Tensor(diag_dominant_data(rng, m, 5, 0.5) * t)
     for group in list(supports_by_size(5))[1:]:
-        stacked, _ = stacked_subtensors(A, group)
+        stacked, S = stacked_subtensors(A, group)
         Y = rng.uniform(0.01, 2.0, size=(len(group), len(group[0])))
         Q = -np.stack([contract_m1(principal_subtensor(A, J), y) for J, y in zip(group, Y)])
-        rootless, _ = tcp._rootless(stacked, Q)
+        yield group, stacked, S, Q
+
+
+@pytest.mark.parametrize("m", [3, 4])
+@pytest.mark.parametrize("t", [1e-150, 1.0, 1e150])
+def test_a_support_with_a_root_is_never_ruled_out(m, t):
+    for _, stacked, S, Q in _planted_groups(m, t):
+        rootless, _, _ = tcp._rootless(stacked, S, Q)
         assert not rootless.any()
+
+
+# ---------------------------------------------------------------------------
+# Krawczyk's existence test inside the exclusion search
+# ---------------------------------------------------------------------------
+
+
+def _proven_matching_reference(stacked, S, Q):
+    """The supports the search proves to hold a root, after checking that it
+    rules out exactly the supports the search without the test rules out,
+    and never spends more boxes on one."""
+    rootless, cells, proven = tcp._rootless(stacked, S, Q)
+    ref_rootless, ref_cells = reference_rootless(stacked, Q)
+    assert np.array_equal(rootless, ref_rootless)
+    assert np.all(cells <= ref_cells)
+    assert not np.any(rootless & proven)
+    return proven
+
+
+def _unit_groups(family, m, n, draw):
+    """The instance at unit scale and its support groups of size >= 2, as
+    ``(group, stacked, S, Q)``, as solve_enumeration passes them."""
+    inst = _exclusion_instance(family, m, n, draw)
+    unit = TcpInstance(inst.A, inst.q / np.max(np.abs(inst.q)))
+    groups = []
+    for group in list(supports_by_size(n))[1:]:
+        stacked, S = stacked_subtensors(unit.A, group)
+        groups.append((group, stacked, S, unit.q[np.array(group)]))
+    return unit, groups
+
+
+@pytest.mark.parametrize("family,m,n", EXCLUSION_DRAWS)
+def test_existence_test_keeps_the_rootless_flags_on_the_draws(family, m, n):
+    for draw in range(3):
+        for _, stacked, S, Q in _unit_groups(family, m, n, draw)[1]:
+            _proven_matching_reference(stacked, S, Q)
+
+
+@pytest.mark.parametrize("m", [3, 4])
+@pytest.mark.parametrize("t", [1e-150, 1.0, 1e150])
+def test_existence_test_keeps_the_flags_with_planted_roots_and_warns_nowhere(m, t):
+    proven = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _, stacked, S, Q in _planted_groups(m, t):
+            proven.extend(_proven_matching_reference(stacked, S, Q))
+    if t == 1.0:  # 19 of 26 supports at m = 3, 21 of 26 at m = 4
+        assert sum(proven) >= 18
+    if t == 1e-150:  # the box [0, R]^r is far wider than the root's basin: nothing is proven
+        assert not any(proven)
+
+
+def test_existence_test_keeps_the_flags_when_no_margin_is_positive():
+    A = _nonpositive_margin_tensor()
+    for group in list(supports_by_size(A.n))[1:]:
+        stacked, S = stacked_subtensors(A, group)
+        assert not _proven_matching_reference(stacked, S, -np.ones((len(group), len(group[0])))).any()
+
+
+@pytest.mark.parametrize("family,m,n", EXCLUSION_DRAWS)
+def test_every_proven_support_has_a_root(family, m, n):
+    proven_any = False
+    for draw in range(3):
+        unit, groups = _unit_groups(family, m, n, draw)
+        for group, stacked, S, Q in groups:
+            _, _, proven = tcp._rootless(stacked, S, Q)
+            proven_any |= bool(proven.any())
+            for J in itertools.compress(group, proven):
+                assert reference_support_roots(unit, J, RunConfig(starts=64, seed=3))
+    assert proven_any
+
+
+def test_a_support_with_a_root_leaves_the_search_within_a_few_levels():
+    # the m3 n3 scaled base of the benchmark's solve round: at unit scale
+    # support (1, 2) holds a root, and the search without the existence test
+    # spent 173 boxes over 29 levels on it
+    rng = np.random.default_rng([9, 3, 3, 99])
+    A = Tensor(diag_dominant_data(rng, 3, 3, 0.5))
+    q = rng.uniform(-2.0, 1.0, size=3)
+    q = q / np.max(np.abs(q))
+    group = list(supports_by_size(3))[1]
+    assert group == [(0, 1), (0, 2), (1, 2)]
+    stacked, S = stacked_subtensors(A, group)
+    rootless, cells, proven = tcp._rootless(stacked, S, q[np.array(group)])
+    assert rootless.tolist() == [True, True, False]
+    assert proven.tolist() == [False, False, True]
+    assert reference_rootless(stacked, q[np.array(group)])[1][2] == 173
+    assert cells[2] <= 20
