@@ -219,6 +219,8 @@ def _blocked(spec: str, K: np.ndarray, stacked: np.ndarray, owner: np.ndarray) -
     operands, the third of the result), with ``stacked`` gathered a block of
     ``_BLOCK_ENTRIES`` entries at a time."""
     block = max(1, _BLOCK_ENTRIES // stacked[0].size)
+    if owner.size <= block:
+        return np.einsum(spec, K, stacked[owner])
     return np.concatenate([np.einsum(spec, K[b : b + block], stacked[owner[b : b + block]])
                            for b in range(0, owner.size, block)], axis=2)
 
@@ -277,7 +279,7 @@ def _root_boxes(S: np.ndarray, S_err: np.ndarray, Q: np.ndarray, m: int, owner: 
         bound = (np.abs(np.einsum("zij,zj->zi", Y, F)) + widen * h_out
                  + np.einsum("zij,zj->zi", np.abs(eye - np.einsum("zij,zjk->zik", Y, Jm)), h_out)
                  + np.einsum("zij,zj->zi", np.abs(Y), v))
-        return np.flatnonzero(usable & np.all(bound < h - d, axis=1))
+        return np.flatnonzero(usable & (bound < h - d).all(axis=1))
 
 
 def _rootless(data: np.ndarray, S: np.ndarray, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
