@@ -16,11 +16,12 @@ system is certified to have no root it could keep: the row margin of
 ``A_J`` (a lower bound on its activity margin ``beta``) confines every
 near-root to a box, and an outward-rounded natural-interval branch and
 bound shows that no point of the box solves the system to within a
-tolerance (:func:`_rootless`).  The same search runs Krawczyk's existence
-test on its surviving boxes, and a support certified to hold an exact root
-leaves it at once.  Only the supports not ruled out run multistart Newton,
-so the search is complete on the ruled-out supports and remains heuristic
-on the rest, those certified to hold a root included.
+tolerance (:func:`_rootless`).  Before that search, a support whose few
+Newton steps land near a root it passes Krawczyk's existence test for is
+certified to hold that root and skips the search.  Only the supports not
+ruled out run multistart Newton, so the search is complete on the
+ruled-out supports and remains heuristic on the rest, those certified to
+hold a root included.
 """
 
 from __future__ import annotations
@@ -214,22 +215,24 @@ def _row_margins(data: np.ndarray) -> np.ndarray:
     return np.min(diag + negative - slack, axis=1)
 
 
-def _blocked(spec: str, K: np.ndarray, stacked: np.ndarray, owner: np.ndarray) -> np.ndarray:
-    """``einsum(spec, K, stacked[owner])`` over boxes (the first axis of both
-    operands, the third of the result), with ``stacked`` gathered a block of
-    ``_BLOCK_ENTRIES`` entries at a time."""
-    block = max(1, _BLOCK_ENTRIES // stacked[0].size)
-    if owner.size <= block:
-        return np.einsum(spec, K, stacked[owner])
-    return np.concatenate([np.einsum(spec, K[b : b + block], stacked[owner[b : b + block]])
-                           for b in range(0, owner.size, block)], axis=2)
+def _inverses(J: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The inverse of every finite, nonsingular matrix of the stack ``J``,
+    the identity in place of the others, and which ones they were."""
+    eye = np.eye(J.shape[1])
+    usable = np.isfinite(J).all(axis=(1, 2))
+    J = np.where(usable[:, None, None], J, eye)
+    try:
+        return np.linalg.inv(J), usable
+    except np.linalg.LinAlgError:  # some J is singular
+        usable &= np.linalg.slogdet(J)[0] != 0.0
+        return np.linalg.inv(np.where(usable[:, None, None], J, eye)), usable
 
 
 def _root_boxes(S: np.ndarray, S_err: np.ndarray, Q: np.ndarray, m: int, owner: np.ndarray,
                 lo: np.ndarray, hi: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Which boxes ``[lo, hi]`` (rows, ``y >= 0``) of the order-m systems
-    ``F(y) = A_J y^(m-1) + q_J`` Krawczyk's test certifies to hold an exact
-    root, box ``k`` belonging to support ``owner[k]`` and centred at
+    """Whether each box ``[lo, hi]`` (rows, ``y >= 0``) of the order-m systems
+    ``F(y) = A_J y^(m-1) + q_J`` is certified by Krawczyk's test to hold an
+    exact root, box ``k`` belonging to support ``owner[k]`` and centred at
     ``c[k]``.
 
     ``S`` stacks the ``S`` and ``|S|`` unfoldings of every support, and
@@ -245,14 +248,11 @@ def _root_boxes(S: np.ndarray, S_err: np.ndarray, Q: np.ndarray, m: int, owner: 
     test is a certificate in floating point; a singular or non-finite
     ``J(c)`` proves nothing.
     """
-    z, r = lo.shape
-    if not z:
-        return np.zeros(0, dtype=int)
-    eye = np.eye(r)
+    r = lo.shape[1]
     # an overflowing bound is inf or NaN, and proves nothing
     with np.errstate(over="ignore", invalid="ignore"):
         K = _kron_rows(np.stack([lo, hi, c], axis=1), m - 2)
-        (Sl, Su, Sc), (Al, Au, Ac) = _blocked("zwk,zsijk->swzij", K, S, owner)
+        (Sl, Su, Sc), (Al, Au, Ac) = np.einsum("zwk,zsijk->swzij", K, S[owner])
         # N counts m - 3 products, a scaling, the sums, the r-term product with c and
         # the terms of Jm, Jr and F; doubled for the slack's own rounding
         widen = 2.0 * _gamma(K.shape[2] + m + r + 4)
@@ -261,13 +261,7 @@ def _root_boxes(S: np.ndarray, S_err: np.ndarray, Q: np.ndarray, m: int, owner: 
         q = Q[owner]
         F = np.einsum("zij,zj->zi", Sc, c) / (m - 1) + q
         F_err = widen * (np.einsum("zij,zj->zi", Ac + S_round, c) / (m - 1) + np.abs(q))
-        usable = np.isfinite(Sc).all(axis=(1, 2))
-        Jc = np.where(usable[:, None, None], Sc, eye)
-        try:
-            Y = np.linalg.inv(Jc)
-        except np.linalg.LinAlgError:  # some J(c) is singular
-            usable &= np.linalg.slogdet(Jc)[0] != 0.0
-            Y = np.linalg.inv(np.where(usable[:, None, None], Jc, eye))
+        Y, usable = _inverses(Sc)
         h = 0.5 * (hi - lo)
         d = 4.0 * _UNIT_ROUNDOFF * (c + h)  # c and h each err by at most u (c + h)
         h_out = h + d
@@ -277,9 +271,39 @@ def _root_boxes(S: np.ndarray, S_err: np.ndarray, Q: np.ndarray, m: int, owner: 
         # |Y| times F's error, Jr h, and the slack on the absolute terms |F| and (|Jm| + Jr) h
         v = np.einsum("zij,zj->zi", Jr + widen * (np.abs(Jm) + Jr), h_out) + F_err + widen * np.abs(F)
         bound = (np.abs(np.einsum("zij,zj->zi", Y, F)) + widen * h_out
-                 + np.einsum("zij,zj->zi", np.abs(eye - np.einsum("zij,zjk->zik", Y, Jm)), h_out)
+                 + np.einsum("zij,zj->zi", np.abs(np.eye(r) - np.einsum("zij,zjk->zik", Y, Jm)), h_out)
                  + np.einsum("zij,zj->zi", np.abs(Y), v))
-        return np.flatnonzero(usable & (bound < h - d).all(axis=1))
+        return usable & (bound < h - d).all(axis=1)
+
+
+def _seeded_roots(S: np.ndarray, S_err: np.ndarray, Q: np.ndarray, m: int, owner: np.ndarray,
+                  y: np.ndarray) -> np.ndarray:
+    """Which supports ``owner[k]`` :func:`_root_boxes` certifies to hold a
+    root in a box around the point that six Newton steps from ``y[k]``
+    reach.
+
+    The box is that point plus or minus twice the last step and ``1e-9``
+    times its largest component, which holds a simple root that the steps
+    have reached to a few digits; it must lie in ``y >= 0``.  From the
+    centre of the search box, six steps reach nearly every simple root that
+    closely.  A start that diverges, or a root on the boundary, proves
+    nothing.
+    """
+    G, q = S[owner, 0], Q[owner]
+    with np.errstate(over="ignore", invalid="ignore"):  # a diverging start proves nothing
+        for _ in range(6):
+            # J(y) y = (m - 1) A_J y^(m-1), so the step lands on (m-2)/(m-1) y - J(y)^-1 q_J
+            J = np.einsum("zk,zijk->zij", _kron_rows(y, m - 2), G)
+            try:
+                solved = np.linalg.solve(J, q[:, :, None])[:, :, 0]
+            except np.linalg.LinAlgError:  # some J(y) is singular or not finite
+                solved = np.einsum("zij,zj->zi", _inverses(J)[0], q)
+            step = y / (m - 1) + solved
+            y = y - step
+        rho = 2.0 * np.abs(step) + 1e-9 * np.abs(y).max(axis=1, keepdims=True)
+        ok = np.isfinite(rho).all(axis=1) & (y - rho >= 0.0).all(axis=1)
+    k = np.flatnonzero(ok)
+    return k[_root_boxes(S, S_err, Q, m, owner[k], y[k] - rho[k], y[k] + rho[k], y[k])]
 
 
 def _rootless(data: np.ndarray, S: np.ndarray, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -299,14 +323,16 @@ def _rootless(data: np.ndarray, S: np.ndarray, Q: np.ndarray) -> tuple[np.ndarra
     ``A+_i (u) + A-_i (l) + q_i``, with ``A+`` / ``A-`` the positive /
     negative entries contracted at the box ends.  Each bound is widened by
     ``gamma_N`` times its absolute term sum, ``mu`` rounded down and ``R``
-    up, so the rule holds in floating point at any scale.  Krawczyk's test
-    (:func:`_root_boxes`) then runs on the surviving boxes: a support with
-    a box that holds an exact root is proven, leaves the search and is not
-    rootless.  Every other survivor is halved on every side, into ``2^r``
-    boxes, so that a level of boxes refines each axis once.  A support is
-    rootless once no box survives; one with ``mu_J <= 0``, or with boxes
-    left when the next level would take it past ``EXCLUDE_CELLS`` boxes, is
-    not.  Each support's result depends on its own boxes only.
+    up, so the rule holds in floating point at any scale.  A survivor is
+    halved on every side, into ``2^r`` boxes, so that a level of boxes
+    refines each axis once.  A support is rootless once no box survives;
+    one with ``mu_J <= 0``, or with boxes left when the next level would
+    take it past ``EXCLUDE_CELLS`` boxes, is not.  Before the search, each
+    support with ``mu_J > 0`` takes Krawczyk's existence test on a box
+    around a Newton point (:func:`_seeded_roots`); one certified to hold a
+    root is proven, spends no box and is not rootless, which the search
+    could never show it to be.  Each support's result depends on its own
+    data only.
     """
     g, r = data.shape[:2]
     m = data.ndim - 1
@@ -316,6 +342,7 @@ def _rootless(data: np.ndarray, S: np.ndarray, Q: np.ndarray) -> tuple[np.ndarra
     # S sums m - 1 entries, each at most max|A_J|: the gamma_(m-2) rounding of that sum
     S_err = (m - 1) * np.abs(rows).max(axis=(1, 2))
     tol = EXCLUDE_TOL * (1.0 + np.abs(Q).max(axis=1))
+    block = max(1, _BLOCK_ENTRIES // signed[0].size)
     # N counts m - 2 products, a scaling, the sums and q; doubled for the slack's own rounding
     widen = 2.0 * _gamma(rows.shape[2] + m)
     mu = _row_margins(data)
@@ -324,6 +351,10 @@ def _rootless(data: np.ndarray, S: np.ndarray, Q: np.ndarray) -> tuple[np.ndarra
     reach = np.maximum(np.max(-Q, axis=1) + tol, 0.0) / np.where(rootless, mu, 1.0)
     radius = reach ** (1.0 / (m - 1)) * (1.0 + 1e-12)  # far above the rounding of either step
     owner = np.flatnonzero(rootless)
+    # a support certified to hold a root skips the search
+    proven[owner[_seeded_roots(S, S_err, Q, m, owner, np.repeat(0.5 * radius[owner, None], r, axis=1))]] = True
+    rootless &= ~proven
+    owner = owner[~proven[owner]]
     lo, hi = np.zeros((owner.size, r)), np.repeat(radius[owner, None], r, axis=1)
     cells = np.zeros(g, dtype=int)
     corners = np.array(list(itertools.product((False, True), repeat=r)))
@@ -338,7 +369,9 @@ def _rootless(data: np.ndarray, S: np.ndarray, Q: np.ndarray) -> tuple[np.ndarra
         cells += np.where(over, 0, boxes)
         K = _kron_rows(np.stack([lo, hi], axis=1), m - 1)
         # A+ and A- at both ends, gathered a block of boxes at a time
-        (Pl, Pu), (Nl, Nu) = _blocked("zwk,zsik->swzi", K, signed, owner)
+        (Pl, Pu), (Nl, Nu) = np.concatenate([
+            np.einsum("zwk,zsik->swzi", K[b : b + block], signed[owner[b : b + block]])
+            for b in range(0, owner.size, block)], axis=2)
         q, t = Q[owner], tol[owner, None]
         slack = widen * (Pu - Nu + np.abs(q))
         # a NaN from an overflowing box drops nothing
@@ -346,16 +379,6 @@ def _rootless(data: np.ndarray, S: np.ndarray, Q: np.ndarray) -> tuple[np.ndarra
         alive = ~np.any(beyond, axis=1)
         owner, lo, hi = owner[alive], lo[alive], hi[alive]
         mid = 0.5 * (lo + hi)
-        # a box at the origin holds J(0) = 0, which fails the test: skip it
-        test = np.flatnonzero(lo.any(axis=1))
-        holds = test[_root_boxes(S, S_err, Q, m, owner[test], lo[test], hi[test], mid[test])]
-        if holds.size:
-            found = np.zeros(g, dtype=bool)
-            found[owner[holds]] = True
-            proven |= found
-            rootless &= ~found
-            keep = ~found[owner]
-            owner, lo, hi, mid = owner[keep], lo[keep], hi[keep], mid[keep]
         owner = np.repeat(owner, len(corners))
         lo = np.where(corners, mid[:, None], lo[:, None]).reshape(-1, r)
         hi = np.where(corners, hi[:, None], mid[:, None]).reshape(-1, r)
@@ -377,7 +400,7 @@ def _support_roots(
     The supports of every larger size first pass :func:`_rootless`, with
     the group's entries and ``S`` unfoldings from one gather, and a support
     certified to have no root that could be kept gets no starts.  A support
-    certified to hold a root leaves that search early.  The starts of every
+    certified to hold a root skips that search.  The starts of every
     support not ruled out run as one Newton lane array; each support keeps
     its own start stream, certificate and clustering.  Those supports are
     complete only as far as their multistart Newton is, which is heuristic,

@@ -501,10 +501,28 @@ def test_existence_test_keeps_the_flags_with_planted_roots_and_warns_nowhere(m, 
         warnings.simplefilter("error")
         for _, stacked, S, Q in _planted_groups(m, t):
             proven.extend(_proven_matching_reference(stacked, S, Q))
-    if t == 1.0:  # 19 of 26 supports at m = 3, 21 of 26 at m = 4
+    if t == 1.0:  # 25 of 26 supports at m = 3, 24 of 26 at m = 4
         assert sum(proven) >= 18
-    if t == 1e-150:  # the box [0, R]^r is far wider than the root's basin: nothing is proven
-        assert not any(proven)
+
+
+@pytest.mark.parametrize("m", [3, 4])
+@pytest.mark.parametrize("r", [2, 3])
+def test_existence_test_passes_only_boxes_that_hold_the_root(m, r):
+    # a_i y_i^(m-1) + q_i = 0 has the one root y = (-q / a)^(1/(m-1)) in y > 0;
+    # boxes of every width from 1e-6 to 1 times it, centred up to 3 half-widths off it
+    rng = np.random.default_rng([m, r, 17])
+    a, root = rng.uniform(0.5, 2.0, r), rng.uniform(0.5, 2.0, r)
+    data, S = stacked_subtensors(diagonal_tensor(a, m), [tuple(range(r))])
+    S = np.stack([S, np.abs(S)], axis=1).reshape(1, 2, r, r, -1)
+    h = root * 10.0 ** rng.uniform(-6.0, 0.0, size=(4000, 1))
+    c = root + rng.uniform(-3.0, 3.0, size=h.shape[:1] + (r,)) * h
+    c, h = c[(c - h >= 0.0).all(axis=1)], h[(c - h >= 0.0).all(axis=1)]
+    # a diagonal S sums one nonzero entry, so it carries no rounding
+    holds = tcp._root_boxes(S, np.zeros(1), -(a * root ** (m - 1))[None], m, np.zeros(len(c), dtype=int),
+                            c - h, c + h, c)
+    outside = (np.abs(c - root) > h * (1.0 + 1e-9)).any(axis=1)
+    assert not (holds & outside).any()
+    assert holds.sum() >= (np.abs(c - root) < h).all(axis=1).sum() // 2  # 77-87% of them here
 
 
 def test_existence_test_keeps_the_flags_when_no_margin_is_positive():
@@ -527,7 +545,7 @@ def test_every_proven_support_has_a_root(family, m, n):
     assert proven_any
 
 
-def test_a_support_with_a_root_leaves_the_search_within_a_few_levels():
+def test_a_support_with_a_root_skips_the_search():
     # the m3 n3 scaled base of the benchmark's solve round: at unit scale
     # support (1, 2) holds a root, and the search without the existence test
     # spent 173 boxes over 29 levels on it
