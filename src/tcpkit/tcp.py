@@ -16,9 +16,10 @@ system is certified to have no root it could keep: the row margin of
 ``A_J`` (a lower bound on its activity margin ``beta``) confines every
 near-root to a box, and an outward-rounded natural-interval branch and
 bound shows that no point of the box solves the system to within a
-tolerance (:func:`_rootless`).  Before that search, a support whose few
-Newton steps land near a root it passes Krawczyk's existence test for is
-certified to hold that root and skips the search.  Only the supports not
+tolerance (:func:`_rootless`).  A support that survives the first step
+of that search and whose few Newton steps land near a root it passes
+Krawczyk's existence test for is certified to hold that root and leaves
+the search.  Only the supports not
 ruled out run multistart Newton, so the search is complete on the
 ruled-out supports and remains heuristic on the rest, those certified to
 hold a root included.
@@ -327,12 +328,12 @@ def _rootless(data: np.ndarray, S: np.ndarray, Q: np.ndarray) -> tuple[np.ndarra
     halved on every side, into ``2^r`` boxes, so that a level of boxes
     refines each axis once.  A support is rootless once no box survives;
     one with ``mu_J <= 0``, or with boxes left when the next level would
-    take it past ``EXCLUDE_CELLS`` boxes, is not.  Before the search, each
-    support with ``mu_J > 0`` takes Krawczyk's existence test on a box
-    around a Newton point (:func:`_seeded_roots`); one certified to hold a
-    root is proven, spends no box and is not rootless, which the search
-    could never show it to be.  Each support's result depends on its own
-    data only.
+    take it past ``EXCLUDE_CELLS`` boxes, is not.  A support whose first box
+    survives takes Krawczyk's existence test on a box around the point that
+    Newton steps from that box's centre reach (:func:`_seeded_roots`); one
+    certified to hold a root is proven and leaves the search, which could
+    never show it rootless.  Each support's result depends on its own data
+    only.
     """
     g, r = data.shape[:2]
     m = data.ndim - 1
@@ -351,10 +352,6 @@ def _rootless(data: np.ndarray, S: np.ndarray, Q: np.ndarray) -> tuple[np.ndarra
     reach = np.maximum(np.max(-Q, axis=1) + tol, 0.0) / np.where(rootless, mu, 1.0)
     radius = reach ** (1.0 / (m - 1)) * (1.0 + 1e-12)  # far above the rounding of either step
     owner = np.flatnonzero(rootless)
-    # a support certified to hold a root skips the search
-    proven[owner[_seeded_roots(S, S_err, Q, m, owner, np.repeat(0.5 * radius[owner, None], r, axis=1))]] = True
-    rootless &= ~proven
-    owner = owner[~proven[owner]]
     lo, hi = np.zeros((owner.size, r)), np.repeat(radius[owner, None], r, axis=1)
     cells = np.zeros(g, dtype=int)
     corners = np.array(list(itertools.product((False, True), repeat=r)))
@@ -379,6 +376,13 @@ def _rootless(data: np.ndarray, S: np.ndarray, Q: np.ndarray) -> tuple[np.ndarra
         alive = ~np.any(beyond, axis=1)
         owner, lo, hi = owner[alive], lo[alive], hi[alive]
         mid = 0.5 * (lo + hi)
+        # a support that keeps its first box takes the existence test, seeded at its centre
+        first = np.flatnonzero(cells[owner] == 1)
+        if first.size:
+            proven[owner[first[_seeded_roots(S, S_err, Q, m, owner[first], mid[first])]]] = True
+            rootless &= ~proven
+            keep = ~proven[owner]
+            owner, lo, hi, mid = owner[keep], lo[keep], hi[keep], mid[keep]
         owner = np.repeat(owner, len(corners))
         lo = np.where(corners, mid[:, None], lo[:, None]).reshape(-1, r)
         hi = np.where(corners, hi[:, None], mid[:, None]).reshape(-1, r)
@@ -400,7 +404,7 @@ def _support_roots(
     The supports of every larger size first pass :func:`_rootless`, with
     the group's entries and ``S`` unfoldings from one gather, and a support
     certified to have no root that could be kept gets no starts.  A support
-    certified to hold a root skips that search.  The starts of every
+    certified to hold a root leaves that search early.  The starts of every
     support not ruled out run as one Newton lane array; each support keeps
     its own start stream, certificate and clustering.  Those supports are
     complete only as far as their multistart Newton is, which is heuristic,
