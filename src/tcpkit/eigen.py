@@ -6,10 +6,10 @@ solving the eigen system of the principal sub-tensor on J with a strictly
 positive unknown, then zero-extending and checking the remaining rows.
 Two switches pick the variant:
 
-- the system: ``"H"`` solves ``A x^(m-1) = lam x^[m-1]`` and scales its
-  records to ``max|x| = 1``; ``"Z"`` solves ``A x^(m-1) = lam x`` with
-  ``||x||_2 = 1`` (``_SYSTEMS`` names each system's record kinds and
-  normalization);
+- the system ``A x^(m-1) = lam x^[e]``, stated once with its power e
+  (:func:`_power`): ``"H"`` has ``e = m - 1`` and scales its records to
+  ``max|x| = 1``; ``"Z"`` has ``e = 1`` and ``||x||_2 = 1`` (``_SYSTEMS``
+  names each system's record kinds and normalization);
 - the check (:func:`_verify`): equality off the support gives ``h_plus`` /
   ``z_plus``, a one-sided inequality the Pareto variants, none ``delta_*``.
 
@@ -24,8 +24,8 @@ Per-support solving is exact for matrices and closed form on singleton
 supports.  A matrix support takes a dense eigensolver, and an eigenspace
 counts when it meets the open positive orthant: :func:`_positive_eigvec`
 maximizes the smallest component over the span exactly, in closed form for
-a one-dimensional eigenspace and by its k-row vertices for a repeated
-eigenvalue's, with numpy alone.  Everything else is damped Newton from many
+a one-dimensional eigenspace and by one stacked solve of its k-row vertices
+for a repeated eigenvalue's.  Everything else is damped Newton from many
 random positive starts, so completeness is heuristic and flagged as such.
 Where it is heuristic (order 3 and up, n >= 2), the least Pareto value of a
 symmetric tensor is also seeded from a minimization of the contraction over
@@ -35,7 +35,6 @@ the minimum reliable; at order 2 the eigendecomposition is exact alone.
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 from dataclasses import dataclass, field, replace
 
@@ -44,7 +43,7 @@ import numpy as np
 from .config import CLUSTER_TOL, DEFAULT_CONFIG, POSITIVITY_FLOOR, RESIDUAL_TOL, RunConfig
 # damped_newton is unused here but stays bound: perfbench's tracer expects it
 from .optimize import (  # noqa: F401
-    damped_newton, first_of_clusters, minimize_nonneg_sphere, newton_lanes,
+    damped_newton, first_of_clusters, minimize_nonneg_sphere, newton_lanes, solve_stack,
 )
 from .tensor import (
     JsonRecord,
@@ -115,16 +114,13 @@ class SpectrumSummary(JsonRecord):
 
 def distinct_values(records: list[EigenRecord], tol: float = 1e-6) -> list[float]:
     """Sorted eigenvalues with duplicates within tol collapsed."""
-    out: list[float] = []
-    for v in sorted(r.value for r in records):
-        if not out or v - out[-1] > tol:
-            out.append(v)
-    return out
+    values = sorted(r.value for r in records)
+    return [values[i] for i in first_of_clusters(values, tol)]
 
 
 # ---------------------------------------------------------------------------
 # per-support interior solves: strictly positive y with
-#   H:  A_J y^(m-1) = lam * y^[m-1]      Z:  A_J y^(m-1) = lam * y, ||y||_2 = 1
+#   A_J y^(m-1) = lam * y^[e],  e = m - 1 for H and 1 for Z (||y||_2 = 1 for Z)
 # ---------------------------------------------------------------------------
 
 
@@ -139,20 +135,19 @@ def _positive_eigvec(basis: np.ndarray) -> np.ndarray | None:
     ``b * (1 / sum(b))``.  For k >= 2 orthonormal columns the optimum is a
     vertex where k components of y are equal, so each k-row subset s gives
     the system ``[colsum; basis[s_j] - basis[s_0]] c = e_1`` (at most
-    ``C(8, 4) = 70`` of them).  A point with ``min(y) > 0`` has
-    ``||c||_2 = ||y||_2 <= sum(y)``, so its sum, and with it t, is accurate
-    however ill-conditioned its system.
+    ``C(8, 4) = 70`` of them, one stack; a singular one drops out).  A point
+    with ``min(y) > 0`` has ``||c||_2 = ||y||_2 <= sum(y)``, so its sum, and
+    with it t, is accurate however ill-conditioned its system.
     """
     r, k = basis.shape
     colsum = basis.sum(axis=0)
     if k == 1:  # the one point, with no solve
         points = [basis[:, 0] * (1.0 / colsum[0])] if colsum[0] != 0.0 else []
     else:
-        points = []
-        for s in itertools.combinations(range(r), k):
-            system = np.vstack([colsum, basis[list(s[1:])] - basis[s[0]]])
-            with contextlib.suppress(np.linalg.LinAlgError):  # exactly singular
-                points.append(basis @ np.linalg.solve(system, np.eye(k)[0]))
+        systems = np.array([np.vstack([colsum, basis[list(s[1:])] - basis[s[0]]])
+                            for s in itertools.combinations(range(r), k)])
+        C, usable = solve_stack(systems, np.eye(k)[:, :1])
+        points = [basis @ c for c in C[usable, :, 0]]
     y = max(points, key=np.min, default=None)
     if y is None or np.min(y) <= POSITIVE_CUT:
         return None
@@ -189,13 +184,15 @@ def _newton_candidates(
     A: Tensor, group: list[tuple[int, ...]], system: str, cfg: RunConfig,
     seeds: dict[tuple[int, ...], list[tuple[np.ndarray, float]]],
 ) -> list[list[tuple[float, np.ndarray]]]:
-    """Multi-start damped Newton on the support systems of one size, every
-    start of every support as one lane array; y normalized to the 2-sphere
-    inside the iteration, strict positivity enforced afterwards.  The start
+    """Multi-start damped Newton on the support systems ``A_J y^(m-1) = lam
+    y^[e]`` of one size (e from :func:`_power`), every start of every support
+    as one lane array; y normalized to the 2-sphere inside the iteration,
+    strict positivity enforced afterwards.  The start
     eigenvalues of the whole group take one batched contraction.  Returns
     one candidate list per support, in group order; each support keeps its
     own start stream, certificate and clustering."""
     r, m = len(group[0]), A.m
+    e = _power(system, m)
     Y0, lam0, counts = [], [], []
     for J in group:
         rng = cfg.substream("eigen", system, str(J))
@@ -214,7 +211,7 @@ def _newton_candidates(
 
     def residual(Z: np.ndarray, lanes: np.ndarray) -> np.ndarray:
         Y, lam = Z[..., :r], Z[..., r:]
-        eig_part = contract(Y, lanes) - lam * _rhs(system, Y, m)
+        eig_part = contract(Y, lanes) - lam * Y**e
         return np.concatenate([eig_part, np.sum(Y * Y, axis=-1, keepdims=True) - 1.0], axis=-1)
 
     def jac(Z: np.ndarray, lanes: np.ndarray) -> np.ndarray:
@@ -222,12 +219,8 @@ def _newton_candidates(
         out = np.zeros((Z.shape[0], r + 1, r + 1))
         out[:, :r, :r] = jacobian(Y, lanes)
         diag = np.arange(r)
-        if system == "H":
-            out[:, diag, diag] -= lam[:, None] * (m - 1) * Y ** (m - 2)
-            out[:, :r, r] = -(Y ** (m - 1))
-        else:
-            out[:, diag, diag] -= lam[:, None]
-            out[:, :r, r] = -Y
+        out[:, diag, diag] -= lam[:, None] * e * Y ** (e - 1)
+        out[:, :r, r] = -(Y**e)
         out[:, r, :r] = 2.0 * Y
         return out
 
@@ -250,9 +243,9 @@ def _newton_candidates(
     ]
 
 
-def _rhs(system: str, x: np.ndarray, m: int) -> np.ndarray:
-    """What lam scales in the eigen system: x^[m-1] for H, x for Z."""
-    return x ** (m - 1) if system == "H" else x
+def _power(system: str, m: int) -> int:
+    """The power of x that lam scales in the eigen system: m - 1 for H, 1 for Z."""
+    return m - 1 if system == "H" else 1
 
 
 def _rayleigh(y: np.ndarray, core: np.ndarray, system: str, m: int) -> float:
@@ -319,7 +312,7 @@ def _verify(
         x = x / float(np.linalg.norm(x))
         mass = 1.0  # ||x||_2 = 1 makes the Pareto scaling factor 1
     rows = contract_m1(A, x)
-    gap = rows - lam * _rhs(system, x, A.m)
+    gap = rows - lam * x ** _power(system, A.m)
     residual = float(np.max(np.abs(gap[list(J)])))
     off = [i for i in range(A.n) if i not in J]
     if check == "pareto":

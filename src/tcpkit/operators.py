@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import RunConfig, DEFAULT_CONFIG
-from .optimize import pattern_search_min
+from .optimize import least_point, pattern_search_min
 from .tensor import JsonRecord, Tensor, as_vector, contract_m1_batch
 
 __all__ = [
@@ -134,7 +134,9 @@ def estimate_norm(
     of the unit p-sphere (default ``cfg.budget(NORM_STARTS)``).  Every evaluation
     happens at an exactly renormalized feasible point, so the maximum seen
     is a valid lower estimate of the true norm; it is never claimed exact.
-    The witness is signed so that its largest-magnitude component is positive.
+    Ties within 1e-12 go to the lexicographically smallest point
+    (:func:`tcpkit.optimize.least_point`); the witness is signed so that its
+    largest-magnitude component is positive.
     """
     p = _check_p(p)
     bound = norm_bound(A, op, p)  # validates op/order as a side effect
@@ -158,15 +160,9 @@ def estimate_norm(
     def neg_obj(X: np.ndarray) -> np.ndarray:
         return -_pnorm_rows(_apply_batch(A, op, X), p)
 
-    best_val = -math.inf
-    best_x: np.ndarray | None = None
-    for val, x in zip(*pattern_search_min(neg_obj, np.vstack(starts), project)):
-        gain = -val
-        if gain > best_val + 1e-12 or (
-            abs(gain - best_val) <= 1e-12 and best_x is not None and tuple(x) < tuple(best_x)
-        ):
-            best_val, best_x = gain, x
-    assert best_x is not None
+    vals, X = pattern_search_min(neg_obj, np.vstack(starts), project)
+    best = least_point(vals, X, 1e-12)
+    best_val, best_x = -vals[best], X[best]
     # op(-x) = +-op(x) exactly, so -x has the same norm to the bit: report the
     # sign whose largest-magnitude component is positive, not rounding's pick
     if best_x[np.argmax(np.abs(best_x))] < 0:

@@ -35,10 +35,10 @@ as one array, each lane solving its own support's system.
 Each lane follows these rules:
 
 - A lane converges as soon as its residual norm drops below 1e-14.
-- Steps come from one batched linear solve.  A lane whose Jacobian is
-  singular is solved again on its own; a step that is non-finite or longer
-  than 1e8 is replaced by the least-squares step, and a lane whose
-  least-squares step is still non-finite fails.
+- Steps come from one :func:`solve_stack` call.  A lane whose Jacobian is
+  singular, or whose step is non-finite or longer than 1e8, takes the
+  least-squares step, and a lane whose least-squares step is still
+  non-finite fails.
 - The line search halves ``t`` from 1 down to 1e-12 over the lanes that
   have not yet accepted a step, and each lane takes the first ``t`` that
   lowers its residual norm.  All lanes try ``t = 1`` together; the lanes
@@ -57,8 +57,9 @@ Each lane follows these rules:
 
 :func:`damped_newton` is the one-lane call of the same kernel.
 
-:func:`first_of_clusters` is the one duplicate rule for found roots,
-eigenpairs and solutions.
+:func:`solve_stack` is the one stacked linear solve, :func:`least_point`
+the one tie-break between candidate optima, and :func:`first_of_clusters`
+the one duplicate rule for found roots, eigenpairs and solutions.
 """
 
 from __future__ import annotations
@@ -184,8 +185,8 @@ def minimize_nonneg_sphere(
 ) -> SphereMinimum:
     """Global minimum (heuristic) of a batch objective over {x >= 0, ||x||_inf = 1}.
 
-    Ties within 1e-10 of the best value break to the lexicographically
-    smallest argmin so repeated runs return the same witness.
+    Ties within 1e-10 of the best value go to the lexicographically smallest
+    argmin (:func:`least_point`), so repeated runs return the same witness.
     """
     G = cfg.grid_for(n)
 
@@ -194,9 +195,8 @@ def minimize_nonneg_sphere(
         for k in range(n)
         for c in _face_candidates(batch_fn, n, k, cfg, cfg.substream(rng_tag, "face", k))
     ]
-    best_val = min(v for v, _ in candidates)
-    near = [x for v, x in candidates if v <= best_val + 1e-10]
-    argmin = min(near, key=lambda x: tuple(x))
+    values, points = zip(*candidates)
+    argmin = points[least_point(values, points, 1e-10)]
     return SphereMinimum(
         value=float(batch_fn(argmin[None, :])[0]),
         argmin=argmin,
@@ -205,30 +205,40 @@ def minimize_nonneg_sphere(
     )
 
 
+def least_point(values, points, tol: float) -> int:
+    """The index of the least value, ties within ``tol`` of it going to the
+    lexicographically smallest point, whatever the order of the candidates."""
+    values = np.asarray(values)
+    near = np.flatnonzero(values <= values.min() + tol)
+    return int(min(near, key=lambda i: tuple(points[i])))
+
+
+def solve_stack(J: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``J^-1 B`` for a (g, r, r) stack ``J`` from one ``np.linalg.solve``
+    call, and which members were usable.  Only if that call raises is each
+    exactly singular or non-finite member flagged unusable and replaced by
+    the identity, so a finite ``B`` is its result; the fast path checks nothing."""
+    try:
+        return np.linalg.solve(J, B), np.ones(len(J), dtype=bool)
+    except np.linalg.LinAlgError:  # some member is exactly singular
+        eye = np.eye(J.shape[1])
+        usable = np.isfinite(J).all(axis=(1, 2))
+        J = np.where(usable[:, None, None], J, eye)
+        usable &= np.linalg.slogdet(J)[0] != 0.0
+        return np.linalg.solve(np.where(usable[:, None, None], J, eye), B), usable
+
+
 # line-search step lengths 1, 1/2, ..., down to 1e-12
 _LINE_SEARCH_T = 0.5 ** np.arange(40)
 _LINE_SEARCH_BLOCK = 8
 
 
-def _lane_step(J: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Newton step of one lane.  Singular or exploding solves fall back to
-    least squares, which also rides rank-deficient solution manifolds."""
-    try:
-        dz = np.linalg.solve(J, -r)
-        if np.all(np.isfinite(dz)) and np.linalg.norm(dz) <= 1e8:
-            return dz
-    except np.linalg.LinAlgError:
-        pass
-    return np.linalg.lstsq(J, -r, rcond=None)[0]
-
-
 def _newton_steps(Jb: np.ndarray, Rb: np.ndarray) -> np.ndarray:
-    """Newton steps of a batch of lanes: one batched solve, per-lane fallback."""
-    try:
-        dZ = np.linalg.solve(Jb, -Rb[:, :, None])[:, :, 0]
-    except np.linalg.LinAlgError:  # some lane is singular: solve lane by lane
-        return np.stack([_lane_step(J, r) for J, r in zip(Jb, Rb)])
-    redo = ~np.all(np.isfinite(dZ), axis=1) | (np.linalg.norm(dZ, axis=1) > 1e8)
+    """Newton steps of a batch of lanes: one stacked solve, and least squares,
+    which also rides rank-deficient solution manifolds, where it fails."""
+    dZ, usable = solve_stack(Jb, -Rb[:, :, None])
+    dZ = dZ[:, :, 0]
+    redo = ~usable | ~np.all(np.isfinite(dZ), axis=1) | (np.linalg.norm(dZ, axis=1) > 1e8)
     for i in np.flatnonzero(redo):
         dZ[i] = np.linalg.lstsq(Jb[i], -Rb[i], rcond=None)[0]
     return dZ

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import CLUSTER_TOL, DEFAULT_CONFIG, POSITIVITY_FLOOR, RESIDUAL_TOL, RunConfig
-from .optimize import damped_newton, first_of_clusters, newton_lanes
+from .optimize import damped_newton, first_of_clusters, newton_lanes, solve_stack
 from .tensor import (
     JsonRecord,
     Tensor,
@@ -159,7 +159,7 @@ def _certified_point(inst: TcpInstance, x: np.ndarray) -> np.ndarray | None:
     # same solution is not double counted across neighboring supports.
     dusted = np.where(x > DUST_TOL, x, 0.0)
     if not np.array_equal(dusted, x) and verify_solution(inst, dusted, RESIDUAL_TOL).ok:
-        x = dusted
+        return dusted
     return x if verify_solution(inst, x, RESIDUAL_TOL).ok else None
 
 
@@ -179,17 +179,6 @@ def _at_scale(inst: TcpInstance, x: np.ndarray | None, c: float, method: str) ->
     x = x * c
     record = verify_solution(inst, x)
     return TcpSolution(x, inst.q + contract_m1(inst.A, x), support, record, method) if record.ok else None
-
-
-def _linear_root(M: np.ndarray, qJ: np.ndarray) -> list[np.ndarray]:
-    """The strictly positive solution of the order-2 system ``M y = -q_J``, if any."""
-    try:
-        y = np.linalg.solve(M, -qJ)
-    except np.linalg.LinAlgError:
-        y, *_ = np.linalg.lstsq(M, -qJ, rcond=None)
-    if float(np.max(np.abs(M @ y + qJ))) > 1e-9 * (1.0 + float(np.abs(qJ).max(initial=0.0))):
-        return []
-    return [y] if np.min(y) > POSITIVITY_FLOOR else []
 
 
 def _gamma(terms: int) -> float:
@@ -216,19 +205,6 @@ def _row_margins(data: np.ndarray) -> np.ndarray:
     return np.min(diag + negative - slack, axis=1)
 
 
-def _inverses(J: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The inverse of every finite, nonsingular matrix of the stack ``J``,
-    the identity in place of the others, and which ones they were."""
-    eye = np.eye(J.shape[1])
-    usable = np.isfinite(J).all(axis=(1, 2))
-    J = np.where(usable[:, None, None], J, eye)
-    try:
-        return np.linalg.inv(J), usable
-    except np.linalg.LinAlgError:  # some J is singular
-        usable &= np.linalg.slogdet(J)[0] != 0.0
-        return np.linalg.inv(np.where(usable[:, None, None], J, eye)), usable
-
-
 def _root_boxes(S: np.ndarray, S_err: np.ndarray, Q: np.ndarray, m: int, owner: np.ndarray,
                 lo: np.ndarray, hi: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Whether each box ``[lo, hi]`` (rows, ``y >= 0``) of the order-m systems
@@ -242,12 +218,12 @@ def _root_boxes(S: np.ndarray, S_err: np.ndarray, Q: np.ndarray, m: int, owner: 
     S y^(m-2)`` lies within ``|S| (u^(m-2) - l^(m-2)) / 2`` of ``Jm = S
     (l^(m-2) + u^(m-2)) / 2``; call that radius ``Jr``.  ``F(c)`` is ``J(c)
     c / (m-1) + q_J`` (Euler's identity for the homogeneous ``A_J``).  With
-    ``Y`` the computed inverse of ``J(c)`` and ``h`` the half-widths, the
-    box holds a root when ``|Y F(c)| + (|I - Y Jm| + |Y| Jr) h < h`` in every
-    component (Krawczyk 1969; Moore 1977).  Every bound is widened by
+    ``Y`` the inverse of ``J(c)`` that :func:`solve_stack` computes and ``h``
+    the half-widths, the box holds a root when ``|Y F(c)| + (|I - Y Jm| +
+    |Y| Jr) h < h`` in every component (Krawczyk 1969; Moore 1977).  Every bound is widened by
     ``gamma_N`` times its absolute term sum, as in :func:`_rootless`, so the
-    test is a certificate in floating point; a singular or non-finite
-    ``J(c)`` proves nothing.
+    test is a certificate in floating point.  A singular ``J(c)`` proves
+    nothing, nor does a non-finite one, whose bound is not finite.
     """
     r = lo.shape[1]
     # an overflowing bound is inf or NaN, and proves nothing
@@ -262,7 +238,7 @@ def _root_boxes(S: np.ndarray, S_err: np.ndarray, Q: np.ndarray, m: int, owner: 
         q = Q[owner]
         F = np.einsum("zij,zj->zi", Sc, c) / (m - 1) + q
         F_err = widen * (np.einsum("zij,zj->zi", Ac + S_round, c) / (m - 1) + np.abs(q))
-        Y, usable = _inverses(Sc)
+        Y, usable = solve_stack(Sc, np.eye(r))
         h = 0.5 * (hi - lo)
         d = 4.0 * _UNIT_ROUNDOFF * (c + h)  # c and h each err by at most u (c + h)
         h_out = h + d
@@ -281,7 +257,7 @@ def _seeded_roots(S: np.ndarray, S_err: np.ndarray, Q: np.ndarray, m: int, owner
                   y: np.ndarray) -> np.ndarray:
     """Which supports ``owner[k]`` :func:`_root_boxes` certifies to hold a
     root in a box around the point that six Newton steps from ``y[k]``
-    reach.
+    reach; each step is one :func:`solve_stack` call.
 
     The box is that point plus or minus twice the last step and ``1e-9``
     times its largest component, which holds a simple root that the steps
@@ -295,11 +271,7 @@ def _seeded_roots(S: np.ndarray, S_err: np.ndarray, Q: np.ndarray, m: int, owner
         for _ in range(6):
             # J(y) y = (m - 1) A_J y^(m-1), so the step lands on (m-2)/(m-1) y - J(y)^-1 q_J
             J = np.einsum("zk,zijk->zij", _kron_rows(y, m - 2), G)
-            try:
-                solved = np.linalg.solve(J, q[:, :, None])[:, :, 0]
-            except np.linalg.LinAlgError:  # some J(y) is singular or not finite
-                solved = np.einsum("zij,zj->zi", _inverses(J)[0], q)
-            step = y / (m - 1) + solved
+            step = y / (m - 1) + solve_stack(J, q[:, :, None])[0][:, :, 0]
             y = y - step
         rho = 2.0 * np.abs(step) + 1e-9 * np.abs(y).max(axis=1, keepdims=True)
         ok = np.isfinite(rho).all(axis=1) & (y - rho >= 0.0).all(axis=1)
@@ -395,11 +367,11 @@ def _support_roots(
     """Strictly positive roots of the active systems A_J y^(m-1) = -q_J of
     the supports J of one size, as (J, y) pairs in support order.
 
-    At order 2 every support's linear system is solved directly
-    (:func:`_linear_root`), its matrix read from one gather of the group's
-    sub-matrices.  Above order 2 a singleton {j} has the closed-form root
-    ``y = (-q_j / a_{j..j})^(1/(m-1))`` when that ratio is positive, and
-    none otherwise; a zero diagonal with ``q_j = 0`` (a continuum of roots,
+    At order 2 the group's linear systems, read from one gather, take one
+    :func:`solve_stack` call; a singular support takes its least-squares
+    point, kept if its residual is within ``1e-9 (1 + max|q_J|)``.  Above
+    order 2 a singleton {j} has the closed-form root ``y = (-q_j /
+    a_{j..j})^(1/(m-1))`` when that ratio is positive, and none otherwise; a zero diagonal with ``q_j = 0`` (a continuum of roots,
     never the case for a strictly semi-positive tensor) is not enumerated.
     The supports of every larger size first pass :func:`_rootless`, with
     the group's entries and ``S`` unfoldings from one gather, and a support
@@ -417,8 +389,12 @@ def _support_roots(
                 for (j,) in group if d[j] != 0.0 and -q[j] / d[j] > 0.0]
     data, S = stacked_subtensors(inst.A, group)
     Q = inst.q[np.array(group)]
-    if m == 2:
-        return [(J, y) for J, M, qJ in zip(group, data, Q) for y in _linear_root(M, qJ)]
+    if m == 2:  # a singular support takes its least-squares point
+        Y, usable = solve_stack(data, -Q[:, :, None])
+        Y = [y[:, 0] if ok else np.linalg.lstsq(M, -qJ, rcond=None)[0] for y, ok, M, qJ in zip(Y, usable, data, Q)]
+        tol = 1e-9 * (1.0 + np.abs(Q).max(axis=1))
+        return [(J, y) for J, y, M, qJ, t in zip(group, Y, data, Q, tol)
+                if np.max(np.abs(M @ y + qJ)) <= t and np.min(y) > POSITIVITY_FLOOR]
     live = np.flatnonzero(~_rootless(data, S, Q)[0])
     starts = []
     for i in live:

@@ -2,6 +2,7 @@
 one-start-at-a-time references, and the solvers that run every support of
 one size as one lane array against one-support-at-a-time references."""
 
+import itertools
 import math
 
 import numpy as np
@@ -12,9 +13,11 @@ from tcpkit import eigen, operators, optimize, tcp, tensor
 from tcpkit.optimize import (
     damped_newton,
     first_of_clusters,
+    least_point,
     minimize_nonneg_sphere,
     newton_lanes,
     pattern_search_min,
+    solve_stack,
 )
 from tcpkit.tensor import (
     contract_m1,
@@ -632,3 +635,40 @@ def test_first_of_clusters_keeps_row_order_and_accepts_no_rows():
     assert first_of_clusters(rows, 0.0) == [0, 1, 2, 3]
     assert first_of_clusters([], 1e-6) == []
     assert first_of_clusters(np.empty((0, 3)), 1e-6) == []
+
+
+def test_solve_stack_matches_one_solve_per_matrix():
+    rng = np.random.default_rng(20)
+    J = rng.standard_normal((200, 5, 5))
+    B = rng.standard_normal((200, 5, 2))
+    X, usable = solve_stack(J, B)
+    assert usable.all()
+    for Jk, Bk, Xk in zip(J, B, X):
+        np.testing.assert_array_equal(Xk, np.linalg.solve(Jk, Bk))
+    Y, usable = solve_stack(J, np.eye(5))
+    assert usable.all()
+    np.testing.assert_array_equal(Y, np.linalg.inv(J))
+
+
+def test_solve_stack_flags_singular_and_non_finite_members():
+    rng = np.random.default_rng(21)
+    J = rng.standard_normal((5, 2, 2))
+    J[1] = [[1.0, 1.0], [1.0, 1.0]]  # exactly singular
+    J[3, 0, 1] = np.nan
+    B = rng.standard_normal((5, 2, 1))
+    X, usable = solve_stack(J, B)
+    assert usable.tolist() == [True, False, True, False, True]
+    np.testing.assert_array_equal(X[~usable], B[~usable])
+    for k in np.flatnonzero(usable):
+        np.testing.assert_array_equal(X[k], np.linalg.solve(J[k], B[k]))
+
+
+def test_least_point_ignores_the_order_of_a_chain_of_near_ties():
+    # each value lies within 1e-12 of the next, but the chain spans 2.4e-12:
+    # only the first two tie with the least value, and of them [1, 0] is the
+    # lexicographically smaller; [0, 0] lies beyond the tolerance
+    values = [0.0, 0.8e-12, 1.6e-12, 2.4e-12]
+    points = [np.array([2.0, 0.0]), np.array([1.0, 0.0]), np.array([0.5, 0.0]), np.array([0.0, 0.0])]
+    for order in itertools.permutations(range(4)):
+        i = least_point([values[k] for k in order], [points[k] for k in order], 1e-12)
+        assert points[order[i]].tolist() == [1.0, 0.0]

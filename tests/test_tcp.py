@@ -70,6 +70,16 @@ def test_order_2_singular_support_falls_back_to_least_squares(monkeypatch):
     assert all(s.method == "enumeration" and s.residuals.ok for s in sols)
 
 
+def test_a_certified_dusted_candidate_is_verified_once(monkeypatch):
+    # [1, 1e-6] has a dust component; its dusted form [1, 0] solves the instance
+    calls = []
+    verify = tcp.verify_solution
+    monkeypatch.setattr(tcp, "verify_solution", lambda *a, **k: calls.append(a[1]) or verify(*a, **k))
+    inst = TcpInstance(Tensor(np.eye(2)), np.array([-1.0, 2.0]))
+    assert tcp._certified_point(inst, np.array([1.0, 1e-6])).tolist() == [1.0, 0.0]
+    assert len(calls) == 1
+
+
 def test_diagonal_higher_order():
     inst = TcpInstance(diagonal_tensor([2.0, 5.0], 4), np.array([-2.0, -5.0]))
     sols = solve_enumeration(inst, FAST)
