@@ -213,6 +213,11 @@ def least_point(values, points, tol: float) -> int:
     return int(min(near, key=lambda i: tuple(points[i])))
 
 
+# line-search step lengths 1, 1/2, ..., down to 1e-12
+_LINE_SEARCH_T = 0.5 ** np.arange(40)
+_LINE_SEARCH_BLOCK = 8
+
+
 def solve_stack(J: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``J^-1 B`` for a (g, r, r) stack ``J`` from one ``np.linalg.solve``
     call, and which members were usable.  Only if that call raises is each
@@ -226,11 +231,6 @@ def solve_stack(J: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         J = np.where(usable[:, None, None], J, eye)
         usable &= np.linalg.slogdet(J)[0] != 0.0
         return np.linalg.solve(np.where(usable[:, None, None], J, eye), B), usable
-
-
-# line-search step lengths 1, 1/2, ..., down to 1e-12
-_LINE_SEARCH_T = 0.5 ** np.arange(40)
-_LINE_SEARCH_BLOCK = 8
 
 
 def _newton_steps(Jb: np.ndarray, Rb: np.ndarray) -> np.ndarray:
