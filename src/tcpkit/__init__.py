@@ -10,7 +10,6 @@ from .tensor import (
     TensorFormatError,
     contract_m1,
     contract_m1_batch,
-    contract_full,
     jacobian_m1,
     principal_subtensor,
     identity_tensor,
@@ -27,8 +26,6 @@ from .operators import (
     OP_SCALED,
     OP_ROOT,
     NormReport,
-    apply_scaled,
-    apply_root,
     apply_operator,
     norm_bound,
     estimate_norm,

@@ -83,6 +83,7 @@ class GeneratorSpec:
 
 def _draw_tensor(spec: GeneratorSpec, rng: np.random.Generator) -> Tensor:
     m, n, params = spec.m, spec.n, spec.parameters
+    diag_cell = tuple([np.arange(n)] * m)
     if spec.family == "identity_shift":
         eps = float(params.get("epsilon", 0.3))
         noise = Tensor(rng.uniform(-1.0, 1.0, size=(n,) * m))
@@ -90,27 +91,19 @@ def _draw_tensor(spec: GeneratorSpec, rng: np.random.Generator) -> Tensor:
         if c is None:
             c = GENERATOR_MARGIN + eps * norm_bound(noise, OP_SCALED, np.inf) * n ** ((m - 2) / 2.0)
         return identity_tensor(m, n).scale(float(c)).add(noise.scale(eps))
-    if spec.family == "diag_dominant":
-        data = rng.uniform(-1.0, 1.0, size=(n,) * m)
-        idx = np.arange(n)
-        diag_cell = tuple([idx] * m)
-        data[diag_cell] = 0.0
-        off = np.abs(data).reshape(n, -1).sum(axis=1)
-        data[diag_cell] = off + GENERATOR_MARGIN + rng.uniform(0.0, 1.0, size=n)
-        return Tensor(data)
     if spec.family == "random_symmetric_copositive":
-        base = symmetrize(Tensor(rng.uniform(0.0, 1.0, size=(n,) * m)))
-        data = base.data.copy()
-        idx = np.arange(n)
-        data[tuple([idx] * m)] += GENERATOR_MARGIN + rng.uniform(0.0, 1.0, size=n)
-        return Tensor(data, symmetric=True)
-    # matrix_m2: strictly diagonally dominant with positive diagonal
-    off = rng.uniform(-1.0, 1.0, size=(n, n))
-    if params.get("symmetric", False):
-        off = (off + off.T) / 2.0
-    np.fill_diagonal(off, 0.0)
-    diag = np.abs(off).sum(axis=1) + GENERATOR_MARGIN + rng.uniform(0.0, 1.0, size=n)
-    return Tensor(off + np.diag(diag))
+        data = symmetrize(Tensor(rng.uniform(0.0, 1.0, size=(n,) * m))).data.copy()
+        data[diag_cell] += GENERATOR_MARGIN + rng.uniform(0.0, 1.0, size=n)
+        return Tensor(data)
+    # diag_dominant and matrix_m2: strictly diagonally dominant with positive
+    # diagonal; a symmetric matrix_m2 draw is averaged with its transpose first
+    data = rng.uniform(-1.0, 1.0, size=(n,) * m)
+    if spec.family == "matrix_m2" and params.get("symmetric", False):
+        data = (data + data.T) / 2.0
+    data[diag_cell] = 0.0
+    off = np.abs(data).reshape(n, -1).sum(axis=1)
+    data[diag_cell] = off + GENERATOR_MARGIN + rng.uniform(0.0, 1.0, size=n)
+    return Tensor(data)
 
 
 def _generate_gated(

@@ -24,8 +24,6 @@ __all__ = [
     "OP_SCALED",
     "OP_ROOT",
     "NormReport",
-    "apply_scaled",
-    "apply_root",
     "apply_operator",
     "norm_bound",
     "estimate_norm",
@@ -37,29 +35,22 @@ OP_ROOT = "F"    # componentwise odd root of the contraction (even order only)
 NORM_STARTS = 64  # random starts of one norm ascent
 
 
-def apply_scaled(A: Tensor, x) -> np.ndarray:
-    """``||x||_2^(2-m) * A x^(m-1)``, with 0 mapped to 0."""
-    return _apply_batch(A, OP_SCALED, as_vector(x, A.n)[None, :])[0]
-
-
-def apply_root(A: Tensor, x) -> np.ndarray:
-    """Componentwise (m-1)-th root of the contraction; requires even order."""
-    if A.m % 2 != 0:
-        raise ValueError("the root operator needs an even order (odd real roots)")
-    return _apply_batch(A, OP_ROOT, as_vector(x, A.n)[None, :])[0]
+def _check_op(A: Tensor, op: str) -> None:
+    if op not in (OP_SCALED, OP_ROOT):
+        raise ValueError(f"unknown operator token {op!r}; expected 'T' or 'F'")
+    if op == OP_ROOT and A.m % 2 != 0:
+        raise ValueError("the root operator needs an even order")
 
 
 def apply_operator(A: Tensor, op: str, x) -> np.ndarray:
-    if op == OP_SCALED:
-        return apply_scaled(A, x)
-    if op == OP_ROOT:
-        return apply_root(A, x)
-    raise ValueError(f"unknown operator token {op!r}; expected 'T' or 'F'")
+    """The operator ``op`` (module docstring) at x, with 0 mapped to 0."""
+    _check_op(A, op)
+    return _apply_batch(A, op, as_vector(x, A.n)[None, :])[0]
 
 
 def _apply_batch(A: Tensor, op: str, X: np.ndarray) -> np.ndarray:
-    """The operator ``op`` on every row of X; :func:`apply_scaled` and
-    :func:`apply_root` are its one-row calls."""
+    """The operator ``op``, already checked, on every row of X;
+    :func:`apply_operator` is its one-row call."""
     C = contract_m1_batch(A, X)
     if op == OP_SCALED:
         nrm = np.linalg.norm(X, axis=1)
@@ -88,10 +79,7 @@ def norm_bound(A: Tensor, op: str, p) -> float:
     ``(sum_i r_i^(p/(m-1)))^(1/p)`` otherwise.
     """
     p = _check_p(p)
-    if op not in (OP_SCALED, OP_ROOT):
-        raise ValueError(f"unknown operator token {op!r}; expected 'T' or 'F'")
-    if op == OP_ROOT and A.m % 2 != 0:
-        raise ValueError("the root operator needs an even order")
+    _check_op(A, op)
     rows = A.row_abs_sums()
     m, n = A.m, A.n
     if op == OP_SCALED:

@@ -37,7 +37,6 @@ __all__ = [
     "as_vector",
     "contract_m1",
     "contract_m1_batch",
-    "contract_full",
     "jacobian_m1",
     "jacobian_m1_batch",
     "principal_subtensor",
@@ -65,15 +64,6 @@ class TensorFormatError(ValueError):
     """Malformed tensor or instance interchange data."""
 
 
-def _is_symmetric_array(data: np.ndarray, rtol: float = 1e-12, atol: float = 1e-12) -> bool:
-    # the adjacent transpositions generate the symmetric group, so invariance
-    # under these m-1 swaps is invariance under every index permutation
-    return all(
-        np.allclose(data, np.swapaxes(data, k, k + 1), rtol=rtol, atol=atol)
-        for k in range(data.ndim - 1)
-    )
-
-
 class Tensor:
     """Immutable dense tensor with a uniform mode dimension.
 
@@ -81,15 +71,14 @@ class Tensor:
     ----------
     data:
         Anything convertible to a float ndarray of shape ``(n,) * m`` with
-        m >= 2.  The array is copied and frozen.
-    symmetric:
-        ``None`` detects symmetry from the entries; ``True`` additionally
-        validates that the entries really are permutation invariant.
+        m >= 2.  The array is copied and frozen.  ``symmetric`` holds when
+        every index permutation leaves the entries unchanged bit for bit;
+        :func:`symmetrize` makes data exactly symmetric.
     """
 
     __slots__ = ("data", "m", "n", "symmetric", "A2", "S")
 
-    def __init__(self, data, symmetric: bool | None = None):
+    def __init__(self, data):
         arr = np.array(data, dtype=float, order="C")
         if arr.ndim < 2:
             raise ValueError(f"tensor order must be >= 2, got {arr.ndim}")
@@ -98,15 +87,13 @@ class Tensor:
             raise ValueError(f"all mode dimensions must agree, got shape {arr.shape}")
         if not np.all(np.isfinite(arr)):
             raise ValueError("tensor entries must be finite")
-        if symmetric is None:
-            symmetric = _is_symmetric_array(arr)
-        elif symmetric and not _is_symmetric_array(arr):
-            raise ValueError("symmetric=True but entries are not permutation invariant")
         arr.setflags(write=False)
         self.data = arr
         self.m = arr.ndim
         self.n = n
-        self.symmetric = bool(symmetric)
+        # the adjacent transpositions generate the symmetric group, so exact
+        # invariance under these m-1 swaps is invariance under every permutation
+        self.symmetric = all(np.array_equal(arr, np.swapaxes(arr, k, k + 1)) for k in range(self.m - 1))
         # the unfoldings of every contraction and Jacobian (module docstring)
         self.A2 = arr.reshape(n, -1)
         self.S = sum(np.moveaxis(arr, p, 1) for p in range(1, self.m)).reshape(n, n, -1)
@@ -137,7 +124,7 @@ class Tensor:
         return np.abs(self.data).reshape(self.n, -1).sum(axis=1)
 
     def scale(self, t: float) -> "Tensor":
-        return Tensor(self.data * float(t), symmetric=self.symmetric or None)
+        return Tensor(self.data * float(t))
 
     def add(self, other: "Tensor") -> "Tensor":
         if (self.m, self.n) != (other.m, other.n):
@@ -204,12 +191,6 @@ def jacobian_m1_batch(A: Tensor, X: np.ndarray) -> np.ndarray:
     return np.einsum("bk,ijk->bij", _kron_rows(_rows(A, X), A.m - 2), A.S)
 
 
-def contract_full(A: Tensor, x) -> float:
-    """Full contraction: x dotted with the degree-(m-1) map at x."""
-    v = as_vector(x, A.n)
-    return float(v @ contract_m1(A, v))
-
-
 def jacobian_m1(A: Tensor, x) -> np.ndarray:
     """Jacobian of ``y -> contract_m1(A, y)`` at x: the one-row call of
     :func:`jacobian_m1_batch`.
@@ -238,7 +219,7 @@ def principal_subtensor(A: Tensor, J: Iterable[int]) -> Tensor:
     idx = validate_index_set(J, A.n)
     sel = np.array(idx, dtype=int)
     sub = A.data[np.ix_(*([sel] * A.m))]
-    return Tensor(sub, symmetric=A.symmetric or None)
+    return Tensor(sub)
 
 
 def zero_extend(y, J: Iterable[int], n: int) -> np.ndarray:
@@ -304,7 +285,7 @@ def diagonal_tensor(d, m: int) -> Tensor:
     data = np.zeros((d.size,) * m)
     idx = np.arange(d.size)
     data[tuple([idx] * m)] = d
-    return Tensor(data, symmetric=True)
+    return Tensor(data)
 
 
 def symmetrize(A: Tensor) -> Tensor:
@@ -321,7 +302,7 @@ def symmetrize(A: Tensor) -> Tensor:
     for p in perms:
         acc += np.transpose(A.data, axes=p)
     sorted_cell = np.sort(np.indices(A.data.shape), axis=0)
-    return Tensor((acc / len(perms))[tuple(sorted_cell)], symmetric=True)
+    return Tensor((acc / len(perms))[tuple(sorted_cell)])
 
 
 def pos_part(x) -> np.ndarray:
@@ -406,7 +387,7 @@ def tensor_from_dict(obj) -> Tensor:
                 )
             assigned[cell] = val
             data[cell] = val
-    return Tensor(data, symmetric=symmetric or None)
+    return Tensor(data)
 
 
 def tensor_to_dict(A: Tensor) -> dict:

@@ -12,8 +12,6 @@ from tcpkit import (
     OP_SCALED,
     Tensor,
     apply_operator,
-    apply_root,
-    apply_scaled,
     diagonal_tensor,
     estimate_norm,
     identity_tensor,
@@ -37,46 +35,51 @@ def vec_norm(v, p):
 
 
 def test_scaled_map_on_unit_vector():
-    np.testing.assert_allclose(apply_scaled(identity_tensor(3, 2), [1.0, 0.0]), [1.0, 0.0])
+    np.testing.assert_allclose(apply_operator(identity_tensor(3, 2), OP_SCALED, [1.0, 0.0]), [1.0, 0.0])
 
 
 def test_scaled_map_zero_branch():
     A = random_tensor(3, 3, seed=1)
-    np.testing.assert_array_equal(apply_scaled(A, np.zeros(3)), np.zeros(3))
+    np.testing.assert_array_equal(apply_operator(A, OP_SCALED, np.zeros(3)), np.zeros(3))
 
 
 def test_scaled_map_positive_homogeneity():
     A = random_tensor(3, 3, seed=2)
     x = np.random.default_rng(3).normal(size=3)
-    np.testing.assert_allclose(apply_scaled(A, 2.0 * x), 2.0 * apply_scaled(A, x), rtol=1e-12)
+    np.testing.assert_allclose(
+        apply_operator(A, OP_SCALED, 2.0 * x), 2.0 * apply_operator(A, OP_SCALED, x), rtol=1e-12
+    )
 
 
 def test_root_map_is_identity_on_unit_tensor():
-    np.testing.assert_allclose(apply_root(identity_tensor(4, 2), [2.0, 3.0]), [2.0, 3.0])
+    np.testing.assert_allclose(apply_operator(identity_tensor(4, 2), OP_ROOT, [2.0, 3.0]), [2.0, 3.0])
 
 
 def test_root_map_takes_odd_real_roots():
     # at x = (1, 1) the contraction of diag(-8, 27) is (-8, 27)
     A = diagonal_tensor([-8.0, 27.0], 4)
-    np.testing.assert_allclose(apply_root(A, [1.0, 1.0]), [-2.0, 3.0])
+    np.testing.assert_allclose(apply_operator(A, OP_ROOT, [1.0, 1.0]), [-2.0, 3.0])
 
 
 def test_root_map_positive_homogeneity():
     A = random_tensor(4, 2, seed=4)
     x = np.random.default_rng(5).normal(size=2)
-    np.testing.assert_allclose(apply_root(A, 3.0 * x), 3.0 * apply_root(A, x), rtol=1e-12)
+    np.testing.assert_allclose(
+        apply_operator(A, OP_ROOT, 3.0 * x), 3.0 * apply_operator(A, OP_ROOT, x), rtol=1e-12
+    )
 
 
 def test_root_map_rejects_odd_order():
-    with pytest.raises(ValueError):
-        apply_root(random_tensor(3, 2, seed=6), [1.0, 1.0])
+    with pytest.raises(ValueError, match="even order"):
+        apply_operator(random_tensor(3, 2, seed=6), OP_ROOT, [1.0, 1.0])
     with pytest.raises(ValueError):
         norm_bound(random_tensor(3, 2, seed=6), OP_ROOT, 2.0)
 
 
 def test_unknown_operator_token():
-    with pytest.raises(ValueError):
-        apply_operator(identity_tensor(2, 2), "Q", [1.0, 1.0])
+    for m in (2, 3, 4):
+        with pytest.raises(ValueError, match="unknown operator token"):
+            apply_operator(identity_tensor(m, 2), "Q", [1.0, 1.0])
 
 
 # --- closed-form bounds ------------------------------------------------------
@@ -156,10 +159,10 @@ def test_operator_homogeneity_at_random_points():
         x = rng.normal(size=3)
         t = float(rng.uniform(0.1, 5.0))
         np.testing.assert_allclose(
-            apply_scaled(A_t, t * x), t * apply_scaled(A_t, x), rtol=1e-10, atol=1e-12
+            apply_operator(A_t, OP_SCALED, t * x), t * apply_operator(A_t, OP_SCALED, x), rtol=1e-10, atol=1e-12
         )
         np.testing.assert_allclose(
-            apply_root(A_f, t * x), t * apply_root(A_f, x), rtol=1e-10, atol=1e-12
+            apply_operator(A_f, OP_ROOT, t * x), t * apply_operator(A_f, OP_ROOT, x), rtol=1e-10, atol=1e-12
         )
 
 
@@ -173,7 +176,7 @@ def test_scaled_map_homogeneity_property(t, seed):
     A = Tensor(rng.uniform(-1.0, 1.0, size=(3, 3, 3)))
     x = rng.normal(size=3)
     np.testing.assert_allclose(
-        apply_scaled(A, t * x), t * apply_scaled(A, x), rtol=1e-9, atol=1e-12
+        apply_operator(A, OP_SCALED, t * x), t * apply_operator(A, OP_SCALED, x), rtol=1e-9, atol=1e-12
     )
 
 
@@ -187,7 +190,7 @@ def test_root_map_homogeneity_property(t, seed):
     A = Tensor(rng.uniform(-1.0, 1.0, size=(2, 2, 2, 2)))
     x = rng.normal(size=2)
     np.testing.assert_allclose(
-        apply_root(A, t * x), t * apply_root(A, x), rtol=1e-9, atol=1e-12
+        apply_operator(A, OP_ROOT, t * x), t * apply_operator(A, OP_ROOT, x), rtol=1e-9, atol=1e-12
     )
 
 

@@ -185,7 +185,8 @@ def test_copositivity_agrees_with_classification_when_symmetric(seed):
     S = symmetrize(Tensor(data))
     data2 = S.data.copy()
     data2[tuple([idx] * m)] += rng.uniform(0.3, 1.0, size=n)
-    A = Tensor(data2, symmetric=True)
+    A = Tensor(data2)
+    assert A.symmetric
     assert classify(A).verdict == STRICTLY_SEMI_POSITIVE
     assert is_copositive(A, strict=True)
 

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from tcpkit import (
     Tensor,
     TensorFormatError,
-    contract_full,
     contract_m1,
     contract_m1_batch,
     diagonal_tensor,
@@ -24,6 +23,7 @@ from tcpkit import (
     save_tensor,
     symmetrize,
     tensor_from_dict,
+    tensor_to_dict,
 )
 from oracles import naive_contract_m1
 
@@ -57,11 +57,12 @@ def test_contract_matches_loop_oracle(m, n):
 
 
 def test_contract_full_examples():
-    assert contract_full(identity_tensor(4, 2), [1.0, 1.0]) == pytest.approx(2.0)
+    ones = np.ones(2)
+    assert ones @ contract_m1(identity_tensor(4, 2), ones) == pytest.approx(2.0)
     A = random_tensor(3, 3, seed=5)
-    assert contract_full(A, np.zeros(3)) == 0.0
+    assert np.zeros(3) @ contract_m1(A, np.zeros(3)) == 0.0
     x = np.random.default_rng(7).normal(size=3)
-    assert contract_full(A, x) == pytest.approx(float(x @ contract_m1(A, x)), abs=1e-12)
+    assert x @ contract_m1(A, x) == pytest.approx(float(x @ naive_contract_m1(A.data, x)), abs=1e-12)
 
 
 def test_contract_batch_matches_single():
@@ -115,7 +116,7 @@ def test_symmetrize_preserves_full_contraction():
         rng = np.random.default_rng(17)
         for _ in range(5):
             x = rng.normal(size=n)
-            assert contract_full(A, x) == pytest.approx(contract_full(S, x), abs=1e-10)
+            assert x @ contract_m1(A, x) == pytest.approx(x @ contract_m1(S, x), abs=1e-10)
 
 
 def test_jacobian_matches_finite_differences():
@@ -200,10 +201,8 @@ def test_tensor_rejects_ragged_and_nonfinite():
 
 def test_symmetric_flag_validation():
     asym = np.arange(8.0).reshape(2, 2, 2)
-    with pytest.raises(ValueError):
-        Tensor(asym, symmetric=True)
     assert not Tensor(asym).symmetric
-    assert Tensor(np.zeros((2, 2, 2)), symmetric=True).symmetric
+    assert Tensor(np.zeros((2, 2, 2))).symmetric
 
 
 def test_tensor_is_immutable():
@@ -217,8 +216,6 @@ def test_symmetry_detection_is_exact_at_order_six():
     data = np.zeros((2,) * 6)
     data[0, 1, 1, 1, 1, 1] = 1.0
     assert not Tensor(data).symmetric
-    with pytest.raises(ValueError):
-        Tensor(data, symmetric=True)
     assert Tensor(symmetrize(Tensor(data)).data).symmetric
 
 
@@ -244,6 +241,26 @@ def test_symmetrized_tensors_survive_save_and_load(tmp_path):
         B = load_tensor(path)
         assert B.symmetric
         np.testing.assert_array_equal(B.data, S.data)
+
+
+def tiny_nonsymmetric():
+    return Tensor(np.random.default_rng(0).uniform(-1.0, 1.0, (3, 3, 3))).scale(1e-13)
+
+
+def test_symmetry_is_read_exactly_at_any_scale():
+    # entries of order 1e-13 differ by less than an absolute tolerance of
+    # 1e-12, but the flag switches on the symmetric-only bounds
+    A = tiny_nonsymmetric()
+    assert not A.symmetric
+    assert symmetrize(A).symmetric
+
+
+@pytest.mark.parametrize("symmetrized", [False, True])
+def test_tiny_tensors_round_trip_through_the_interchange_format(symmetrized):
+    A = symmetrize(tiny_nonsymmetric()) if symmetrized else tiny_nonsymmetric()
+    B = tensor_from_dict(tensor_to_dict(A))
+    assert B.symmetric == A.symmetric == symmetrized
+    np.testing.assert_array_equal(B.data, A.data)
 
 
 # --- JSON interchange -------------------------------------------------------
