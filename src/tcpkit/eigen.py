@@ -386,7 +386,12 @@ def _enumerate(
 ) -> list[EigenRecord]:
     """Certified records of one system: interior candidates of every support
     (seeded for the Pareto variant where completeness is heuristic),
-    zero-extended, checked by :func:`_verify`'s ``check``, deduped."""
+    zero-extended, checked by :func:`_verify`'s ``check``, deduped.  They are
+    found for ``A / t``, t the power of two nearest ``max|A|`` (an exact
+    division, so the absolute tolerances see unit scale), and scaled by t."""
+    top = float(np.max(np.abs(A.data)))
+    t = 2.0 ** round(np.log2(top)) if top > 0 else 1.0
+    A = A.scale(1.0 / t)
     seeded = check == "pareto" and _completeness(A) == "heuristic"
     seeds = _variational_seed(A, system, cfg) if seeded else {}
     found = (
@@ -394,7 +399,8 @@ def _enumerate(
         for J, cands in _interior_candidates(A, system, cfg, seeds, full_only).items()
         for lam, y in cands
     )
-    return _dedupe_records([rec for rec in found if rec is not None])
+    records = _dedupe_records([rec for rec in found if rec is not None])
+    return [replace(r, value=r.value * t, residual=r.residual * t) for r in records]
 
 
 def _full_support(A: Tensor, system: str, kind: str, cfg: RunConfig) -> list[EigenRecord]:

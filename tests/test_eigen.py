@@ -377,6 +377,22 @@ def test_enumeration_is_deterministic():
     assert [(a.value, tuple(a.vector)) for a in r1] == [(b.value, tuple(b.vector)) for b in r2]
 
 
+@pytest.mark.parametrize("kind", ["h_plus", "pareto_h", "delta_h_plus"])
+def test_enumeration_is_positively_homogeneous(kind):
+    # the work runs at an exact power-of-two scale, so A -> 2^k A scales every
+    # value and residual by 2^k bit for bit and leaves every vector unchanged
+    A = generate(GeneratorSpec("identity_shift", 3, 4, seed=1))
+    base = spectrum(A, kind).records
+    assert base
+    for k in (-30, -20, -10, 24, 1000):
+        recs = spectrum(A.scale(2.0**k), kind).records
+        scaled = [(r.value * 2.0**k, r.residual * 2.0**k) for r in base]
+        assert [(r.value, r.residual) for r in recs] == scaled
+        for r, r0 in zip(recs, base):
+            np.testing.assert_array_equal(r.vector, r0.vector)
+    assert len(spectrum(A.scale(0.3), kind).records) == len(base)
+
+
 # --- the strictly positive vector of a matrix eigenspace -----------------------
 
 
