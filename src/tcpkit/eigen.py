@@ -23,9 +23,8 @@ summary field of its minimum.
 Per-support solving is exact for matrices and closed form on singleton
 supports.  A matrix support takes a dense eigensolver, and an eigenspace
 counts when it meets the open positive orthant: :func:`_positive_eigvec`
-maximizes the smallest component over the span exactly, in closed form for
-a one-dimensional eigenspace and by one stacked solve of its k-row vertices
-for a repeated eigenvalue's.  Everything else is damped Newton from many
+maximizes the smallest component over the span exactly, by one stacked
+solve of its k-row vertices for a k-dimensional eigenspace.  Everything else is damped Newton from many
 random positive starts, so completeness is heuristic and flagged as such.
 Where it is heuristic (order 3 and up, n >= 2), the least Pareto value of a
 symmetric tensor is also seeded from a minimization of the contraction over
@@ -131,23 +130,21 @@ def _positive_eigvec(basis: np.ndarray) -> np.ndarray | None:
     """A strictly positive unit vector in the column span of ``basis``, or None.
 
     Maximizes the smallest component t of ``y = basis @ c`` over ``sum(y) = 1``
-    and accepts iff ``t > POSITIVE_CUT``.  One column ``b`` has the one point
-    ``b * (1 / sum(b))``.  For k >= 2 orthonormal columns the optimum is a
-    vertex where k components of y are equal, so each k-row subset s gives
-    the system ``[colsum; basis[s_j] - basis[s_0]] c = e_1`` (at most
-    ``C(8, 4) = 70`` of them, one stack; a singular one drops out).  A point
+    and accepts iff ``t > POSITIVE_CUT``.  For k orthonormal columns the
+    optimum is a vertex where k components of y are equal, so each k-row
+    subset s gives the system ``[colsum; basis[s_j] - basis[s_0]] c = e_1``
+    (at most ``C(8, 4) = 70`` of them, one stack; a singular one drops out).
+    One column ``b`` gives ``b / sum(b)`` from its 1x1 systems, and none
+    when ``sum(b) = 0``.  A point
     with ``min(y) > 0`` has ``||c||_2 = ||y||_2 <= sum(y)``, so its sum, and
     with it t, is accurate however ill-conditioned its system.
     """
     r, k = basis.shape
     colsum = basis.sum(axis=0)
-    if k == 1:  # the one point, with no solve
-        points = [basis[:, 0] * (1.0 / colsum[0])] if colsum[0] != 0.0 else []
-    else:
-        systems = np.array([np.vstack([colsum, basis[list(s[1:])] - basis[s[0]]])
-                            for s in itertools.combinations(range(r), k)])
-        C, usable = solve_stack(systems, np.eye(k)[:, :1])
-        points = [basis @ c for c in C[usable, :, 0]]
+    systems = np.array([np.vstack([colsum, basis[list(s[1:])] - basis[s[0]]])
+                        for s in itertools.combinations(range(r), k)])
+    C, usable = solve_stack(systems, np.eye(k)[:, :1])
+    points = [basis @ c for c in C[usable, :, 0]]
     y = max(points, key=np.min, default=None)
     if y is None or np.min(y) <= POSITIVE_CUT:
         return None
@@ -187,10 +184,11 @@ def _newton_candidates(
     """Multi-start damped Newton on the support systems ``A_J y^(m-1) = lam
     y^[e]`` of one size (e from :func:`_power`), every start of every support
     as one lane array; y normalized to the 2-sphere inside the iteration,
-    strict positivity enforced afterwards.  The start
-    eigenvalues of the whole group take one batched contraction.  Returns
-    one candidate list per support, in group order; each support keeps its
-    own start stream, certificate and clustering."""
+    strict positivity enforced afterwards.  The start eigenvalues of the
+    whole group take one batched contraction.  Returns the pairs of the
+    converged lanes, one candidate list per support in group order, for
+    :func:`_verify` to decide; each support keeps its own start stream and
+    clustering."""
     r, m = len(group[0]), A.m
     e = _power(system, m)
     Y0, lam0, counts = [], [], []
@@ -226,20 +224,15 @@ def _newton_candidates(
 
     Z, ok = newton_lanes(residual, jac, Z0)
     Y, lam = Z[:, :r], Z[:, r]
-    nrm = np.linalg.norm(Y, axis=1)
     # roots with dust components are boundary solutions of this support;
     # their true (smaller) support enumerates them separately
-    lanes = np.flatnonzero(
-        ok & (np.min(Y, axis=1) > INTERIOR_FLOOR) & (np.abs(nrm - 1.0) <= 1e-6)
-    )
-    Y, lam = Y[lanes] / nrm[lanes, None], lam[lanes]
+    lanes = np.flatnonzero(ok & (np.min(Y, axis=1) > INTERIOR_FLOOR))
+    Y, lam = Y[lanes] / np.linalg.norm(Y[lanes], axis=1, keepdims=True), lam[lanes]
     if system == "Z":
         lam = np.sum(Y * contract(Y[:, None, :], lanes)[:, 0], axis=1)
-    resid = np.linalg.norm(residual(np.column_stack([Y, lam])[:, None, :], lanes)[:, 0], axis=1)
-    good = resid <= 1e-9 * (1.0 + np.abs(lam))
     return [
         _cluster_pairs([(float(l), y) for l, y in zip(lam[mine], Y[mine])])
-        for mine in (good & (owner[lanes] == s) for s in range(len(group)))
+        for mine in (owner[lanes] == s for s in range(len(group)))
     ]
 
 

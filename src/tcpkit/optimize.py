@@ -128,8 +128,8 @@ class SphereMinimum(JsonRecord):
     """Feasible upper approximation of a minimum over the nonnegative unit
     sphere; for :func:`tcpkit.semipositive.beta`, of the activity margin.
 
-    ``value`` is the objective evaluated at ``argmin``, which lies on the
-    feasible set, so it always upper-bounds the true minimum.
+    ``value`` is the objective at ``argmin`` as the search evaluated it, a
+    point of the feasible set, so it always upper-bounds the true minimum.
     """
 
     value: float
@@ -150,15 +150,14 @@ def _face_project(k: int) -> Callable[[np.ndarray], np.ndarray]:
 def _face_candidates(
     batch_fn: BatchObjective, n: int, k: int, cfg: RunConfig, rng: np.random.Generator
 ) -> list[tuple[float, np.ndarray]]:
+    """Pattern-search results on face k from its vertex, best grid points and
+    random starts; a lane moves only lower, so no start is listed itself."""
     free = [j for j in range(n) if j != k]
     G = cfg.grid_for(n)
-    out: list[tuple[float, np.ndarray]] = []
-
     vertex = np.zeros(n)
     vertex[k] = 1.0
     if not free:
-        out.append((float(batch_fn(vertex[None, :])[0]), vertex))
-        return out
+        return [(float(batch_fn(vertex[None, :])[0]), vertex)]
 
     starts = [vertex[None, :]]
     if G >= 2:
@@ -167,17 +166,11 @@ def _face_candidates(
         pts = np.stack([g.ravel() for g in mesh], axis=1)
         X = np.ones((pts.shape[0], n))
         X[:, free] = pts
-        vals = batch_fn(X)
-        best = np.argsort(vals, kind="stable")[:REFINE_TOP]
-        out.extend((float(vals[i]), X[i].copy()) for i in best)
-        starts.append(X[best])
+        starts.append(X[np.argsort(batch_fn(X), kind="stable")[:REFINE_TOP]])
     R = rng.uniform(0.0, 1.0, size=(cfg.budget(FACE_STARTS), n))
     R[:, k] = 1.0
     starts.append(R)
-
-    vals, X = pattern_search_min(batch_fn, np.vstack(starts), _face_project(k))
-    out.extend(zip(vals, X))
-    return out
+    return list(zip(*pattern_search_min(batch_fn, np.vstack(starts), _face_project(k))))
 
 
 def minimize_nonneg_sphere(
@@ -196,10 +189,10 @@ def minimize_nonneg_sphere(
         for c in _face_candidates(batch_fn, n, k, cfg, cfg.substream(rng_tag, "face", k))
     ]
     values, points = zip(*candidates)
-    argmin = points[least_point(values, points, 1e-10)]
+    best = least_point(values, points, 1e-10)
     return SphereMinimum(
-        value=float(batch_fn(argmin[None, :])[0]),
-        argmin=argmin,
+        value=float(values[best]),
+        argmin=points[best],
         certified_by="grid+refine" if G >= 2 else "multistart",
         grid_resolution=G,
     )

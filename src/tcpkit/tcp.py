@@ -365,20 +365,23 @@ def _support_roots(
     inst: TcpInstance, group: list[tuple[int, ...]], cfg: RunConfig
 ) -> list[tuple[tuple[int, ...], np.ndarray]]:
     """Strictly positive roots of the active systems A_J y^(m-1) = -q_J of
-    the supports J of one size, as (J, y) pairs in support order.
+    the supports J of one size, as (J, y) pairs in support order.  A root
+    found by Newton is one whose lane converged; the caller keeps the
+    zero-extended roots that :func:`_certified_point` accepts.
 
     At order 2 the group's linear systems, read from one gather, take one
     :func:`solve_stack` call; a singular support takes its least-squares
-    point, kept if its residual is within ``1e-9 (1 + max|q_J|)``.  Above
+    point, which the certificate rejects when it solves nothing.  Above
     order 2 a singleton {j} has the closed-form root ``y = (-q_j /
-    a_{j..j})^(1/(m-1))`` when that ratio is positive, and none otherwise; a zero diagonal with ``q_j = 0`` (a continuum of roots,
-    never the case for a strictly semi-positive tensor) is not enumerated.
+    a_{j..j})^(1/(m-1))`` when that ratio is positive, and none otherwise;
+    a zero diagonal with ``q_j = 0`` (a continuum of roots, never the case
+    for a strictly semi-positive tensor) is not enumerated.
     The supports of every larger size first pass :func:`_rootless`, with
     the group's entries and ``S`` unfoldings from one gather, and a support
     certified to have no root that could be kept gets no starts.  A support
     certified to hold a root leaves that search early.  The starts of every
     support not ruled out run as one Newton lane array; each support keeps
-    its own start stream, certificate and clustering.  Those supports are
+    its own start stream and clustering.  Those supports are
     complete only as far as their multistart Newton is, which is heuristic,
     even where a root is certified to exist.
     """
@@ -392,9 +395,7 @@ def _support_roots(
     if m == 2:  # a singular support takes its least-squares point
         Y, usable = solve_stack(data, -Q[:, :, None])
         Y = [y[:, 0] if ok else np.linalg.lstsq(M, -qJ, rcond=None)[0] for y, ok, M, qJ in zip(Y, usable, data, Q)]
-        tol = 1e-9 * (1.0 + np.abs(Q).max(axis=1))
-        return [(J, y) for J, y, M, qJ, t in zip(group, Y, data, Q, tol)
-                if np.max(np.abs(M @ y + qJ)) <= t and np.min(y) > POSITIVITY_FLOOR]
+        return [(J, y) for J, y in zip(group, Y) if np.min(y) > POSITIVITY_FLOOR]
     live = np.flatnonzero(~_rootless(data, S, Q)[0])
     starts = []
     for i in live:
@@ -412,9 +413,6 @@ def _support_roots(
 
     Y, ok = newton_lanes(residual, jac, np.vstack(starts))
     lanes = np.flatnonzero(ok & (np.min(Y, axis=1) > POSITIVITY_FLOOR))
-    scale = 1.0 + np.abs(Q).max(axis=1)
-    resid = np.linalg.norm(residual(Y[lanes][:, None, :], lanes)[:, 0], axis=1)
-    lanes = lanes[resid <= 1e-9 * scale[owner[lanes]]]
     roots: list[tuple[tuple[int, ...], np.ndarray]] = []
     for i in live:
         found = Y[lanes[owner[lanes] == i]]

@@ -470,6 +470,25 @@ def test_positive_cut_accepts_the_old_lp_band_and_rejects_below_it():
         assert (eigen._positive_eigvec((b / np.linalg.norm(b))[:, None]) is not None) == accepted
 
 
+def test_one_column_with_zero_sum_gives_no_point():
+    assert eigen._positive_eigvec(np.array([[1.0], [-1.0]]) / np.sqrt(2.0)) is None
+
+
+def test_a_converged_eigenpair_is_kept_by_verify_alone(monkeypatch):
+    # lam + 5e-9 leaves a Newton residual of about 3.5e-9 on support (0, 1),
+    # within RESIDUAL_TOL, so _verify keeps the pair
+    lanes = eigen.newton_lanes
+
+    def perturbed(res_fn, jac_fn, Z0):
+        Z, ok = lanes(res_fn, jac_fn, Z0)
+        Z[:, -1] += 5e-9
+        return Z, ok
+
+    monkeypatch.setattr(eigen, "newton_lanes", perturbed)
+    recs = [r for r in h_plus_eigenpairs(identity_tensor(3, 2), FAST) if r.support == (0, 1)]
+    assert recs and all(r.residual <= RESIDUAL_TOL and r.value == pytest.approx(1.0) for r in recs)
+
+
 def test_repeated_eigenvalue_takes_the_vertex_rule(monkeypatch):
     widths = []
     rule = eigen._positive_eigvec

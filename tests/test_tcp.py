@@ -80,6 +80,21 @@ def test_a_certified_dusted_candidate_is_verified_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_a_converged_root_is_kept_by_its_certificate_alone(monkeypatch):
+    # converged lanes scaled by 1 + 2e-9 leave a residual norm of about
+    # 5.7e-9 on support (0, 1); verify_solution passes, so the root is kept
+    lanes = tcp.newton_lanes
+
+    def perturbed(res_fn, jac_fn, Z0):
+        Z, ok = lanes(res_fn, jac_fn, Z0)
+        return np.where(ok[:, None], Z * (1.0 + 2e-9), Z), ok
+
+    monkeypatch.setattr(tcp, "newton_lanes", perturbed)
+    sols = solve_enumeration(TcpInstance(diagonal_tensor([1.0, 1.0], 3), np.array([-1.0, -1.0])), FAST)
+    assert [s.support for s in sols] == [(0, 1)]
+    np.testing.assert_allclose(sols[0].x, [1.0, 1.0], rtol=0.0, atol=1e-8)
+
+
 def test_diagonal_higher_order():
     inst = TcpInstance(diagonal_tensor([2.0, 5.0], 4), np.array([-2.0, -5.0]))
     sols = solve_enumeration(inst, FAST)
