@@ -51,14 +51,14 @@ __all__ = [
 SANDWICH_TOL = 1e-6
 GENERATOR_MARGIN = 0.5  # least diagonal excess of the dominant families
 Q_RANGE = (-2.0, 1.0)   # q ~ U(Q_RANGE) on every instance but each tenth
-GENERATOR_PARAMETERS = ("c", "epsilon", "symmetric")  # the keys a GeneratorSpec reads
-
-GENERATOR_FAMILIES = (
-    "identity_shift",
-    "diag_dominant",
-    "random_symmetric_copositive",
-    "matrix_m2",
-)
+# family -> the GeneratorSpec.parameters keys its draw reads
+GENERATOR_PARAMETERS = {
+    "identity_shift": ("c", "epsilon"),
+    "diag_dominant": (),
+    "random_symmetric_copositive": (),
+    "matrix_m2": ("symmetric",),
+}
+GENERATOR_FAMILIES = tuple(GENERATOR_PARAMETERS)
 
 
 @dataclass(frozen=True)
@@ -76,9 +76,10 @@ class GeneratorSpec:
             raise ValueError("matrix_m2 generates order-2 tensors only")
         if self.m < 2 or self.n < 1:
             raise ValueError("need m >= 2 and n >= 1")
-        unknown = sorted(set(self.parameters) - set(GENERATOR_PARAMETERS))
+        known = GENERATOR_PARAMETERS[self.family]
+        unknown = sorted(set(self.parameters) - set(known))
         if unknown:
-            raise ValueError(f"unknown generator parameter(s) {unknown}; known: {GENERATOR_PARAMETERS}")
+            raise ValueError(f"{self.family} reads {list(known) or 'no parameter'}, not {unknown}")
 
 
 def _draw_tensor(spec: GeneratorSpec, rng: np.random.Generator) -> Tensor:

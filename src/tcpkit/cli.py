@@ -191,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--count", type=_nonnegative_int, default=20)
-    p.add_argument("--symmetric", action="store_true", help="symmetric variant (matrix family)")
+    p.add_argument("--symmetric", action="store_true", help="symmetric variant (matrix_m2 only)")
     p.add_argument("--report", default=None, help="write one report per line (JSON) here")
     p.add_argument("--csv", default=None, help="write the CSV summary here")
     p.add_argument("--violation-out", default="bound_violation.json")

@@ -380,10 +380,11 @@ def _enumerate(
     """Certified records of one system: interior candidates of every support
     (seeded for the Pareto variant where completeness is heuristic),
     zero-extended, checked by :func:`_verify`'s ``check``, deduped.  They are
-    found for ``A / t``, t the power of two nearest ``max|A|`` (an exact
-    division, so the absolute tolerances see unit scale), and scaled by t."""
+    found for ``A / t``, t the power of two nearest ``max|A|`` and at most
+    2^1023 (an exact division, so the absolute tolerances see unit scale),
+    and scaled by t."""
     top = float(np.max(np.abs(A.data)))
-    t = 2.0 ** round(np.log2(top)) if top > 0 else 1.0
+    t = 2.0 ** min(round(np.log2(top)), 1023) if top > 0 else 1.0  # 2^1024 overflows
     A = A.scale(1.0 / t)
     seeded = check == "pareto" and _completeness(A) == "heuristic"
     seeds = _variational_seed(A, system, cfg) if seeded else {}

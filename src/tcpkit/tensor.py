@@ -71,8 +71,10 @@ class Tensor:
     ----------
     data:
         Anything convertible to a float ndarray of shape ``(n,) * m`` with
-        m >= 2.  The array is copied and frozen.  ``symmetric`` holds when
-        every index permutation leaves the entries unchanged bit for bit;
+        m >= 2 and finite entries whose ``S`` unfolding (sums of m - 1 of
+        them) is finite too; anything else raises ``ValueError``.  The array
+        is copied and frozen.  ``symmetric`` holds when every index
+        permutation leaves the entries unchanged bit for bit;
         :func:`symmetrize` makes data exactly symmetric.
     """
 
@@ -96,7 +98,10 @@ class Tensor:
         self.symmetric = all(np.array_equal(arr, np.swapaxes(arr, k, k + 1)) for k in range(self.m - 1))
         # the unfoldings of every contraction and Jacobian (module docstring)
         self.A2 = arr.reshape(n, -1)
-        self.S = sum(np.moveaxis(arr, p, 1) for p in range(1, self.m)).reshape(n, n, -1)
+        with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+            self.S = sum(np.moveaxis(arr, p, 1) for p in range(1, self.m)).reshape(n, n, -1)
+        if not np.all(np.isfinite(self.S)):
+            raise ValueError("tensor entries too large: a sum of m - 1 of them overflows")
         self.S.setflags(write=False)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

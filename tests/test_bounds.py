@@ -234,6 +234,13 @@ def test_generator_spec_rejects_unknown_parameters(key):
         GeneratorSpec("matrix_m2", 2, 3, parameters={key: True})
 
 
+@pytest.mark.parametrize("family, m, key", [("diag_dominant", 2, "symmetric"), ("diag_dominant", 3, "epsilon"),
+                                            ("identity_shift", 3, "symmetric")])
+def test_generator_spec_rejects_parameters_its_family_does_not_read(family, m, key):
+    with pytest.raises(ValueError, match=key):
+        GeneratorSpec(family, m, 3, parameters={key: True if key == "symmetric" else 0.0})
+
+
 # --- harness ---------------------------------------------------------------------
 
 

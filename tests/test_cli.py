@@ -194,6 +194,20 @@ def test_negative_count_exits_2_and_zero_starts_run(capsys, ident32):
     assert code == EXIT_OK and json.loads(out)["config"]["starts"] == 0
 
 
+def test_symmetric_flag_outside_the_matrix_family_exits_2(capsys):
+    argv = ["verify-bounds", "--family", "diag_dominant", "--m", "2", "--n", "2", "--symmetric"]
+    code, out, err = run_cli(capsys, argv)
+    assert code == EXIT_BAD_INPUT and out == "" and "symmetric" in err
+
+
+def test_overflowing_tensor_exits_2(capsys, tmp_path):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"m": 3, "n": 2, "entries": [{"idx": [1, 1, 1], "v": 1.5e308},
+                                                            {"idx": [2, 2, 2], "v": 1.0}]}))
+    code, _, err = run_cli(capsys, ["eigen", str(path), "--kind", "h_plus"])
+    assert code == EXIT_BAD_INPUT and "overflows" in err
+
+
 def test_missing_file_exits_2(capsys):
     code, _, _ = run_cli(capsys, ["classify", "/nonexistent/tensor.json"])
     assert code == EXIT_BAD_INPUT

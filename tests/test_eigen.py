@@ -470,6 +470,12 @@ def test_positive_cut_accepts_the_old_lp_band_and_rejects_below_it():
         assert (eigen._positive_eigvec((b / np.linalg.norm(b))[:, None]) is not None) == accepted
 
 
+def test_enumeration_scale_stays_finite_near_the_float_limit():
+    # max|A| = 1.5e308 rounds to 2^1024 in log2; the scale stops at 2^1023
+    summary = spectrum(diagonal_tensor([1.5e308, 1.0], 2), "h_plus")
+    assert sorted(r.value for r in summary.records) == [1.0, 1.5e308]
+
+
 def test_one_column_with_zero_sum_gives_no_point():
     assert eigen._positive_eigvec(np.array([[1.0], [-1.0]]) / np.sqrt(2.0)) is None
 

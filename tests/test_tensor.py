@@ -199,6 +199,13 @@ def test_tensor_rejects_ragged_and_nonfinite():
         Tensor(np.zeros(3))  # order 1
 
 
+def test_tensor_rejects_entries_whose_unfolding_overflows():
+    # 1.5e308 + 1.5e308 overflows in the S unfolding at m = 3; no warning escapes
+    with pytest.raises(ValueError, match="overflows"):
+        diagonal_tensor([1.5e308, 1.0], 3)
+    assert diagonal_tensor([1.5e308, 1.0], 2).S[0, 0, 0] == 1.5e308
+
+
 def test_symmetric_flag_validation():
     asym = np.arange(8.0).reshape(2, 2, 2)
     assert not Tensor(asym).symmetric
