@@ -24,8 +24,9 @@ Per-support solving is exact for matrices and closed form on singleton
 supports.  A matrix support takes a dense eigensolver, and an eigenspace
 counts when it meets the open positive orthant: :func:`_positive_eigvec`
 maximizes the smallest component over the span exactly, by one stacked
-solve of its k-row vertices for a k-dimensional eigenspace.  Everything else is damped Newton from many
-random positive starts, so completeness is heuristic and flagged as such.
+solve of its k-row vertices for a k-dimensional eigenspace.  Everything
+else is damped Newton from many random positive starts, so completeness is
+heuristic and flagged as such.
 Where it is heuristic (order 3 and up, n >= 2), the least Pareto value of a
 symmetric tensor is also seeded from a minimization of the contraction over
 the feasible cone (its KKT points are the Pareto eigenpairs), which makes

@@ -150,8 +150,8 @@ def _face_project(k: int) -> Callable[[np.ndarray], np.ndarray]:
 def _face_candidates(
     batch_fn: BatchObjective, n: int, k: int, cfg: RunConfig, rng: np.random.Generator
 ) -> list[tuple[float, np.ndarray]]:
-    """Pattern-search results on face k from its vertex, best grid points and
-    random starts; a lane moves only lower, so no start is listed itself."""
+    """Pattern-search results on face k from its vertex, best grid points
+    and random starts; a lane moves only lower, so no start beats its result."""
     free = [j for j in range(n) if j != k]
     G = cfg.grid_for(n)
     vertex = np.zeros(n)
