@@ -17,12 +17,10 @@ system is certified to have no root it could keep: the row margin of
 near-root to a box, and an outward-rounded natural-interval branch and
 bound shows that no point of the box solves the system to within a
 tolerance (:func:`_rootless`).  A support that survives the first step
-of that search and whose few Newton steps land near a root it passes
-Krawczyk's existence test for is certified to hold that root and leaves
-the search.  Only the supports not
-ruled out run multistart Newton, so the search is complete on the
-ruled-out supports and remains heuristic on the rest, those certified to
-hold a root included.
+of that search and whose few Newton steps land on a point within that
+tolerance could never be ruled out, and leaves the search.  Only the
+supports not ruled out run multistart Newton, so the search is complete
+on the ruled-out supports and remains heuristic on the rest.
 """
 
 from __future__ import annotations
@@ -205,84 +203,39 @@ def _row_margins(data: np.ndarray) -> np.ndarray:
     return np.min(diag + negative - slack, axis=1)
 
 
-def _root_boxes(S: np.ndarray, S_err: np.ndarray, Q: np.ndarray, m: int, owner: np.ndarray,
-                lo: np.ndarray, hi: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Whether each box ``[lo, hi]`` (rows, ``y >= 0``) of the order-m systems
-    ``F(y) = A_J y^(m-1) + q_J`` is certified by Krawczyk's test to hold an
-    exact root, box ``k`` belonging to support ``owner[k]`` and centred at
-    ``c[k]``.
+def _seeded_roots(rows: np.ndarray, S: np.ndarray, Q: np.ndarray, tol: np.ndarray, widen: float,
+                  owner: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Which supports ``owner[k]`` reach, in six Newton steps from ``y[k]``,
+    a point ``y >= 0`` where every row of ``A_J y^(m-1) + q_J``, widened by
+    ``widen`` times its absolute term sum, lies within ``tol_J`` of zero;
+    each step is one :func:`solve_stack` call.
 
-    ``S`` stacks the ``S`` and ``|S|`` unfoldings of every support, and
-    ``S_err`` bounds the rounding of each support's ``S`` entries.  On
-    ``y >= 0`` the Kronecker powers grow with y, so the Jacobian ``J(y) =
-    S y^(m-2)`` lies within ``|S| (u^(m-2) - l^(m-2)) / 2`` of ``Jm = S
-    (l^(m-2) + u^(m-2)) / 2``; call that radius ``Jr``.  ``F(c)`` is ``J(c)
-    c / (m-1) + q_J`` (Euler's identity for the homogeneous ``A_J``).  With
-    ``Y`` the inverse of ``J(c)`` that :func:`solve_stack` computes and ``h``
-    the half-widths, the box holds a root when ``|Y F(c)| + (|I - Y Jm| +
-    |Y| Jr) h < h`` in every component (Krawczyk 1969; Moore 1977).  Every bound is widened by
-    ``gamma_N`` times its absolute term sum, as in :func:`_rootless`, so the
-    test is a certificate in floating point.  A singular ``J(c)`` proves
-    nothing, nor does a non-finite one, whose bound is not finite.
+    ``rows``, ``S``, ``Q``, ``tol`` and ``widen`` are those of
+    :func:`_rootless`.  At such a point the exact rows lie within
+    ``tol_J``, so every box that holds it keeps rows meeting ``[-tol_J,
+    tol_J]``, and :func:`_rootless` could never rule the support out.
+    From the centre of the search box, six steps reach nearly every simple
+    root that closely.  A start that diverges, or lands outside ``y >= 0``,
+    shows nothing: a NaN or inf passes no comparison.
     """
-    r = lo.shape[1]
-    # an overflowing bound is inf or NaN, and proves nothing
-    with np.errstate(over="ignore", invalid="ignore"):
-        K = _kron_rows(np.stack([lo, hi, c], axis=1), m - 2)
-        (Sl, Su, Sc), (Al, Au, Ac) = np.einsum("zwk,zsijk->swzij", K, S[owner])
-        # N counts m - 3 products, a scaling, the sums, the r-term product with c and
-        # the terms of Jm, Jr and F; doubled for the slack's own rounding
-        widen = 2.0 * _gamma(K.shape[2] + m + r + 4)
-        S_round = (S_err[owner] * hi.sum(axis=1) ** (m - 2))[:, None, None]
-        Jm, Jr = 0.5 * (Sl + Su), 0.5 * (Au - Al) + widen * (Au + S_round)
-        q = Q[owner]
-        F = np.einsum("zij,zj->zi", Sc, c) / (m - 1) + q
-        F_err = widen * (np.einsum("zij,zj->zi", Ac + S_round, c) / (m - 1) + np.abs(q))
-        Y, usable = solve_stack(Sc, np.eye(r))
-        h = 0.5 * (hi - lo)
-        d = 4.0 * _UNIT_ROUNDOFF * (c + h)  # c and h each err by at most u (c + h)
-        h_out = h + d
-        # N counts the r-term products with Y, the products with h, the three
-        # sums and the rounding of Jm, Jr and h; doubled for the slack's own rounding
-        widen = 2.0 * _gamma(3 * r + 8)
-        # |Y| times F's error, Jr h, and the slack on the absolute terms |F| and (|Jm| + Jr) h
-        v = np.einsum("zij,zj->zi", Jr + widen * (np.abs(Jm) + Jr), h_out) + F_err + widen * np.abs(F)
-        bound = (np.abs(np.einsum("zij,zj->zi", Y, F)) + widen * h_out
-                 + np.einsum("zij,zj->zi", np.abs(np.eye(r) - np.einsum("zij,zjk->zik", Y, Jm)), h_out)
-                 + np.einsum("zij,zj->zi", np.abs(Y), v))
-        return usable & (bound < h - d).all(axis=1)
-
-
-def _seeded_roots(S: np.ndarray, S_err: np.ndarray, Q: np.ndarray, m: int, owner: np.ndarray,
-                  y: np.ndarray) -> np.ndarray:
-    """Which supports ``owner[k]`` :func:`_root_boxes` certifies to hold a
-    root in a box around the point that six Newton steps from ``y[k]``
-    reach; each step is one :func:`solve_stack` call.
-
-    The box is that point plus or minus twice the last step and ``1e-9``
-    times its largest component, which holds a simple root that the steps
-    have reached to a few digits; it must lie in ``y >= 0``.  From the
-    centre of the search box, six steps reach nearly every simple root that
-    closely.  A start that diverges, or a root on the boundary, proves
-    nothing.
-    """
-    G, q = S[owner, 0], Q[owner]
-    with np.errstate(over="ignore", invalid="ignore"):  # a diverging start proves nothing
+    m, r = S.ndim - 1, y.shape[1]
+    G, A, q = S[owner].reshape(owner.size, r, r, -1), rows[owner], Q[owner]
+    with np.errstate(over="ignore", invalid="ignore"):  # a diverging start shows nothing
         for _ in range(6):
             # J(y) y = (m - 1) A_J y^(m-1), so the step lands on (m-2)/(m-1) y - J(y)^-1 q_J
             J = np.einsum("zk,zijk->zij", _kron_rows(y, m - 2), G)
-            step = y / (m - 1) + solve_stack(J, q[:, :, None])[0][:, :, 0]
-            y = y - step
-        rho = 2.0 * np.abs(step) + 1e-9 * np.abs(y).max(axis=1, keepdims=True)
-        ok = np.isfinite(rho).all(axis=1) & (y - rho >= 0.0).all(axis=1)
-    k = np.flatnonzero(ok)
-    return k[_root_boxes(S, S_err, Q, m, owner[k], y[k] - rho[k], y[k] + rho[k], y[k])]
+            y = y - (y / (m - 1) + solve_stack(J, q[:, :, None])[0][:, :, 0])
+        K = _kron_rows(y, m - 1)
+        F = np.einsum("zk,zik->zi", K, A) + q
+        slack = widen * (np.einsum("zk,zik->zi", K, np.abs(A)) + np.abs(q))
+        near = (np.abs(F) + slack <= tol[owner, None]).all(axis=1) & (y >= 0.0).all(axis=1)
+    return np.flatnonzero(near)
 
 
 def _rootless(data: np.ndarray, S: np.ndarray, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Which active systems ``A_J y^(m-1) + q_J = 0`` are certified to have
     no root that :func:`_support_roots` could keep, the boxes each spent,
-    and which are certified to hold a root.
+    and which were shown not to be rootless before the cap.
 
     ``data`` and ``S`` stack the sub-tensors of one support size and their
     ``S`` unfoldings (both of shape ``(g,) + (r,) * m``), and ``Q`` their
@@ -301,26 +254,22 @@ def _rootless(data: np.ndarray, S: np.ndarray, Q: np.ndarray) -> tuple[np.ndarra
     refines each axis once.  A support is rootless once no box survives;
     one with ``mu_J <= 0``, or with boxes left when the next level would
     take it past ``EXCLUDE_CELLS`` boxes, is not.  A support whose first box
-    survives takes Krawczyk's existence test on a box around the point that
-    Newton steps from that box's centre reach (:func:`_seeded_roots`); one
-    certified to hold a root is proven and leaves the search, which could
-    never show it rootless.  Each support's result depends on its own data
-    only.
+    survives takes Newton steps from that box's centre; one that lands on
+    a point whose rows lie within ``tol_J`` (:func:`_seeded_roots`) leaves
+    the search, which could never show it rootless.  Each support's result
+    depends on its own data only.
     """
     g, r = data.shape[:2]
     m = data.ndim - 1
     rows = data.reshape(g, r, -1)
     signed = np.stack([np.maximum(rows, 0.0), np.minimum(rows, 0.0)], axis=1)  # A+ and A-
-    S = np.stack([S, np.abs(S)], axis=1).reshape(g, 2, r, r, -1)  # S and |S|
-    # S sums m - 1 entries, each at most max|A_J|: the gamma_(m-2) rounding of that sum
-    S_err = (m - 1) * np.abs(rows).max(axis=(1, 2))
     tol = EXCLUDE_TOL * (1.0 + np.abs(Q).max(axis=1))
     block = max(1, _BLOCK_ENTRIES // signed[0].size)
     # N counts m - 2 products, a scaling, the sums and q; doubled for the slack's own rounding
     widen = 2.0 * _gamma(rows.shape[2] + m)
     mu = _row_margins(data)
     rootless = mu > 0.0
-    proven = np.zeros(g, dtype=bool)
+    near = np.zeros(g, dtype=bool)
     reach = np.maximum(np.max(-Q, axis=1) + tol, 0.0) / np.where(rootless, mu, 1.0)
     radius = reach ** (1.0 / (m - 1)) * (1.0 + 1e-12)  # far above the rounding of either step
     owner = np.flatnonzero(rootless)
@@ -348,17 +297,17 @@ def _rootless(data: np.ndarray, S: np.ndarray, Q: np.ndarray) -> tuple[np.ndarra
         alive = ~np.any(beyond, axis=1)
         owner, lo, hi = owner[alive], lo[alive], hi[alive]
         mid = 0.5 * (lo + hi)
-        # a support that keeps its first box takes the existence test, seeded at its centre
+        # a support that keeps its first box seeks a near-root from its centre
         first = np.flatnonzero(cells[owner] == 1)
         if first.size:
-            proven[owner[first[_seeded_roots(S, S_err, Q, m, owner[first], mid[first])]]] = True
-            rootless &= ~proven
-            keep = ~proven[owner]
+            near[owner[first[_seeded_roots(rows, S, Q, tol, widen, owner[first], mid[first])]]] = True
+            rootless &= ~near
+            keep = ~near[owner]
             owner, lo, hi, mid = owner[keep], lo[keep], hi[keep], mid[keep]
         owner = np.repeat(owner, len(corners))
         lo = np.where(corners, mid[:, None], lo[:, None]).reshape(-1, r)
         hi = np.where(corners, hi[:, None], mid[:, None]).reshape(-1, r)
-    return rootless, cells, proven
+    return rootless, cells, near
 
 
 def _support_roots(
@@ -378,12 +327,11 @@ def _support_roots(
     for a strictly semi-positive tensor) is not enumerated.
     The supports of every larger size first pass :func:`_rootless`, with
     the group's entries and ``S`` unfoldings from one gather, and a support
-    certified to have no root that could be kept gets no starts.  A support
-    certified to hold a root leaves that search early.  The starts of every
-    support not ruled out run as one Newton lane array; each support keeps
-    its own start stream and clustering.  Those supports are
-    complete only as far as their multistart Newton is, which is heuristic,
-    even where a root is certified to exist.
+    certified to have no root that could be kept gets no starts.  The
+    starts of every support not ruled out run as one Newton lane array;
+    each support keeps its own start stream and clustering.  Those supports
+    are complete only as far as their multistart Newton is, which is
+    heuristic.
     """
     m, r = inst.A.m, len(group[0])
     if m > 2 and r == 1:

@@ -6,8 +6,8 @@ primitives, except the per-support Newton references at the end: they run
 the library's Newton kernel and batch contractions on one support at a
 time, so the solvers that share one lane array across supports can be
 checked against them bit for bit.  The last one, :func:`reference_rootless`,
-is the support exclusion as it stood before Krawczyk's existence test: the
-test may only stop supports earlier, never change which are ruled out.
+is the support exclusion with no early exit: a support that leaves the
+search early may only stop sooner, never change which are ruled out.
 """
 
 from __future__ import annotations
@@ -430,7 +430,7 @@ def reference_eigen_candidates(sub, kind, cfg, tag, seeds=None):
 
 
 # ---------------------------------------------------------------------------
-# the exclusion search before it gained Krawczyk's existence test
+# the exclusion search with no early exit
 # ---------------------------------------------------------------------------
 
 

@@ -483,7 +483,7 @@ def test_a_support_with_a_root_is_never_ruled_out(m, t):
 
 
 # ---------------------------------------------------------------------------
-# Krawczyk's existence test inside the exclusion search
+# the near-root exit of the exclusion search
 # ---------------------------------------------------------------------------
 
 
@@ -526,28 +526,27 @@ def test_existence_test_keeps_the_flags_with_planted_roots_and_warns_nowhere(m, 
         warnings.simplefilter("error")
         for _, stacked, S, Q in _planted_groups(m, t):
             proven.extend(_proven_matching_reference(stacked, S, Q))
-    if t == 1.0:  # 25 of 26 supports at m = 3, 24 of 26 at m = 4
-        assert sum(proven) >= 18
+    # 21 and 19 of 26 supports at m = 3 and 4, at t = 1 and 1e150; all 26 at t = 1e-150
+    assert sum(proven) >= 18
 
 
 @pytest.mark.parametrize("m", [3, 4])
 @pytest.mark.parametrize("r", [2, 3])
-def test_existence_test_passes_only_boxes_that_hold_the_root(m, r):
-    # a_i y_i^(m-1) + q_i = 0 has the one root y = (-q / a)^(1/(m-1)) in y > 0;
-    # boxes of every width from 1e-6 to 1 times it, centred up to 3 half-widths off it
+def test_only_a_start_that_reaches_a_root_leaves_the_search(m, r):
+    # a_i y_i^(m-1) + q_i = 0 has the one root y = (-q / a)^(1/(m-1)) in y > 0
     rng = np.random.default_rng([m, r, 17])
     a, root = rng.uniform(0.5, 2.0, r), rng.uniform(0.5, 2.0, r)
     data, S = stacked_subtensors(diagonal_tensor(a, m), [tuple(range(r))])
-    S = np.stack([S, np.abs(S)], axis=1).reshape(1, 2, r, r, -1)
-    h = root * 10.0 ** rng.uniform(-6.0, 0.0, size=(4000, 1))
-    c = root + rng.uniform(-3.0, 3.0, size=h.shape[:1] + (r,)) * h
-    c, h = c[(c - h >= 0.0).all(axis=1)], h[(c - h >= 0.0).all(axis=1)]
-    # a diagonal S sums one nonzero entry, so it carries no rounding
-    holds = tcp._root_boxes(S, np.zeros(1), -(a * root ** (m - 1))[None], m, np.zeros(len(c), dtype=int),
-                            c - h, c + h, c)
-    outside = (np.abs(c - root) > h * (1.0 + 1e-9)).any(axis=1)
-    assert not (holds & outside).any()
-    assert holds.sum() >= (np.abs(c - root) < h).all(axis=1).sum() // 2  # 77-87% of them here
+    rows, Q = data.reshape(1, r, -1), -(a * root ** (m - 1))[None]
+    tol = tcp.EXCLUDE_TOL * (1.0 + np.abs(Q).max(axis=1))
+    widen = 2.0 * tcp._gamma(rows.shape[2] + m)
+    starts = np.vstack([root, np.full(r, np.inf), np.full(r, np.nan)])
+    assert tcp._seeded_roots(rows, S, Q, tol, widen, np.zeros(3, dtype=int), starts).tolist() == [0]
+    # with q_J > 0 every row is at least q_i > tol_J on y >= 0: no start leaves,
+    # wherever it starts and wherever its steps go
+    starts = np.vstack([root, np.zeros(r), rng.uniform(-3.0, 3.0, (400, r)) * 10.0 ** rng.uniform(-6.0, 6.0, (400, 1))])
+    owner = np.zeros(len(starts), dtype=int)
+    assert tcp._seeded_roots(rows, S, -Q, tol, widen, owner, starts).size == 0
 
 
 def test_existence_test_keeps_the_flags_when_no_margin_is_positive():
