@@ -381,12 +381,11 @@ def _enumerate(
     """Certified records of one system: interior candidates of every support
     (seeded for the Pareto variant where completeness is heuristic),
     zero-extended, checked by :func:`_verify`'s ``check``, deduped.  They are
-    found for ``A / t``, t the power of two nearest ``max|A|`` and at most
-    2^1023 (an exact division, so the absolute tolerances see unit scale),
-    and scaled by t."""
+    found for ``A / 2^e``, 2^e the power of two nearest ``max|A|`` (an exact
+    division, so the absolute tolerances see unit scale), and scaled by 2^e."""
     top = float(np.max(np.abs(A.data)))
-    t = 2.0 ** min(round(np.log2(top)), 1023) if top > 0 else 1.0  # 2^1024 overflows
-    A = A.scale(1.0 / t)
+    e = round(np.log2(top)) if top > 0 else 0
+    A = Tensor(np.ldexp(A.data, -e))
     seeded = check == "pareto" and _completeness(A) == "heuristic"
     seeds = _variational_seed(A, system, cfg) if seeded else {}
     found = (
@@ -395,7 +394,8 @@ def _enumerate(
         for lam, y in cands
     )
     records = _dedupe_records([rec for rec in found if rec is not None])
-    return [replace(r, value=r.value * t, residual=r.residual * t) for r in records]
+    return [replace(r, value=float(np.ldexp(r.value, e)), residual=float(np.ldexp(r.residual, e)))
+            for r in records]
 
 
 def _full_support(A: Tensor, system: str, kind: str, cfg: RunConfig) -> list[EigenRecord]:

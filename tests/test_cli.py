@@ -208,6 +208,15 @@ def test_overflowing_tensor_exits_2(capsys, tmp_path):
     assert code == EXIT_BAD_INPUT and "overflows" in err
 
 
+def test_subnormal_tensor_exits_0(capsys, tmp_path):
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps({"m": 3, "n": 2, "entries": [{"idx": [1, 1, 1], "v": 1e-310},
+                                                            {"idx": [2, 2, 2], "v": 2e-310}]}))
+    code, out, _ = run_cli(capsys, ["eigen", str(path), "--kind", "h_plus"])
+    assert code == EXIT_OK
+    assert sorted(r["value"] for r in json.loads(out)["result"]["records"]) == [1e-310, 2e-310]
+
+
 def test_missing_file_exits_2(capsys):
     code, _, _ = run_cli(capsys, ["classify", "/nonexistent/tensor.json"])
     assert code == EXIT_BAD_INPUT

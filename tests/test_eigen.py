@@ -471,9 +471,17 @@ def test_positive_cut_accepts_the_old_lp_band_and_rejects_below_it():
 
 
 def test_enumeration_scale_stays_finite_near_the_float_limit():
-    # max|A| = 1.5e308 rounds to 2^1024 in log2; the scale stops at 2^1023
+    # max|A| = 1.5e308 rounds to 2^1024 in log2, a scale that is itself no float
     summary = spectrum(diagonal_tensor([1.5e308, 1.0], 2), "h_plus")
     assert sorted(r.value for r in summary.records) == [1.0, 1.5e308]
+
+
+@pytest.mark.parametrize("v", [1e-310, 1e-320, 5e-324])
+def test_enumeration_at_a_subnormal_scale_keeps_the_diagonal(v):
+    # 1 / 2^round(log2 v) overflows, so the scale is applied to the exponents
+    for kind in ("h_plus", "pareto_h", "delta_h_plus"):
+        summary = spectrum(diagonal_tensor([v, 2 * v], 3), kind)
+        assert sorted(r.value for r in summary.records) == [v, 2 * v]
 
 
 def test_one_column_with_zero_sum_gives_no_point():
