@@ -113,6 +113,17 @@ def test_norms_command(capsys, ident32):
     assert inf_row["closed_form_bound"] == pytest.approx(1.0)
 
 
+def test_norms_lists_each_p_once_at_order_2(capsys, tmp_path):
+    # at m = 2 the exponents 2, m and m/(m-1) coincide
+    path = tmp_path / "matrix.json"
+    save_tensor(Tensor(np.array([[2.0, -1.0], [0.5, 1.0]])), path)
+    code, out, _ = run_cli(capsys, ["norms", str(path), "--starts", "4"])
+    assert code == EXIT_OK
+    rows = [(r["op"], r["p"]) for r in json.loads(out)["result"]["reports"]]
+    assert [p for _, p in rows] == [1.0, 2.0, "inf"] * 2
+    assert len(set(rows)) == 6
+
+
 def test_solve_command(capsys, tmp_path):
     inst = TcpInstance(identity_tensor(3, 2), np.array([-8.0, 1.0]))
     path = tmp_path / "inst.json"
