@@ -10,7 +10,7 @@ Both kernels run lane-masked: all B starts of one problem form a (B, n)
 array, and each lane follows exactly the rules a lone start would.
 
 The pattern search (:func:`pattern_search_min`) keeps a step per lane,
-starting at ``step0``.
+starting at ``PATTERN_STEP0``.
 
 - The start points are projected and evaluated in one batch.
 - A sweep tries the 2n axis moves ``[+step*e_0 .. +step*e_{n-1},
@@ -18,8 +18,8 @@ starting at ``step0``.
   call and one objective call over all of their rows.
 - A lane takes the first of its smallest moves, and only when it is
   strictly below its current value; otherwise its step halves.
-- A lane retires once its step is below ``step_floor``, and its rows leave
-  the later batches; every lane stops after ``max_iter`` sweeps.
+- A lane retires once its step is below ``PATTERN_STEP_FLOOR``, and its
+  rows leave the later batches; every lane stops after ``max_iter`` sweeps.
 
 The Newton iteration (:func:`newton_lanes`) runs on a (B, r) array.  Its
 lanes need not share one system: the residual and Jacobian maps get the
@@ -75,6 +75,8 @@ from .tensor import JsonRecord
 BatchObjective = Callable[[np.ndarray], np.ndarray]
 
 FACE_STARTS = 16          # random pattern-search starts per face
+PATTERN_STEP0 = 0.25      # first pattern-search step of every lane
+PATTERN_STEP_FLOOR = 1e-9 # a lane whose step falls below this retires
 REFINE_TOP = 3            # best grid points refined per face
 NEWTON_MAX_ITER = 200
 NEWTON_STEP_TOL = 1e-12
@@ -86,8 +88,6 @@ def pattern_search_min(
     batch_fn: BatchObjective,
     X0: np.ndarray,
     project: Callable[[np.ndarray], np.ndarray],
-    step0: float = 0.25,
-    step_floor: float = 1e-9,
     max_iter: int = 300,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Coordinate pattern search run on B independent starts at once.
@@ -102,10 +102,10 @@ def pattern_search_min(
     F = np.array(batch_fn(X), dtype=float)
     B, n = X.shape
     eye = np.eye(n)
-    step = np.full(B, float(step0))
+    step = np.full(B, PATTERN_STEP0)
     live = np.arange(B)
     for _ in range(max_iter):
-        live = live[step[live] >= step_floor]
+        live = live[step[live] >= PATTERN_STEP_FLOOR]
         if live.size == 0:
             break
         L = live.size

@@ -360,7 +360,7 @@ def test_lane_stops_at_max_iter():
         assert f == f_ref and np.array_equal(x, x_ref)
 
 
-def test_step_below_floor_returns_the_projected_start():
+def test_step_below_floor_returns_the_projected_start(monkeypatch):
     rows = []
 
     def fn(X):
@@ -371,7 +371,8 @@ def test_step_below_floor_returns_the_projected_start():
         return np.clip(P, -1.0, 1.0)
 
     X0 = np.array([[2.0, -1.0], [0.5, 0.5], [-3.0, 4.0]])
-    F, X = pattern_search_min(fn, X0, project, step0=1e-10)
+    monkeypatch.setattr(optimize, "PATTERN_STEP0", 1e-10)
+    F, X = pattern_search_min(fn, X0, project)
     assert rows == [3]
     np.testing.assert_array_equal(X, project(X0))
     np.testing.assert_array_equal(F, np.sum(project(X0), axis=1))
