@@ -100,7 +100,8 @@ def _cmd_eigen(args, cfg: RunConfig):
 def _cmd_norms(args, cfg: RunConfig):
     A = load_tensor(args.tensor)
     m = A.m
-    p_values = dict.fromkeys([1.0, 2.0, float(m), m / (m - 1.0), math.inf])  # each p once
+    # each p once: 2, m and m/(m-1) coincide at m = 2
+    p_values = dict.fromkeys([1.0, 2.0, float(m), m / (m - 1.0), math.inf])
     ops = [OP_SCALED] + ([OP_ROOT] if m % 2 == 0 else [])
     rows = []
     for op in ops:

@@ -76,7 +76,7 @@ BatchObjective = Callable[[np.ndarray], np.ndarray]
 
 FACE_STARTS = 16          # random pattern-search starts per face
 PATTERN_STEP0 = 0.25      # first pattern-search step of every lane
-PATTERN_STEP_FLOOR = 1e-9 # a lane whose step falls below this retires
+PATTERN_STEP_FLOOR = 1e-9  # a lane whose step falls below this retires
 REFINE_TOP = 3            # best grid points refined per face
 NEWTON_MAX_ITER = 200
 NEWTON_STEP_TOL = 1e-12

@@ -544,7 +544,8 @@ def test_only_a_start_that_reaches_a_root_leaves_the_search(m, r):
     assert tcp._seeded_roots(rows, S, Q, tol, widen, np.zeros(3, dtype=int), starts).tolist() == [0]
     # with q_J > 0 every row is at least q_i > tol_J on y >= 0: no start leaves,
     # wherever it starts and wherever its steps go
-    starts = np.vstack([root, np.zeros(r), rng.uniform(-3.0, 3.0, (400, r)) * 10.0 ** rng.uniform(-6.0, 6.0, (400, 1))])
+    spread = rng.uniform(-3.0, 3.0, (400, r)) * 10.0 ** rng.uniform(-6.0, 6.0, (400, 1))
+    starts = np.vstack([root, np.zeros(r), spread])
     owner = np.zeros(len(starts), dtype=int)
     assert tcp._seeded_roots(rows, S, -Q, tol, widen, owner, starts).size == 0
 
