@@ -228,8 +228,9 @@ def lower_bounds(
     None the raw operator-norm forms are also evaluated with empirical
     norm estimates (``cfg.budget(estimate_budget)`` random starts each)
     under keys suffixed ``_empirical``; estimates sit below the
-    closed-form bounds, so these can only be larger (tighter), and they
-    are reported for comparison, not certification.
+    closed-form bounds, so these can only be larger (tighter).  At order 2
+    the estimates are the exact norms (:func:`tcpkit.operators.estimate_norm`);
+    above it they are heuristic, and the values are reported for comparison.
     """
     A, q = inst.A, inst.q
     m, n = A.m, A.n
@@ -381,6 +382,7 @@ def verify_bounds(
             "family": spec.family,
             "beta_certified_by": cls.beta.certified_by,
             "pareto_values_heuristic": A.symmetric and _completeness(A) == "heuristic",
+            "norm_estimates": "exact" if A.m == 2 else "heuristic",
             "solver": solutions[0].method,
         }
         instance_id = f"{spec.family}-m{spec.m}-n{spec.n}-s{spec.seed}-{k:04d}"

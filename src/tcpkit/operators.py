@@ -4,9 +4,9 @@ Two degree-1 homogeneous maps are derived from the degree-(m-1) polynomial
 contraction: the 2-norm-compensated map ``x -> ||x||_2^(2-m) * A x^(m-1)``
 (token ``"T"``), and, for even order, the componentwise odd-root map
 ``x -> (A x^(m-1))^[1/(m-1)]`` (token ``"F"``).  Their p-operator norms
-admit closed-form upper bounds built from row absolute sums; exact values
-are intractable in general, so :func:`estimate_norm` reports a certified
-lower estimate obtained by multi-start ascent on the unit p-sphere.
+admit closed-form upper bounds built from row absolute sums.  At order 2
+both are ``x -> A x`` and :func:`estimate_norm` is exact at p in {1, 2,
+inf}; otherwise it reports a lower estimate by multi-start ascent.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 
 from .config import RunConfig, DEFAULT_CONFIG
 from .optimize import least_point, pattern_search_min
-from .tensor import JsonRecord, Tensor, as_vector, contract_m1_batch
+from .tensor import JsonRecord, Tensor, as_vector, contract_m1_batch, jacobian_m1_batch
 
 __all__ = [
     "OP_SCALED",
@@ -33,6 +33,8 @@ OP_SCALED = "T"  # 2-norm-compensated contraction
 OP_ROOT = "F"    # componentwise odd root of the contraction (even order only)
 
 NORM_STARTS = 64  # random starts of one norm ascent
+ASCENT_ITERS = 60  # power-ascent steps of T at p = 2 before it may stop
+ASCENT_MAX_ITERS = 300  # and the most it takes
 
 
 def _check_op(A: Tensor, op: str) -> None:
@@ -48,10 +50,10 @@ def apply_operator(A: Tensor, op: str, x) -> np.ndarray:
     return _apply_batch(A, op, as_vector(x, A.n)[None, :])[0]
 
 
-def _apply_batch(A: Tensor, op: str, X: np.ndarray) -> np.ndarray:
-    """The operator ``op``, already checked, on every row of X;
-    :func:`apply_operator` is its one-row call."""
-    C = contract_m1_batch(A, X)
+def _apply_batch(A: Tensor, op: str, X: np.ndarray, C: np.ndarray | None = None) -> np.ndarray:
+    """The operator ``op``, already checked, on every row of X (from their
+    contraction C, if given); :func:`apply_operator` is its one-row call."""
+    C = contract_m1_batch(A, X) if C is None else C
     if op == OP_SCALED:
         nrm = np.linalg.norm(X, axis=1)
         safe = np.where(nrm == 0.0, 1.0, nrm)
@@ -93,7 +95,7 @@ def norm_bound(A: Tensor, op: str, p) -> float:
 
 @dataclass
 class NormReport(JsonRecord):
-    """A certified lower estimate of an operator norm next to its upper bound."""
+    """A lower estimate of an operator norm next to its closed-form upper bound."""
 
     op: str
     p: float
@@ -109,6 +111,27 @@ def _pnorm_rows(X: np.ndarray, p: float) -> np.ndarray:
     return (np.abs(X) ** p).sum(axis=-1) ** (1.0 / p)
 
 
+def _power_ascent(A: Tensor, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``x <- J(x)^T C(x) / ||J(x)^T C(x)||_2``, whose fixed points are the KKT
+    points of ||T x||_2 on the unit 2-sphere, on every row of X; a lane whose
+    step is 0 stays.  Past ASCENT_ITERS steps, the first step that grows the
+    best value by at most 1e-15 relative ends it.  Returns each lane's best
+    value, negated, and where it was seen."""
+    best_v, best_X, top = np.full(len(X), -np.inf), X.copy(), -np.inf
+    for it in range(ASCENT_MAX_ITERS + 1):
+        C = contract_m1_batch(A, X)
+        v = _pnorm_rows(_apply_batch(A, OP_SCALED, X, C), 2.0)
+        up = v > best_v
+        best_v[up], best_X[up] = v[up], X[up]
+        if it == ASCENT_MAX_ITERS or (it >= ASCENT_ITERS and best_v.max() <= top * (1 + 1e-15)):
+            return -best_v, best_X
+        top = best_v.max()
+        G = np.einsum("bij,bi->bj", jacobian_m1_batch(A, X), C)
+        g = np.linalg.norm(G, axis=1, keepdims=True)
+        ok = (g > 0) & (g < np.inf)
+        X = np.where(ok, G / np.where(ok, g, 1.0), X)
+
+
 def estimate_norm(
     A: Tensor,
     op: str,
@@ -116,23 +139,19 @@ def estimate_norm(
     budget: int | None = None,
     cfg: RunConfig = DEFAULT_CONFIG,
 ) -> NormReport:
-    """Lower estimate of the p-operator norm by multi-start pattern ascent.
+    """Lower estimate of the p-operator norm: its ratio at a feasible point.
 
-    Starts at every signed coordinate vertex plus ``budget`` random points
-    of the unit p-sphere (default ``cfg.budget(NORM_STARTS)``).  Every evaluation
-    happens at an exactly renormalized feasible point, so the maximum seen
-    is a valid lower estimate of the true norm; it is never claimed exact.
-    Ties within 1e-12 go to the lexicographically smallest point
-    (:func:`tcpkit.optimize.least_point`); the witness is signed so that its
-    largest-magnitude component is positive.
+    At order 2 and p in {1, 2, inf} it is exact, at a point that attains the
+    norm, with no random start.  Otherwise it is heuristic: the best point
+    of :func:`_power_ascent` (``T`` at p = 2) or of a pattern ascent, from
+    every signed coordinate vertex plus ``budget`` random points of the unit
+    p-sphere (default ``cfg.budget(NORM_STARTS)``).  Ties within 1e-12 go to
+    the lexicographically smallest point (:func:`tcpkit.optimize.least_point`);
+    the witness is signed so that its largest-magnitude component is positive.
     """
     p = _check_p(p)
     bound = norm_bound(A, op, p)  # validates op/order as a side effect
     n = A.n
-    starts = [e for i in range(n) for e in (np.eye(n)[i], -np.eye(n)[i])]
-    n_random = cfg.budget(NORM_STARTS) if budget is None else int(budget)
-    rng = cfg.substream("norm", op, p, n_random)
-    raw = rng.standard_normal(size=(n_random, n))
 
     def project(P: np.ndarray) -> np.ndarray:
         nrm = _pnorm_rows(P, p)
@@ -143,12 +162,21 @@ def estimate_norm(
             Q[bad] = np.eye(n)[0]
         return Q
 
-    starts.extend(project(raw))
-
     def neg_obj(X: np.ndarray) -> np.ndarray:
         return -_pnorm_rows(_apply_batch(A, op, X), p)
 
-    vals, X = pattern_search_min(neg_obj, np.vstack(starts), project)
+    if A.m == 2 and p in (1.0, 2.0, math.inf):
+        M = A.data  # the norm is attained at a row's sign vector, an e_j or the top singular vector
+        X = np.where(M < 0, -1.0, 1.0) if math.isinf(p) else np.eye(n) if p == 1.0 else np.linalg.svd(M)[2][:1]
+        vals = neg_obj(X)
+    else:
+        n_random = cfg.budget(NORM_STARTS) if budget is None else int(budget)
+        raw = cfg.substream("norm", op, p, n_random).standard_normal(size=(n_random, n))
+        X0 = np.vstack([e for i in range(n) for e in (np.eye(n)[i], -np.eye(n)[i])] + list(project(raw)))
+        if op == OP_SCALED and p == 2.0:
+            vals, X = _power_ascent(A, X0)
+        else:
+            vals, X = pattern_search_min(neg_obj, X0, project)
     best = least_point(vals, X, 1e-12)
     best_val, best_x = -vals[best], X[best]
     # op(-x) = +-op(x) exactly, so -x has the same norm to the bit: report the

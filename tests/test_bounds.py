@@ -152,6 +152,18 @@ def test_closed_form_lower_never_exceeds_empirical_variant():
                 assert lo[key] <= emp + 1e-8
 
 
+def test_order2_estimates_of_both_operators_agree_bit_for_bit():
+    # at m = 2 both T and F are x -> A x, and both take the exact path
+    for seed in range(4):
+        for symmetric in (False, True):
+            spec = GeneratorSpec("matrix_m2", 2, 3 + seed % 2, seed=seed, parameters={"symmetric": symmetric})
+            A = generate(spec, FAST)
+            q = np.random.default_rng(seed).uniform(-2.0, -0.1, size=A.n)
+            lo = lower_bounds(TcpInstance(A, q), FAST)
+            assert lo["inf_even_empirical"] == lo["inf_empirical"]
+            assert lo["m_empirical"] == lo["two_empirical"]
+
+
 def test_starts_reach_the_norm_estimates():
     # identity_shift m4 n4 seed 3: 0 and 8 random starts give different inf-norm estimates
     A = generate(GeneratorSpec("identity_shift", 4, 4, seed=3))
@@ -406,3 +418,14 @@ def test_pareto_heuristic_flag_follows_spectrum_completeness(family, m, n, heuri
     A = generate(spec, FAST)
     if A.symmetric:
         assert (spectrum(A, "pareto_h", FAST).completeness == "heuristic") is heuristic
+
+
+@pytest.mark.parametrize("family,m,estimates", [
+    ("matrix_m2", 2, "exact"),
+    ("random_symmetric_copositive", 2, "exact"),
+    ("diag_dominant", 3, "heuristic"),
+    ("identity_shift", 4, "heuristic"),
+])
+def test_provenance_says_which_norm_estimates_are_exact(family, m, estimates):
+    report = verify_bounds(GeneratorSpec(family, m, 2, seed=3), 1, FAST)[0]
+    assert report.provenance["norm_estimates"] == estimates

@@ -10,14 +10,19 @@ from hypothesis import strategies as st
 from tcpkit import (
     OP_ROOT,
     OP_SCALED,
+    GeneratorSpec,
     Tensor,
     apply_operator,
+    bounds,
     diagonal_tensor,
     estimate_norm,
     identity_tensor,
     norm_bound,
+    operators,
 )
 from tcpkit.config import RunConfig
+from tcpkit.operators import _apply_batch, _pnorm_rows
+from tcpkit.optimize import pattern_search_min
 
 
 def random_tensor(m, n, seed):
@@ -226,3 +231,65 @@ def test_witness_sign_does_not_follow_rounding_noise():
     for p in (1.0, 2.0, math.inf):
         w = estimate_norm(A, OP_SCALED, p).witness
         assert w[1] > 0.9
+
+
+# --- structured paths ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_order2_estimates_are_the_exact_norms(monkeypatch, n):
+    # no random start: a substream draw would call None and raise
+    monkeypatch.setattr(RunConfig, "substream", None)
+    for seed in range(4):
+        M = np.random.default_rng([seed, n, 2]).uniform(-1.0, 1.0, size=(n, n))
+        want = {
+            1.0: np.abs(M).sum(axis=0).max(),
+            2.0: np.linalg.svd(M)[1][0],
+            math.inf: np.abs(M).sum(axis=1).max(),
+        }
+        for op in (OP_SCALED, OP_ROOT):
+            for p, norm in want.items():
+                got = estimate_norm(Tensor(M), op, p).empirical_norm
+                assert abs(got - norm) <= 4 * np.spacing(norm)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_every_path_reports_the_norm_at_its_witness(m):
+    # order 2 at p in {1, 2, inf} is exact, T at p = 2 above order 2 takes the
+    # power ascent, and every other case the pattern ascent
+    for seed in range(3):
+        A = random_tensor(m, 3, seed=80 + seed)
+        for op in [OP_SCALED] + ([OP_ROOT] if m % 2 == 0 else []):
+            for p in (1.0, 2.0, 3.0, math.inf):
+                report = estimate_norm(A, op, p, budget=8)
+                image = apply_operator(A, op, report.witness)
+                assert _pnorm_rows(image[None, :], p)[0] == report.empirical_norm
+                if p != 3.0:  # numpy's scalar ** (1/3) and its array loop can differ by an ulp
+                    assert _pnorm_rows(image, p) == report.empirical_norm
+
+
+def test_power_ascent_is_no_lower_than_the_pattern_ascent(monkeypatch):
+    # on the tensors verify_bounds draws; on uniform nonsymmetric tensors the
+    # two ascents can end at different local maxima, either one the higher
+    starts, ascent = [], operators._power_ascent
+
+    def spy(A, X):
+        starts.append(X)
+        return ascent(A, X)
+
+    monkeypatch.setattr(operators, "_power_ascent", spy)
+
+    def project(P):
+        return P / np.linalg.norm(P, axis=1)[:, None]
+
+    for family in ("identity_shift", "diag_dominant", "random_symmetric_copositive"):
+        for m in (3, 4):
+            for n in range(2, 7):
+                for seed in range(2):
+                    spec = GeneratorSpec(family, m, n, seed=seed)
+                    A = bounds._draw_tensor(spec, np.random.default_rng([seed, m, n]))
+                    got = estimate_norm(A, OP_SCALED, 2.0, budget=8).empirical_norm
+                    vals, _ = pattern_search_min(
+                        lambda X: -_pnorm_rows(_apply_batch(A, OP_SCALED, X), 2.0), starts[-1], project
+                    )
+                    assert got >= -vals.min() * (1 - 1e-12)

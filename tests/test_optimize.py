@@ -324,8 +324,10 @@ def test_norm_objectives_lanes_match_reference(searches, m, n):
     ops = ["T"] + (["F"] if m % 2 == 0 else [])
     for op in ops:
         for p in (1.0, 3.0, math.inf):
+            before = len(searches)
             estimate_norm(A, op, p, budget=5, cfg=SMALL)
-    assert len(searches) == 3 * len(ops)
+            # order 2 at p in {1, inf} takes its exact path and searches nothing
+            assert len(searches) - before == (0 if m == 2 and p != 3.0 else 1)
     for call in searches:
         assert len(call["X0"]) == 2 * n + 5
         assert_lanes_bit_identical(call)
@@ -447,7 +449,7 @@ def test_default_config_batches_stay_below_einsum_path_planning(searches, n):
     A = mixed_tensor(3, n, 6)
     cfg = RunConfig()
     beta(A, cfg)
-    estimate_norm(A, "T", 2.0, cfg=cfg)
+    estimate_norm(A, "T", math.inf, cfg=cfg)  # at p = 2, T takes the power ascent
     eigen._variational_seed(symmetrize(A), "H", cfg)
     assert searches
     assert max(max(c["rows"]) for c in searches) < 1000
@@ -590,9 +592,18 @@ def test_starts_sets_every_multistart_budget(searches, monkeypatch, starts):
     monkeypatch.setattr(eigen, "newton_lanes", spy)
     A = mixed_tensor(3, 2, 5)
     beta(A, cfg)  # each face: the vertex, the best grid points and the random starts
-    estimate_norm(A, "T", 2.0, cfg=cfg)  # the 2n signed vertices and the random starts
+    estimate_norm(A, "T", math.inf, cfg=cfg)  # the 2n signed vertices and the random starts
     face = 1 + optimize.REFINE_TOP + budget(optimize.FACE_STARTS)
     assert [len(c["X0"]) for c in searches] == [face, face, 4 + budget(operators.NORM_STARTS)]
+    ascents, power_ascent = [], operators._power_ascent
+
+    def ascent_spy(A, X):
+        ascents.append(len(X))
+        return power_ascent(A, X)
+
+    monkeypatch.setattr(operators, "_power_ascent", ascent_spy)
+    estimate_norm(A, "T", 2.0, cfg=cfg)  # the power ascent, from the same starts
+    assert ascents == [4 + budget(operators.NORM_STARTS)]
     tcp.solve_enumeration(TcpInstance(A, np.ones(2)), cfg)  # q > 0: no heuristic start
     eigen.h_plus_eigenpairs(A, cfg)  # the uniform start and the random starts
     assert newton_rows == [budget(tcp.NEWTON_STARTS), 1 + budget(eigen.NEWTON_STARTS)]
