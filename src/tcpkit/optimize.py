@@ -1,10 +1,10 @@
 """Shared search primitives.
 
-Two workhorses live here: a face-by-face grid + pattern-search minimizer
-over the nonnegative unit infinity-sphere ``{x >= 0, max_i x_i = 1}``
-(that set is the union of the n faces ``{x_k = 1, 0 <= x_j <= 1}``), and a
-damped Newton iteration for small square systems.  Both are deterministic
-given the caller-supplied random generator.
+Two workhorses live here: a grid + pattern-search minimizer over the
+nonnegative unit infinity-sphere ``{x >= 0, max_i x_i = 1}`` (that set is
+the union of the n faces ``{x_k = 1, 0 <= x_j <= 1}``), and a damped
+Newton iteration for small square systems.  Both are deterministic given
+the caller-supplied random generator.
 
 Both kernels run lane-masked: all B starts of one problem form a (B, n)
 array, and each lane follows exactly the rules a lone start would.
@@ -13,13 +13,17 @@ The pattern search (:func:`pattern_search_min`) keeps a step per lane,
 starting at ``PATTERN_STEP0``.
 
 - The start points are projected and evaluated in one batch.
-- A sweep tries the 2n axis moves ``[+step*e_0 .. +step*e_{n-1},
-  -step*e_0 .. -step*e_{n-1}]`` of every live lane, with one ``project``
-  call and one objective call over all of their rows.
+- A sweep tries the moves ``x + step*d`` of every live lane along each of
+  its directions d, by default the 2n axes ``[+e_0 .. +e_{n-1}, -e_0 ..
+  -e_{n-1}]``, with one ``project`` and one objective call over all rows.
 - A lane takes the first of its smallest moves, and only when it is
   strictly below its current value; otherwise its step halves.
 - A lane retires once its step is below ``PATTERN_STEP_FLOOR``, and its
-  rows leave the later batches; every lane stops after ``max_iter`` sweeps.
+  rows leave the later batches; every lane stops after ``PATTERN_MAX_ITER``.
+
+:func:`minimize_nonneg_sphere` runs the starts of all n faces as one such
+search.  A lane of face k moves along the axes other than k, so its
+``x_k = 1`` stays put and one clip to ``[0, 1]`` projects every face.
 
 The Newton iteration (:func:`newton_lanes`) runs on a (B, r) array.  Its
 lanes need not share one system: the residual and Jacobian maps get the
@@ -75,6 +79,7 @@ from .tensor import JsonRecord
 BatchObjective = Callable[[np.ndarray], np.ndarray]
 
 FACE_STARTS = 16          # random pattern-search starts per face
+PATTERN_MAX_ITER = 300    # pattern-search sweeps after which every lane stops
 PATTERN_STEP0 = 0.25      # first pattern-search step of every lane
 PATTERN_STEP_FLOOR = 1e-9  # a lane whose step falls below this retires
 REFINE_TOP = 3            # best grid points refined per face
@@ -88,36 +93,38 @@ def pattern_search_min(
     batch_fn: BatchObjective,
     X0: np.ndarray,
     project: Callable[[np.ndarray], np.ndarray],
-    max_iter: int = 300,
+    moves: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Coordinate pattern search run on B independent starts at once.
 
     ``X0`` is a (B, n) array of starts, one lane per row; ``project`` maps
-    raw points back onto the feasible set, row by row.  Returns the (B,)
-    final values and the (B, n) final points; each lane's result is the one
-    a lone run from its start gives.  Every sweep makes one ``project`` and
-    one ``batch_fn`` call over the 2n trial moves of every live lane.
+    raw points back onto the feasible set, row by row.  ``moves`` is a
+    (B, d, n) array of each lane's move directions; ``None`` gives every
+    lane the 2n axes.  Returns the (B,) final values and the (B, n) final
+    points; each lane's result is the one a lone run from its start gives.
+    Every sweep makes one ``project`` and one ``batch_fn`` call over the d
+    trial moves of every live lane.
     """
     X = project(np.array(X0, dtype=float, ndmin=2))
     F = np.array(batch_fn(X), dtype=float)
     B, n = X.shape
-    eye = np.eye(n)
+    if moves is None:
+        moves = np.broadcast_to(np.vstack([np.eye(n), -np.eye(n)]), (B, 2 * n, n))
     step = np.full(B, PATTERN_STEP0)
     live = np.arange(B)
-    for _ in range(max_iter):
+    for _ in range(PATTERN_MAX_ITER):
         live = live[step[live] >= PATTERN_STEP_FLOOR]
         if live.size == 0:
             break
         L = live.size
-        S = step[live][:, None, None]
-        Xl = X[live][:, None, :]
-        trials = project(np.concatenate([Xl + S * eye, Xl - S * eye], axis=1).reshape(-1, n))
-        vals = np.asarray(batch_fn(trials)).reshape(L, 2 * n)
+        Xl, S = X[live][:, None, :], step[live][:, None, None]
+        trials = project((Xl + S * moves[live]).reshape(-1, n))
+        vals = np.asarray(batch_fn(trials)).reshape(L, -1)
         j = np.argmin(vals, axis=1)  # the first of the smallest moves
         best = vals[np.arange(L), j]
         moved = best < F[live]
         won = live[moved]
-        X[won] = trials.reshape(L, 2 * n, n)[moved, j[moved]]
+        X[won] = trials.reshape(L, -1, n)[moved, j[moved]]
         F[won] = best[moved]
         step[live[~moved]] *= 0.5
     return F, X
@@ -138,39 +145,21 @@ class SphereMinimum(JsonRecord):
     grid_resolution: int
 
 
-def _face_project(k: int) -> Callable[[np.ndarray], np.ndarray]:
-    def project(P: np.ndarray) -> np.ndarray:
-        Q = np.clip(P, 0.0, 1.0)
-        Q[:, k] = 1.0
-        return Q
-
-    return project
-
-
-def _face_candidates(
+def _face_starts(
     batch_fn: BatchObjective, n: int, k: int, cfg: RunConfig, rng: np.random.Generator
-) -> list[tuple[float, np.ndarray]]:
-    """Pattern-search results on face k from its vertex, best grid points
-    and random starts; a lane moves only lower, so no start beats its result."""
-    free = [j for j in range(n) if j != k]
+) -> np.ndarray:
+    """Face k's pattern-search starts: its vertex, best grid points and
+    random starts.  A lane moves only lower, so no start beats its result."""
     G = cfg.grid_for(n)
-    vertex = np.zeros(n)
-    vertex[k] = 1.0
-    if not free:
-        return [(float(batch_fn(vertex[None, :])[0]), vertex)]
-
-    starts = [vertex[None, :]]
+    starts = [np.eye(n)[k : k + 1]]  # the vertex
     if G >= 2:
-        axes = np.linspace(0.0, 1.0, G)
-        mesh = np.meshgrid(*([axes] * len(free)), indexing="ij")
-        pts = np.stack([g.ravel() for g in mesh], axis=1)
-        X = np.ones((pts.shape[0], n))
-        X[:, free] = pts
+        mesh = np.meshgrid(*([np.linspace(0.0, 1.0, G)] * (n - 1)), indexing="ij")
+        X = np.insert(np.stack(mesh, axis=-1).reshape(-1, n - 1), k, 1.0, axis=1)
         starts.append(X[np.argsort(batch_fn(X), kind="stable")[:REFINE_TOP]])
     R = rng.uniform(0.0, 1.0, size=(cfg.budget(FACE_STARTS), n))
     R[:, k] = 1.0
     starts.append(R)
-    return list(zip(*pattern_search_min(batch_fn, np.vstack(starts), _face_project(k))))
+    return np.vstack(starts)
 
 
 def minimize_nonneg_sphere(
@@ -178,17 +167,22 @@ def minimize_nonneg_sphere(
 ) -> SphereMinimum:
     """Global minimum (heuristic) of a batch objective over {x >= 0, ||x||_inf = 1}.
 
+    Every face's starts run as one :func:`pattern_search_min` lane array.
     Ties within 1e-10 of the best value go to the lexicographically smallest
     argmin (:func:`least_point`), so repeated runs return the same witness.
     """
     G = cfg.grid_for(n)
-
-    candidates = [
-        c
-        for k in range(n)
-        for c in _face_candidates(batch_fn, n, k, cfg, cfg.substream(rng_tag, "face", k))
-    ]
-    values, points = zip(*candidates)
+    if n == 1:  # the sphere is the vertex alone
+        points = np.ones((1, 1))
+        values = batch_fn(points)
+    else:
+        starts = [_face_starts(batch_fn, n, k, cfg, cfg.substream(rng_tag, "face", k)) for k in range(n)]
+        axes = np.vstack([np.eye(n), -np.eye(n)])
+        moves = [np.delete(axes, [k, n + k], axis=0) for k in range(n)]  # face k: all but +-e_k
+        values, points = pattern_search_min(
+            batch_fn, np.vstack(starts), lambda P: np.clip(P, 0.0, 1.0),
+            np.repeat(moves, [len(S) for S in starts], axis=0),
+        )
     best = least_point(values, points, 1e-10)
     return SphereMinimum(
         value=float(values[best]),

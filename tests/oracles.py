@@ -292,11 +292,13 @@ def reference_newton(res_fn, jac_fn, z0, max_iter: int = 200, step_tol: float = 
     return z, rnorm < 1e-10
 
 
-def reference_pattern_search(batch_fn, x0, project, step0=0.25, step_floor=1e-9, max_iter=300):
+def reference_pattern_search(batch_fn, x0, project, moves=None, step0=0.25, step_floor=1e-9,
+                             max_iter=300):
     """One start of the coordinate pattern search at a time, as a plain loop.
 
-    Same rules as the library's lane kernel: the 2n axis moves
-    ``[+step*e_0 .. +step*e_{n-1}, -step*e_0 .. -step*e_{n-1}]`` are
+    Same rules as the library's lane kernel: the moves ``x + step*d`` along
+    the (d, n) directions ``moves``, by default the 2n axis moves
+    ``[+step*e_0 .. +step*e_{n-1}, -step*e_0 .. -step*e_{n-1}]``, are
     projected and evaluated as one batch; the first of the smallest moves is
     taken only when it is strictly below the current value, else the step
     halves; the run ends once the step is below ``step_floor`` or after
@@ -310,7 +312,8 @@ def reference_pattern_search(batch_fn, x0, project, step0=0.25, step_floor=1e-9,
     for _ in range(max_iter):
         if step < step_floor:
             break
-        trials = project(np.vstack([x + step * eye, x - step * eye]))
+        raw = np.vstack([x + step * eye, x - step * eye]) if moves is None else x + step * moves
+        trials = project(raw)
         vals = batch_fn(trials)
         j = int(np.argmin(vals))
         if vals[j] < fx:

@@ -265,6 +265,19 @@ def test_verify_bounds_small_runs_pass():
         assert len({r.instance_id for r in reports}) == 6
 
 
+def test_verify_bounds_nonnegative_offset_gives_the_zero_solution():
+    # instance k draws q ~ U(0, 1) when k % 10 == 9: the only solution is
+    # x = 0, so every applicable sandwich collapses to 0 <= 0 <= 0
+    spec = GeneratorSpec("identity_shift", 3, 3, seed=7)
+    reports = [r for r in verify_bounds(spec, 10, FAST, estimate_budget=None)
+               if r.instance_id.endswith("-0009")]
+    assert len(reports) == 1 and reports[0].passed
+    applicable = [e for e in reports[0].entries if e.applicable]
+    assert applicable
+    for e in applicable:
+        assert (e.lower, e.upper, e.achieved) == (0.0, 0.0, 0.0)
+
+
 def test_verify_bounds_checks_every_solution():
     spec = GeneratorSpec("random_symmetric_copositive", 4, 2, seed=9)
     reports = verify_bounds(spec, 4, FAST, estimate_budget=None)

@@ -263,16 +263,16 @@ def searches(monkeypatch):
     arguments, its results and the row count of each objective call."""
     calls = []
 
-    def spy(batch_fn, X0, project, *args, **kwargs):
+    def spy(batch_fn, X0, project, moves=None):
         rows = []
 
         def counted(X):
             rows.append(len(X))
             return batch_fn(X)
 
-        F, X = pattern_search_min(counted, X0, project, *args, **kwargs)
-        calls.append(dict(batch_fn=batch_fn, X0=np.array(X0), project=project, args=args,
-                          kwargs=kwargs, F=F.copy(), X=X.copy(), rows=rows))
+        F, X = pattern_search_min(counted, X0, project, moves)
+        calls.append(dict(batch_fn=batch_fn, X0=np.array(X0), project=project, moves=moves,
+                          F=F.copy(), X=X.copy(), rows=rows))
         return F, X
 
     monkeypatch.setattr(optimize, "pattern_search_min", spy)
@@ -282,10 +282,9 @@ def searches(monkeypatch):
 
 def assert_lanes_bit_identical(call):
     assert call["F"].shape == (len(call["X0"]),) and call["X"].shape == call["X0"].shape
-    for x0, f, x in zip(call["X0"], call["F"], call["X"]):
-        f_ref, x_ref = reference_pattern_search(
-            call["batch_fn"], x0, call["project"], *call["args"], **call["kwargs"]
-        )
+    for i, (x0, f, x) in enumerate(zip(call["X0"], call["F"], call["X"])):
+        moves = None if call["moves"] is None else call["moves"][i]  # this lane's directions
+        f_ref, x_ref = reference_pattern_search(call["batch_fn"], x0, call["project"], moves)
         np.testing.assert_array_equal(f, f_ref)
         np.testing.assert_array_equal(x, x_ref)
 
@@ -300,22 +299,45 @@ def mixed_tensor(m, n, seed):
 SHAPES = [(m, n) for m in (2, 3, 4) for n in range(1, 7)]
 
 
-@pytest.mark.parametrize("m,n", SHAPES)
-def test_sphere_objectives_lanes_match_reference(searches, m, n):
+def check_sphere_lanes(searches, m, n, cfg):
+    """Every sphere objective minimized on one tensor: one search per
+    minimization, each lane of which a lone reference run replays."""
     A = mixed_tensor(m, n, 3)
-    beta(A, SMALL)  # activity objective
+    results = [beta(A, cfg)]  # activity objective
 
     def rows_max(X):
         return np.max(contract_m1_batch(A, X), axis=1)
 
-    minimize_nonneg_sphere(rows_max, n, SMALL, "violation")
+    results.append(minimize_nonneg_sphere(rows_max, n, cfg, "violation"))
     S = symmetrize(A)
     for kind in ("H", "Z"):  # Pareto ratio objectives
-        eigen._variational_seed(S, kind, SMALL)
-    # a face with no free axis is the vertex alone: no search runs at n = 1
-    assert len(searches) == (0 if n == 1 else 4 * n)
+        eigen._variational_seed(S, kind, cfg)
+    # the sphere is the vertex alone at n = 1: no search runs
+    assert len(searches) == (0 if n == 1 else 4)
     for call in searches:
+        face = len(call["X0"]) // n  # the lanes of face k start at its vertex e_k
+        np.testing.assert_array_equal(call["X0"][::face].argmax(axis=1), np.arange(n))
+        # and move along +-e_j for every j but k
+        assert call["moves"].shape == (n * face, 2 * n - 2, n)
+        np.testing.assert_array_equal(np.abs(call["moves"]).sum(axis=1),
+                                      np.repeat(2.0 * (1.0 - np.eye(n)), face, axis=0))
         assert_lanes_bit_identical(call)
+    return results
+
+
+@pytest.mark.parametrize("m,n", SHAPES)
+def test_sphere_objectives_lanes_match_reference(searches, m, n):
+    check_sphere_lanes(searches, m, n, SMALL)
+
+
+@pytest.mark.parametrize("m,n,grid", [(2, 7, None), (3, 7, None), (3, 4, 0)])
+def test_multistart_sphere_lanes_match_reference(searches, m, n, grid):
+    # above n = 6 the default grid is off, and grid = 0 turns it off anywhere:
+    # each face starts from its vertex and its random points only
+    cfg = RunConfig(grid=grid, starts=3)
+    for res in check_sphere_lanes(searches, m, n, cfg):
+        assert res.certified_by == "multistart" and res.grid_resolution == 0
+    assert all(len(call["X0"]) == n * (1 + 3) for call in searches)
 
 
 @pytest.mark.parametrize("m,n", SHAPES)
@@ -350,12 +372,13 @@ def test_single_lane_matches_reference():
     assert F[0] == f_ref and np.array_equal(X[0], x_ref)
 
 
-def test_lane_stops_at_max_iter():
+def test_lane_stops_at_max_iter(monkeypatch):
     def fn(X):  # every sweep improves by one step
         return X[:, 0]
 
     X0 = np.array([[0.0, 0.0], [5.0, 1.0]])
-    F, X = pattern_search_min(fn, X0, identity, max_iter=5)
+    monkeypatch.setattr(optimize, "PATTERN_MAX_ITER", 5)
+    F, X = pattern_search_min(fn, X0, identity)
     assert F.tolist() == [-1.25, 3.75]
     for x0, f, x in zip(X0, F, X):
         f_ref, x_ref = reference_pattern_search(fn, x0, identity, max_iter=5)
@@ -382,11 +405,12 @@ def test_step_below_floor_returns_the_projected_start(monkeypatch):
     assert F[0] == f_ref and np.array_equal(X[0], x_ref)
 
 
-def test_tied_moves_take_the_first_index():
+def test_tied_moves_take_the_first_index(monkeypatch):
     def fn(X):  # +e_1 and -e_1 tie at x = 0
         return -np.abs(X[:, 1])
 
-    F, X = pattern_search_min(fn, np.zeros((1, 2)), identity, max_iter=1)
+    monkeypatch.setattr(optimize, "PATTERN_MAX_ITER", 1)
+    F, X = pattern_search_min(fn, np.zeros((1, 2)), identity)
     assert F[0] == -0.25 and X[0].tolist() == [0.0, 0.25]
     f_ref, x_ref = reference_pattern_search(fn, np.zeros(2), identity, max_iter=1)
     assert F[0] == f_ref and np.array_equal(X[0], x_ref)
@@ -443,16 +467,21 @@ def test_contraction_rows_do_not_depend_on_the_block(m, n):
 
 @pytest.mark.parametrize("n", [5, 6])
 def test_default_config_batches_stay_below_einsum_path_planning(searches, n):
-    # the default budgets keep every search batch below 1000 rows at desk
-    # scale, so a budget change that grows them shows here; a row's value
-    # does not depend on its batch at any size (the test above)
+    # a row's value does not depend on its batch at any size (the tests
+    # above), so these bounds only show a budget change that grows a batch:
+    # the norm ascents stay below 1000 rows at desk scale, and the sphere
+    # search's first sweep moves every lane of every face along its 2(n-1) axes
     A = mixed_tensor(3, n, 6)
     cfg = RunConfig()
     beta(A, cfg)
     estimate_norm(A, "T", math.inf, cfg=cfg)  # at p = 2, T takes the power ascent
     eigen._variational_seed(symmetrize(A), "H", cfg)
-    assert searches
-    assert max(max(c["rows"]) for c in searches) < 1000
+    sphere = [c for c in searches if c["moves"] is not None]
+    ascents = [c for c in searches if c["moves"] is None]
+    assert len(sphere) == 2 and len(ascents) == 1
+    lanes = n * (1 + optimize.REFINE_TOP + optimize.FACE_STARTS)
+    assert all(max(c["rows"]) == lanes * 2 * (n - 1) for c in sphere)
+    assert max(max(c["rows"]) for c in ascents) < 1000
 
 
 # ---------------------------------------------------------------------------
@@ -593,8 +622,8 @@ def test_starts_sets_every_multistart_budget(searches, monkeypatch, starts):
     A = mixed_tensor(3, 2, 5)
     beta(A, cfg)  # each face: the vertex, the best grid points and the random starts
     estimate_norm(A, "T", math.inf, cfg=cfg)  # the 2n signed vertices and the random starts
-    face = 1 + optimize.REFINE_TOP + budget(optimize.FACE_STARTS)
-    assert [len(c["X0"]) for c in searches] == [face, face, 4 + budget(operators.NORM_STARTS)]
+    faces = 2 * (1 + optimize.REFINE_TOP + budget(optimize.FACE_STARTS))  # both faces, one search
+    assert [len(c["X0"]) for c in searches] == [faces, 4 + budget(operators.NORM_STARTS)]
     ascents, power_ascent = [], operators._power_ascent
 
     def ascent_spy(A, X):

@@ -14,6 +14,7 @@ from tcpkit import (
     OP_SCALED,
     SEMI_POSITIVE_ONLY,
     STRICTLY_SEMI_POSITIVE,
+    UNDETERMINED,
     Tensor,
     beta,
     classify,
@@ -140,6 +141,17 @@ def test_classify_detects_boundary_supported_violation():
     cls = classify(A)
     assert cls.verdict == NOT_SEMI_POSITIVE
     assert cls.counterexample is not None
+
+
+@pytest.mark.parametrize("d,verdict", [
+    (-5e-6, NOT_SEMI_POSITIVE),  # the margin itself is below -tol
+    (-5e-7, UNDETERMINED),       # the violation search's best is within (-tol, -tol / 10)
+    (-5e-8, SEMI_POSITIVE_ONLY),
+])
+def test_near_zero_violations_take_the_three_verdicts(d, verdict):
+    # at x = e_2 the one active row is d; in the last two cases the margin
+    # is above -tol, which leaves the verdict to the violation search
+    assert classify(diagonal_tensor([1.0, d], 3)).verdict == verdict
 
 
 def test_counterexample_certificate_rows_negative():

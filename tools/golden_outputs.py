@@ -1,12 +1,13 @@
 """Seeded CLI outputs of one checkout, written to a directory for diffing.
 
-    python3 tools/golden_outputs.py --out DIR
+    python3 tools/golden_outputs.py --out DIR [--src SRC]
 
-Run it from any directory; tcpkit is imported from the ``src`` next to
-this file.  It writes the input tensors and instances it makes, then runs
-the CLI in-process on them and writes one file per command with its
-standard output, plus standard error and the exit code when the command
-fails.  The commands are ``classify``, ``beta`` and ``norms`` on a fixed
+Run it from any directory.  tcpkit is imported from ``SRC``, by default
+the ``src`` next to this file, so one copy of this script gives two
+checkouts the same inputs.  It writes the input tensors and instances it
+makes, then runs the CLI in-process on them and writes one file per
+command with its standard output, plus standard error and the exit code
+when the command fails.  The commands are ``classify``, ``beta`` and ``norms`` on a fixed
 list of m2-4, n2-6 tensors; every ``eigen`` kind on m3/m4 n3/n4 and m4 n5
 tensors, and ``h_plus`` and ``pareto_h`` on m3 n5 ones; ``solve`` by both
 methods at m3/m4, n3-n6; and ``verify-bounds`` (with its full report) for
@@ -22,10 +23,12 @@ eigenvalues take the multi-column vertex rule, and then ``verify-bounds`` on sym
 order 2, n3.  After them, ``solve`` runs by both methods on two nonnegative
 symmetric instances, m3 n5 and m4 n6 (``NONNEG_SOLVES``), drawn the way
 ``perfbench/workloads.py``'s ``nonneg_symmetric`` draws them; on both, the
-first start of ``--method iterative`` does not certify.  Last, ``solve``
+first start of ``--method iterative`` does not certify.  Then ``solve``
 runs by both methods on the four scaled copies of ``perfbench``'s
 ``solve`` workload (``SCALED_SOLVES``): its two fixed diagonally dominant
-bases, m3 n3 and m4 n3, with ``q`` times 1e6 and times 1e-9.  Every input
+bases, m3 n3 and m4 n3, with ``q`` times 1e6 and times 1e-9.  Last,
+``classify`` and ``beta`` run at n7 (``MULTISTART_SHAPES``), where the
+default grid is off and the sphere search is multistart only.  Every input
 is drawn from a fixed seed, so two checkouts whose outputs agree give
 directories that ``diff -r`` finds equal.
 """
@@ -40,6 +43,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "VECL
 
 import argparse  # noqa: E402
 import contextlib  # noqa: E402
+import importlib  # noqa: E402
 import io  # noqa: E402
 import itertools  # noqa: E402
 import json  # noqa: E402
@@ -48,19 +52,14 @@ import sys  # noqa: E402
 import numpy as np  # noqa: E402
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-sys.path.insert(0, os.path.join(ROOT, "src"))
-
-from tcpkit.bounds import GENERATOR_FAMILIES  # noqa: E402
-from tcpkit.cli import main as cli_main  # noqa: E402
-from tcpkit.eigen import EIGEN_KINDS  # noqa: E402
 
 SHAPES = [(2, 2), (2, 5), (3, 2), (3, 3), (3, 4), (3, 5), (3, 6), (4, 2), (4, 3), (4, 4), (4, 5), (4, 6)]
-# the eigen kinds run at each shape that ``solve`` runs at; n5/n6 give large
-# groups of supports of one size
+# the eigen kinds run at each shape that ``solve`` runs at, ``None`` for
+# every kind; n5/n6 give large groups of supports of one size
 SOLVE_SHAPES = {
-    (3, 3): EIGEN_KINDS, (3, 4): EIGEN_KINDS,
-    (4, 3): EIGEN_KINDS, (4, 4): EIGEN_KINDS,
-    (3, 5): ("h_plus", "pareto_h"), (3, 6): (), (4, 5): EIGEN_KINDS, (4, 6): (),
+    (3, 3): None, (3, 4): None,
+    (4, 3): None, (4, 4): None,
+    (3, 5): ("h_plus", "pareto_h"), (3, 6): (), (4, 5): None, (4, 6): (),
 }
 BOUND_SHAPES = [(3, 3), (3, 4), (4, 3), (4, 4)]
 BOUND_COUNT = 2
@@ -86,6 +85,8 @@ NONNEG_SOLVES = [(3, 5, 3), (4, 6, 10)]
 # and the factors their q is scaled by
 SCALED_SOLVES = [(3, 3, 9), (4, 3, 3)]
 SCALES = {"1e6": 1e6, "1e-9": 1e-9}
+# (m, kind) of the n7 tensors drawn from default_rng([m, 7, 20151])
+MULTISTART_SHAPES = [(2, "mixed"), (3, "shifted")]
 
 
 def entries(data: np.ndarray, symmetric: bool) -> list[dict]:
@@ -166,8 +167,9 @@ def bounds_command(family: str, m: int, n: int, symmetric: bool = False) -> tupl
             + (["--csv", f"{name}.csv"] if family == CSV_FAMILY else []))
 
 
-def commands() -> list[tuple[str, list[str]]]:
-    """(output name, CLI argv) pairs; writes the input files they read."""
+def commands(families: tuple[str, ...], eigen_kinds: tuple[str, ...]) -> list[tuple[str, list[str]]]:
+    """(output name, CLI argv) pairs for a package with these generator
+    families and eigen kinds; writes the input files they read."""
     rng = np.random.default_rng(20151)
     out = []
     for m, n in SHAPES:
@@ -176,10 +178,10 @@ def commands() -> list[tuple[str, list[str]]]:
             write_json(f"{name}.tensor.json", draw(rng, m, n, kind))
             for cmd in ("classify", "beta", "norms"):
                 out.append((f"{cmd}_{name}", [cmd, f"{name}.tensor.json"]))
-    for (m, n), eigen_kinds in SOLVE_SHAPES.items():
+    for (m, n), kinds in SOLVE_SHAPES.items():
         for kind in ("shifted", "symmetric"):
             name = f"m{m}n{n}_{kind}"
-            for eig in eigen_kinds:
+            for eig in eigen_kinds if kinds is None else kinds:
                 out.append((f"eigen_{eig}_{name}", ["eigen", f"{name}.tensor.json", "--kind", eig]))
             q = np.round(rng.uniform(-2.0, 1.0, size=n), 6)
             with open(f"{name}.tensor.json", encoding="utf-8") as fh:
@@ -188,7 +190,7 @@ def commands() -> list[tuple[str, list[str]]]:
             for method in ("enumeration", "iterative"):
                 out.append((f"solve_{method}_{name}",
                             ["solve", f"{name}.instance.json", "--method", method]))
-    for family in GENERATOR_FAMILIES:
+    for family in families:
         shapes = [(2, 3), (2, 4)] if family == "matrix_m2" else BOUND_SHAPES
         for m, n in shapes:
             out.append(bounds_command(family, m, n))
@@ -227,10 +229,15 @@ def commands() -> list[tuple[str, list[str]]]:
             write_json(f"{name}.instance.json", scaled_instance(m, n, s, t))
             for method in ("enumeration", "iterative"):
                 out.append((f"solve_{method}_{name}", ["solve", f"{name}.instance.json", "--method", method]))
+    for m, kind in MULTISTART_SHAPES:
+        name = f"m{m}n7_{kind}"
+        write_json(f"{name}.tensor.json", draw(np.random.default_rng([m, 7, 20151]), m, 7, kind))
+        for cmd in ("classify", "beta"):
+            out.append((f"{cmd}_{name}", [cmd, f"{name}.tensor.json"]))
     return out
 
 
-def run(name: str, argv: list[str]) -> None:
+def run(cli_main, name: str, argv: list[str]) -> None:
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         code = cli_main(argv)
@@ -244,11 +251,15 @@ def run(name: str, argv: list[str]) -> None:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", required=True, help="directory to write into (created)")
+    parser.add_argument("--src", default=os.path.join(ROOT, "src"),
+                        help="directory holding the tcpkit package to run")
     args = parser.parse_args()
+    sys.path.insert(0, os.path.abspath(args.src))
+    bounds, cli, eigen = (importlib.import_module(f"tcpkit.{mod}") for mod in ("bounds", "cli", "eigen"))
     os.makedirs(args.out, exist_ok=True)
     os.chdir(args.out)  # relative file names keep the outputs free of DIR
-    for name, argv in commands():
-        run(name, argv)
+    for name, argv in commands(bounds.GENERATOR_FAMILIES, eigen.EIGEN_KINDS):
+        run(cli.main, name, argv)
         print(name, flush=True)
 
 
