@@ -18,7 +18,8 @@ and ``delta_*`` takes the least interior eigenvalue of every principal
 sub-tensor; its records (kind ``delta_h_plus`` / ``delta_z_plus``) are
 zero-extended, with the residual taken on the support's rows.
 :func:`spectrum` reads one table from each kind to its function and the
-summary field of its minimum.
+summary field of its minimum.  Each enumeration runs at unit scale, on
+:func:`tcpkit.tensor.at_unit_scale`'s copy, and scales its values back.
 
 Per-support solving is exact for matrices and closed form on singleton
 supports.  A matrix support takes a dense eigensolver, and an eigenspace
@@ -48,6 +49,7 @@ from .optimize import (  # noqa: F401
 from .tensor import (
     JsonRecord,
     Tensor,
+    at_unit_scale,
     contract_m1,
     contract_m1_batch,
     lane_maps,
@@ -124,14 +126,11 @@ def distinct_values(records: list[EigenRecord], tol: float = 1e-6) -> list[float
 # ---------------------------------------------------------------------------
 
 
-POSITIVE_CUT = 1e-10  # least smallest component of a positive vector scaled to sum 1
-
-
 def _positive_eigvec(basis: np.ndarray) -> np.ndarray | None:
     """A strictly positive unit vector in the column span of ``basis``, or None.
 
     Maximizes the smallest component t of ``y = basis @ c`` over ``sum(y) = 1``
-    and accepts iff ``t > POSITIVE_CUT``.  For k orthonormal columns the
+    and accepts iff ``t > POSITIVITY_FLOOR``.  For k orthonormal columns the
     optimum is a vertex where k components of y are equal, so each k-row
     subset s gives the system ``[colsum; basis[s_j] - basis[s_0]] c = e_1``
     (at most ``C(8, 4) = 70`` of them, one stack; a singular one drops out).
@@ -147,7 +146,7 @@ def _positive_eigvec(basis: np.ndarray) -> np.ndarray | None:
     C, usable = solve_stack(systems, np.eye(k)[:, :1])
     points = [basis @ c for c in C[usable, :, 0]]
     y = max(points, key=np.min, default=None)
-    if y is None or np.min(y) <= POSITIVE_CUT:
+    if y is None or np.min(y) <= POSITIVITY_FLOOR:
         return None
     return y / np.linalg.norm(y)
 
@@ -243,10 +242,9 @@ def _power(system: str, m: int) -> int:
 
 
 def _rayleigh(y: np.ndarray, core: np.ndarray, system: str, m: int) -> float:
-    """The start eigenvalue of y, with ``core = A_J y^(m-1)``."""
+    """The start eigenvalue of a strictly positive y, with ``core = A_J y^(m-1)``."""
     if system == "H":
-        denom = float(np.sum(y**m))
-        return float(y @ core) / denom if denom > 0 else 0.0
+        return float(y @ core) / float(np.sum(y**m))
     return float(y @ core)
 
 
@@ -362,9 +360,7 @@ def _variational_seed(
 
     res = minimize_nonneg_sphere(ratio, A.n, cfg, f"pareto_seed_{system}")
     x = res.argmin
-    J = tuple(i for i in range(A.n) if x[i] > 1e-7)
-    if not J:
-        return {}
+    J = tuple(i for i in range(A.n) if x[i] > 1e-7)  # nonempty: some x_i is 1
     y0 = x[list(J)]
     y0 = y0 / np.linalg.norm(y0)
     return {J: [(y0, float(res.value))]}
@@ -381,11 +377,9 @@ def _enumerate(
     """Certified records of one system: interior candidates of every support
     (seeded for the Pareto variant where completeness is heuristic),
     zero-extended, checked by :func:`_verify`'s ``check``, deduped.  They are
-    found for ``A / 2^e``, 2^e the power of two nearest ``max|A|`` (an exact
-    division, so the absolute tolerances see unit scale), and scaled by 2^e."""
-    top = float(np.max(np.abs(A.data)))
-    e = round(np.log2(top)) if top > 0 else 0
-    A = Tensor(np.ldexp(A.data, -e))
+    found for :func:`tcpkit.tensor.at_unit_scale`'s ``A / 2^e``, so the
+    absolute tolerances see unit scale, and scaled by 2^e."""
+    e, A = at_unit_scale(A)
     seeded = check == "pareto" and _completeness(A) == "heuristic"
     seeds = _variational_seed(A, system, cfg) if seeded else {}
     found = (
@@ -399,15 +393,11 @@ def _enumerate(
 
 
 def _full_support(A: Tensor, system: str, kind: str, cfg: RunConfig) -> list[EigenRecord]:
-    """The full support's orthant records with every component positive,
-    relabelled ``kind``.  A smaller support's record is zero where these are
-    positive, so it can neither be one nor dedupe one away: only the full
-    support is solved."""
-    return [
-        replace(r, kind=kind)
-        for r in _enumerate(A, system, "orthant", cfg, full_only=True)
-        if np.min(r.vector) > POSITIVITY_FLOOR
-    ]
+    """The full support's orthant records, relabelled ``kind``, positive in
+    every component: Newton roots above ``INTERIOR_FLOOR``, matrix vectors
+    above ``POSITIVITY_FLOOR`` at sum 1, or ``[1.0]``.  A smaller support's
+    record is zero there, so it can neither be one nor dedupe one away."""
+    return [replace(r, kind=kind) for r in _enumerate(A, system, "orthant", cfg, full_only=True)]
 
 
 def h_plus_eigenpairs(A: Tensor, cfg: RunConfig = DEFAULT_CONFIG) -> list[EigenRecord]:

@@ -154,13 +154,7 @@ def estimate_norm(
     n = A.n
 
     def project(P: np.ndarray) -> np.ndarray:
-        nrm = _pnorm_rows(P, p)
-        bad = nrm < 1e-12
-        nrm = np.where(bad, 1.0, nrm)
-        Q = P / nrm[:, None]
-        if np.any(bad):
-            Q[bad] = np.eye(n)[0]
-        return Q
+        return P / _pnorm_rows(P, p)[:, None]  # a trial x + s e_j, s <= 0.25, has norm >= 0.75
 
     def neg_obj(X: np.ndarray) -> np.ndarray:
         return -_pnorm_rows(_apply_batch(A, op, X), p)

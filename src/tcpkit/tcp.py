@@ -203,31 +203,30 @@ def _row_margins(data: np.ndarray) -> np.ndarray:
     return np.min(diag + negative - slack, axis=1)
 
 
-def _seeded_roots(rows: np.ndarray, S: np.ndarray, Q: np.ndarray, tol: np.ndarray, widen: float,
+def _seeded_roots(data: np.ndarray, S: np.ndarray, Q: np.ndarray, tol: np.ndarray, widen: float,
                   owner: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Which supports ``owner[k]`` reach, in six Newton steps from ``y[k]``,
     a point ``y >= 0`` where every row of ``A_J y^(m-1) + q_J``, widened by
     ``widen`` times its absolute term sum, lies within ``tol_J`` of zero;
     each step is one :func:`solve_stack` call.
 
-    ``rows``, ``S``, ``Q``, ``tol`` and ``widen`` are those of
-    :func:`_rootless`.  At such a point the exact rows lie within
-    ``tol_J``, so every box that holds it keeps rows meeting ``[-tol_J,
-    tol_J]``, and :func:`_rootless` could never rule the support out.
+    ``data``, ``S``, ``Q``, ``tol`` and ``widen`` are :func:`_rootless`'s,
+    one :func:`lane_maps` lane per start.  At such a point the exact rows
+    lie within ``tol_J``, so every box that holds it keeps rows meeting
+    ``[-tol_J, tol_J]``, and :func:`_rootless` could never rule it out.
     From the centre of the search box, six steps reach nearly every simple
     root that closely.  A start that diverges, or lands outside ``y >= 0``,
     shows nothing: a NaN or inf passes no comparison.
     """
-    m, r = S.ndim - 1, y.shape[1]
-    G, A, q = S[owner].reshape(owner.size, r, r, -1), rows[owner], Q[owner]
+    m, lanes, q = S.ndim - 1, np.arange(len(y)), Q[owner]
+    contract, jacobian = lane_maps(data, S, owner)
+    magnitude, _ = lane_maps(np.abs(data), S, owner)
     with np.errstate(over="ignore", invalid="ignore"):  # a diverging start shows nothing
         for _ in range(6):
             # J(y) y = (m - 1) A_J y^(m-1), so the step lands on (m-2)/(m-1) y - J(y)^-1 q_J
-            J = np.einsum("zk,zijk->zij", _kron_rows(y, m - 2), G)
-            y = y - (y / (m - 1) + solve_stack(J, q[:, :, None])[0][:, :, 0])
-        K = _kron_rows(y, m - 1)
-        F = np.einsum("zk,zik->zi", K, A) + q
-        slack = widen * (np.einsum("zk,zik->zi", K, np.abs(A)) + np.abs(q))
+            y = y - (y / (m - 1) + solve_stack(jacobian(y, lanes), q[:, :, None])[0][:, :, 0])
+        F = contract(y[:, None, :], lanes)[:, 0] + q
+        slack = widen * (magnitude(y[:, None, :], lanes)[:, 0] + np.abs(q))
         near = (np.abs(F) + slack <= tol[owner, None]).all(axis=1) & (y >= 0.0).all(axis=1)
     return np.flatnonzero(near)
 
@@ -300,7 +299,7 @@ def _rootless(data: np.ndarray, S: np.ndarray, Q: np.ndarray) -> tuple[np.ndarra
         # a support that keeps its first box seeks a near-root from its centre
         first = np.flatnonzero(cells[owner] == 1)
         if first.size:
-            near[owner[first[_seeded_roots(rows, S, Q, tol, widen, owner[first], mid[first])]]] = True
+            near[owner[first[_seeded_roots(data, S, Q, tol, widen, owner[first], mid[first])]]] = True
             rootless &= ~near
             keep = ~near[owner]
             owner, lo, hi, mid = owner[keep], lo[keep], hi[keep], mid[keep]

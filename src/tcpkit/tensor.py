@@ -17,7 +17,8 @@ tensor interchange format, and the result-record encoder
 :class:`JsonRecord` for every ``support`` field.
 
 Tensors are immutable after construction, so every operation here is a
-pure function that is safe to call concurrently.
+pure function that is safe to call concurrently.  :func:`at_unit_scale`
+gives the searches an exact power-of-two copy of a tensor at unit scale.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ __all__ = [
     "Tensor",
     "TensorFormatError",
     "as_vector",
+    "at_unit_scale",
     "contract_m1",
     "contract_m1_batch",
     "jacobian_m1",
@@ -220,11 +222,8 @@ def validate_index_set(J: Iterable[int], n: int) -> tuple[int, ...]:
 
 
 def principal_subtensor(A: Tensor, J: Iterable[int]) -> Tensor:
-    """Restrict every mode to the index subset J (0-based), reindexed by J's order."""
-    idx = validate_index_set(J, A.n)
-    sel = np.array(idx, dtype=int)
-    sub = A.data[np.ix_(*([sel] * A.m))]
-    return Tensor(sub)
+    """The sub-tensor on the index subset J (0-based): one support of :func:`stacked_subtensors`."""
+    return Tensor(stacked_subtensors(A, [validate_index_set(J, A.n)])[0][0])
 
 
 def zero_extend(y, J: Iterable[int], n: int) -> np.ndarray:
@@ -248,7 +247,7 @@ def stacked_subtensors(A: Tensor, group: list[tuple[int, ...]]) -> tuple[np.ndar
 
     Both are one fancy index of ``A``'s own arrays, and no sub-tensor is
     built.  Restriction commutes with the sum over modes behind ``S``, so
-    each slice holds :func:`principal_subtensor`'s values bit for bit.
+    each ``S`` slice holds the sub-tensor's own ``S`` values bit for bit.
     """
     G = np.array(group, dtype=int)
     g, r = G.shape
@@ -278,6 +277,14 @@ def lane_maps(data: np.ndarray, S: np.ndarray, owner: np.ndarray):
         return np.einsum("zk,zijk->zij", _kron_rows(Y, m - 2), S[owner[lanes]])
 
     return contract, jacobian
+
+
+def at_unit_scale(A: Tensor) -> tuple[int, Tensor]:
+    """``e``, the integer nearest ``log2 max|A|`` (0 for a zero tensor), and
+    ``A / 2^e``, exact at every finite scale: only the exponents shift."""
+    top = float(np.max(np.abs(A.data)))
+    e = round(np.log2(top)) if top > 0 else 0
+    return e, Tensor(np.ldexp(A.data, -e))
 
 
 def identity_tensor(m: int, n: int) -> Tensor:

@@ -197,7 +197,7 @@ def test_interior_variants_are_full_support():
         assert np.min(rec.vector) > 0
 
 
-@pytest.mark.parametrize("m", [3, 4])
+@pytest.mark.parametrize("m", [2, 3, 4])
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_plusplus_is_the_full_support_part_of_plus(m, n):
     A = strictly_positive_sample(60 + n, m=m, n=n)
@@ -426,7 +426,7 @@ def test_one_column_rule_is_the_closed_form_bit_for_bit():
         assert c == 1.0 / b.sum()
         y = b * c
         got = eigen._positive_eigvec(basis)
-        if np.min(y) > eigen.POSITIVE_CUT:
+        if np.min(y) > POSITIVITY_FLOOR:
             np.testing.assert_array_equal(got, y / np.linalg.norm(y))
         else:
             assert got is None
@@ -455,7 +455,7 @@ def test_multi_column_rule_matches_the_highs_lp():
     for basis in multi_column_bases(1000):
         t = highs_max_min_component(basis)
         got = eigen._positive_eigvec(basis)
-        assert (got is not None) == (t is not None and t > eigen.POSITIVE_CUT)
+        assert (got is not None) == (t is not None and t > POSITIVITY_FLOOR)
         if got is not None:
             assert np.min(got) / np.sum(got) == pytest.approx(t, rel=1e-12, abs=0.0)
         verdicts.append(got is not None)

@@ -504,9 +504,11 @@ def test_gathered_rows_equal_per_support_kernel_rows(m, r):
     group = [tuple(sorted(rng.choice(7, size=r, replace=False))) for _ in range(3)]
     subs = [principal_subtensor(A, J) for J in group]
     data, S = stacked_subtensors(A, group)
-    for sub, d, s in zip(subs, data, S):  # one gather holds each sub-tensor's own values
-        np.testing.assert_array_equal(d, sub.data)
-        np.testing.assert_array_equal(s.reshape(sub.S.shape), sub.S)
+    for J, sub, d, s in zip(group, subs, data, S):  # one gather holds each sub-tensor's own values
+        want = A.data[np.ix_(*[list(J)] * m)]  # an independent gather
+        np.testing.assert_array_equal(d, want)
+        np.testing.assert_array_equal(sub.data, want)
+        np.testing.assert_array_equal(s.reshape(sub.S.shape), Tensor(want).S)
     owner = np.array([0, 2, 1, 2, 0, 1, 1])
     contract, jacobian = lane_maps(data, S, owner)
     lanes = np.array([1, 2, 4, 5, 6])  # lanes of every sub-tensor, not all lanes

@@ -537,17 +537,17 @@ def test_only_a_start_that_reaches_a_root_leaves_the_search(m, r):
     rng = np.random.default_rng([m, r, 17])
     a, root = rng.uniform(0.5, 2.0, r), rng.uniform(0.5, 2.0, r)
     data, S = stacked_subtensors(diagonal_tensor(a, m), [tuple(range(r))])
-    rows, Q = data.reshape(1, r, -1), -(a * root ** (m - 1))[None]
+    Q = -(a * root ** (m - 1))[None]
     tol = tcp.EXCLUDE_TOL * (1.0 + np.abs(Q).max(axis=1))
-    widen = 2.0 * tcp._gamma(rows.shape[2] + m)
+    widen = 2.0 * tcp._gamma(r ** (m - 1) + m)
     starts = np.vstack([root, np.full(r, np.inf), np.full(r, np.nan)])
-    assert tcp._seeded_roots(rows, S, Q, tol, widen, np.zeros(3, dtype=int), starts).tolist() == [0]
+    assert tcp._seeded_roots(data, S, Q, tol, widen, np.zeros(3, dtype=int), starts).tolist() == [0]
     # with q_J > 0 every row is at least q_i > tol_J on y >= 0: no start leaves,
     # wherever it starts and wherever its steps go
     spread = rng.uniform(-3.0, 3.0, (400, r)) * 10.0 ** rng.uniform(-6.0, 6.0, (400, 1))
     starts = np.vstack([root, np.zeros(r), spread])
     owner = np.zeros(len(starts), dtype=int)
-    assert tcp._seeded_roots(rows, S, -Q, tol, widen, owner, starts).size == 0
+    assert tcp._seeded_roots(data, S, -Q, tol, widen, owner, starts).size == 0
 
 
 def test_existence_test_keeps_the_flags_when_no_margin_is_positive():
