@@ -18,7 +18,7 @@ import numpy as np
 
 from .config import RunConfig, DEFAULT_CONFIG
 from .optimize import least_point, pattern_search_min
-from .tensor import JsonRecord, Tensor, as_vector, contract_m1_batch, jacobian_m1_batch
+from .tensor import JsonRecord, Tensor, as_vector, at_unit_scale, contract_m1_batch, jacobian_m1_batch
 
 __all__ = [
     "OP_SCALED",
@@ -148,9 +148,12 @@ def estimate_norm(
     p-sphere (default ``cfg.budget(NORM_STARTS)``).  Ties within 1e-12 go to
     the lexicographically smallest point (:func:`tcpkit.optimize.least_point`);
     the witness is signed so that its largest-magnitude component is positive.
+    It searches :func:`tcpkit.tensor.at_unit_scale`'s ``A / 2^e``, e a multiple
+    of m - 1, and maps ``T`` back by ``2^e`` and ``F`` by ``2^(e/(m-1))``, exactly.
     """
     p = _check_p(p)
     bound = norm_bound(A, op, p)  # validates op/order as a side effect
+    e, A = at_unit_scale(A, A.m - 1)
     n = A.n
 
     def project(P: np.ndarray) -> np.ndarray:
@@ -178,6 +181,6 @@ def estimate_norm(
     if best_x[np.argmax(np.abs(best_x))] < 0:
         best_x = -best_x
     return NormReport(
-        op=op, p=p, empirical_norm=float(best_val),
+        op=op, p=p, empirical_norm=float(np.ldexp(best_val, e if op == OP_SCALED else e // (A.m - 1))),
         closed_form_bound=float(bound), witness=best_x,
     )

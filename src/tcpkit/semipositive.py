@@ -6,20 +6,22 @@ It is positive exactly for strictly semi-positive tensors, nonnegative for
 semi-positive ones, and its sign therefore drives :func:`classify`.  For
 symmetric tensors (strict) semi-positivity coincides with (strict)
 copositivity, which :func:`is_copositive` checks directly by minimizing
-the full contraction over the same feasible set.
+the full contraction over the same feasible set.  Every search runs on
+:func:`tcpkit.tensor.at_unit_scale`'s ``A / 2^e``, and its value, of degree
+1 in A, maps back by ``2^e`` before any ``tol`` comparison.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .config import RunConfig, DEFAULT_CONFIG
 from .optimize import SphereMinimum, minimize_nonneg_sphere
 from .tensor import (
-    JsonRecord, Tensor, contract_m1_batch, principal_subtensor, supports_by_size, zero_extend,
+    JsonRecord, Tensor, at_unit_scale, contract_m1_batch, principal_subtensor, supports_by_size, zero_extend,
 )
 
 __all__ = [
@@ -65,7 +67,9 @@ def beta(A: Tensor, cfg: RunConfig = DEFAULT_CONFIG) -> BetaResult:
     starts; the reported value is the objective re-evaluated at the winning
     feasible point.
     """
-    return minimize_nonneg_sphere(_activity_objective(A), A.n, cfg, "beta")
+    e, unit = at_unit_scale(A)
+    res = minimize_nonneg_sphere(_activity_objective(unit), A.n, cfg, "beta")
+    return replace(res, value=float(np.ldexp(res.value, e)))
 
 
 def _violation_search(A: Tensor, cfg: RunConfig) -> tuple[float, np.ndarray | None]:
@@ -76,10 +80,11 @@ def _violation_search(A: Tensor, cfg: RunConfig) -> tuple[float, np.ndarray | No
     witness (coordinates of x that sit at zero only make the row maximum
     larger, never smaller, so the face closure is safe to search).
     """
+    e, unit = at_unit_scale(A)
     best_val = np.inf
     best_x: np.ndarray | None = None
     for J in itertools.chain.from_iterable(supports_by_size(A.n)):
-        sub = principal_subtensor(A, J)
+        sub = principal_subtensor(unit, J)
 
         def rows_max(Y: np.ndarray, sub=sub) -> np.ndarray:
             return np.max(contract_m1_batch(sub, Y), axis=1)
@@ -87,7 +92,7 @@ def _violation_search(A: Tensor, cfg: RunConfig) -> tuple[float, np.ndarray | No
         res = minimize_nonneg_sphere(rows_max, sub.n, cfg, f"violation:{J}")
         if res.value < best_val:
             best_val, best_x = res.value, zero_extend(res.argmin, J, A.n)
-    return best_val, best_x
+    return float(np.ldexp(best_val, e)), best_x
 
 
 def classify(A: Tensor, cfg: RunConfig = DEFAULT_CONFIG) -> Classification:
@@ -117,11 +122,10 @@ def is_copositive(A: Tensor, strict: bool = False, cfg: RunConfig = DEFAULT_CONF
     """Minimize the full contraction over {x >= 0, ||x||_inf = 1}; symmetric only."""
     if not A.symmetric:
         raise ValueError("copositivity checks require a symmetric tensor")
+    e, unit = at_unit_scale(A)
 
     def full_batch(X: np.ndarray) -> np.ndarray:
-        return np.sum(X * contract_m1_batch(A, X), axis=1)
+        return np.sum(X * contract_m1_batch(unit, X), axis=1)
 
-    res = minimize_nonneg_sphere(full_batch, A.n, cfg, "copositive")
-    if strict:
-        return res.value >= cfg.tol
-    return res.value >= -cfg.tol
+    value = float(np.ldexp(minimize_nonneg_sphere(full_batch, A.n, cfg, "copositive").value, e))
+    return value >= (cfg.tol if strict else -cfg.tol)

@@ -279,11 +279,11 @@ def lane_maps(data: np.ndarray, S: np.ndarray, owner: np.ndarray):
     return contract, jacobian
 
 
-def at_unit_scale(A: Tensor) -> tuple[int, Tensor]:
-    """``e``, the integer nearest ``log2 max|A|`` (0 for a zero tensor), and
-    ``A / 2^e``, exact at every finite scale: only the exponents shift."""
+def at_unit_scale(A: Tensor, step: int = 1) -> tuple[int, Tensor]:
+    """``e``, the multiple of ``step`` nearest ``log2 max|A|`` (0 for a zero
+    tensor), and ``A / 2^e``, exact at every finite scale: only the exponents shift."""
     top = float(np.max(np.abs(A.data)))
-    e = round(np.log2(top)) if top > 0 else 0
+    e = step * round(np.log2(top) / step) if top > 0 else 0
     return e, Tensor(np.ldexp(A.data, -e))
 
 

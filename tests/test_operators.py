@@ -199,6 +199,20 @@ def test_root_map_homogeneity_property(t, seed):
     )
 
 
+@pytest.mark.parametrize("op,m,seed", [(OP_SCALED, 3, 0), (OP_SCALED, 4, 91), (OP_ROOT, 4, 92)])
+@pytest.mark.parametrize("p", [2.0, 4.0, math.inf])
+def test_estimates_are_exact_under_power_of_two_scaling(op, m, seed, p):
+    # every k is a multiple of m - 1, so the search runs on the same unit-scale
+    # tensor and T maps back by 2^k, F by 2^(k/(m-1)); at the caller's scale,
+    # seed 0 at m3 read 28% low at p = inf and 2^-40
+    A = random_tensor(m, 3, seed)
+    base = estimate_norm(A, op, p)
+    for k in (-60, -30, -18, 18, 60):
+        got = estimate_norm(A.scale(2.0**k), op, p)
+        assert got.empirical_norm == math.ldexp(base.empirical_norm, k if op == OP_SCALED else k // (m - 1))
+        np.testing.assert_array_equal(got.witness, base.witness)
+
+
 def test_estimate_is_seed_reproducible():
     A = random_tensor(3, 3, seed=60)
     cfg = RunConfig(seed=5)

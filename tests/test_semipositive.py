@@ -27,6 +27,7 @@ from tcpkit import (
     symmetrize,
 )
 from tcpkit.config import RunConfig
+from tcpkit.semipositive import _violation_search
 from oracles import beta_grid_oracle, classify_grid_oracle, draw_decisive_tensor
 
 OFFDIAG = Tensor(np.array([[0.0, -1.0], [-1.0, 0.0]]))
@@ -93,11 +94,41 @@ def test_margin_matches_grid_oracle(seed):
     assert got == pytest.approx(want, abs=0.02)
 
 
+EXACT_SCALES = (-60, -30, -18, 18, 60)  # multiples of 6, so of every m - 1
+
+
+def baseline_margin_tensor():
+    """m3 n4, U(-1, 1) entries with 2.5 added to the diagonal: its least-point
+    ties once broke differently at 2^-30 and 2^-40."""
+    data = np.random.default_rng(0).uniform(-1.0, 1.0, (4, 4, 4))
+    data[np.diag_indices(4, 3)] += 2.5
+    return Tensor(data)
+
+
 def test_margin_scale_equivariance():
     A = random_tensor(3, 3, seed=42)
     base = beta(A).value
     for t in (0.5, 2.0, 7.0):
         assert beta(A.scale(t)).value == pytest.approx(t * base, rel=1e-8, abs=1e-8)
+
+
+@pytest.mark.parametrize("A", [random_tensor(3, 3, seed=42), baseline_margin_tensor()])
+def test_margin_is_exact_under_power_of_two_scaling(A):
+    # the search runs on the same unit-scale tensor, and the value maps back exactly
+    base = beta(A)
+    for k in EXACT_SCALES:
+        got = beta(A.scale(2.0**k))
+        assert got.value == math.ldexp(base.value, k)
+        np.testing.assert_array_equal(got.argmin, base.argmin)
+
+
+def test_violation_search_is_exact_under_power_of_two_scaling():
+    A = random_tensor(3, 3, seed=43)
+    value, witness = _violation_search(A, RunConfig())
+    for k in EXACT_SCALES:
+        got, got_witness = _violation_search(A.scale(2.0**k), RunConfig())
+        assert got == math.ldexp(value, k)
+        np.testing.assert_array_equal(got_witness, witness)
 
 
 @settings(max_examples=15, deadline=None)
