@@ -3,8 +3,9 @@
     python3 tools/golden_outputs.py --out DIR [--src SRC]
 
 Run it from any directory.  tcpkit is imported from ``SRC``, by default
-the ``src`` next to this file, so one copy of this script gives two
-checkouts the same inputs.  It writes the inputs it makes, then runs
+the ``src`` next to this file, and the input draws of ``perfbench``'s
+workloads from the ``perfbench`` next to this file, so one copy of this
+script gives two checkouts the same inputs.  It writes the inputs it makes, then runs
 the CLI in-process on them and writes one file per command with its
 standard output, plus standard error and the exit code when the command
 fails.  The commands are ``classify``, ``beta`` and ``norms`` on a fixed
@@ -21,11 +22,11 @@ matrices and on ``diag(1, 1, 2)`` and the 3x3 identity, whose repeated
 eigenvalues take the multi-column vertex rule, and then ``verify-bounds`` on symmetric matrices:
 ``matrix_m2 --symmetric`` at n3/n4 and ``random_symmetric_copositive`` at
 order 2, n3.  After them, ``solve`` runs by both methods on two nonnegative
-symmetric instances, m3 n5 and m4 n6 (``NONNEG_SOLVES``), drawn the way
-``perfbench/workloads.py``'s ``nonneg_symmetric`` draws them; on both, the
+symmetric instances, m3 n5 and m4 n6 (``NONNEG_SOLVES``), drawn by
+``perfbench/workloads.py``'s ``nonneg_symmetric``; on both, the
 first start of ``--method iterative`` does not certify.  Then ``solve``
 runs by both methods on the four scaled copies of ``perfbench``'s
-``solve`` workload (``SCALED_SOLVES``): its two fixed diagonally dominant
+``solve`` workload (``SCALED_SOLVES``): its two fixed ``diag_dominant``
 bases, m3 n3 and m4 n3, with ``q`` times 1e6 and times 1e-9.  Last,
 ``classify`` and ``beta`` run at n7 (``MULTISTART_SHAPES``), where the
 default grid is off and the sphere search is multistart only.  Every input
@@ -118,35 +119,12 @@ def draw(rng: np.random.Generator, m: int, n: int, kind: str) -> dict:
             "entries": entries(data, kind == "symmetric")}
 
 
-def nonneg_instance(m: int, n: int, s: int) -> dict:
-    """An instance object: the symmetrized uniform(0, 1) tensor with its
-    diagonal raised by 0.5 + uniform(0, 1), then q ~ uniform(-2, 1), all
-    from ``default_rng([s, m, n, 11])``; every cell is written, so the
-    values are kept bit for bit."""
-    rng = np.random.default_rng([s, m, n, 11])
-    data = rng.uniform(0.0, 1.0, size=(n,) * m)
-    perms = list(itertools.permutations(range(m)))
-    data = sum(np.transpose(data, p) for p in perms) / len(perms)
-    diag = tuple([np.arange(n)] * m)
-    data[diag] = data[diag] + 0.5 + rng.uniform(0.0, 1.0, size=n)
-    q = rng.uniform(-2.0, 1.0, size=n)
-    return {"tensor": {"m": m, "n": n, "symmetric": False, "entries": entries(data, False)},
-            "q": [float(v) for v in q]}
-
-
-def scaled_instance(m: int, n: int, s: int, t: float) -> dict:
-    """An instance object: the diagonally dominant tensor with margin 0.5
-    (off-diagonal entries uniform(-1, 1), each diagonal entry its row's
-    off-diagonal absolute sum plus 0.5 + uniform(0, 1)), then q ~
-    uniform(-2, 1) times ``t``, all from ``default_rng([s, m, n, 99])``;
-    every cell is written."""
-    rng = np.random.default_rng([s, m, n, 99])
-    data = rng.uniform(-1.0, 1.0, size=(n,) * m)
-    diag = tuple([np.arange(n)] * m)
-    data[diag] = 0.0
-    data[diag] = np.abs(data).reshape(n, -1).sum(axis=1) + 0.5 + rng.uniform(0.0, 1.0, size=n)
-    q = rng.uniform(-2.0, 1.0, size=n) * t
-    return {"tensor": {"m": m, "n": n, "symmetric": False, "entries": entries(data, False)},
+def instance(data: np.ndarray, rng: np.random.Generator, t: float = 1.0) -> dict:
+    """An instance object: the tensor ``data``, every cell written so that
+    its values are kept bit for bit, then ``q ~ uniform(-2, 1)`` from
+    ``rng``, times ``t``."""
+    q = rng.uniform(-2.0, 1.0, size=data.shape[0]) * t
+    return {"tensor": {"m": data.ndim, "n": data.shape[0], "symmetric": False, "entries": entries(data, False)},
             "q": [float(v) for v in q]}
 
 
@@ -167,9 +145,10 @@ def bounds_command(family: str, m: int, n: int, symmetric: bool = False) -> tupl
             + (["--csv", f"{name}.csv"] if family == CSV_FAMILY else []))
 
 
-def commands(families: tuple[str, ...], eigen_kinds: tuple[str, ...]) -> list[tuple[str, list[str]]]:
+def commands(families: tuple[str, ...], eigen_kinds: tuple[str, ...], workloads) -> list[tuple[str, list[str]]]:
     """(output name, CLI argv) pairs for a package with these generator
-    families and eigen kinds; writes the input files they read."""
+    families and eigen kinds; writes the input files they read, drawing the
+    instances of benchmark inputs with ``perfbench``'s ``workloads``."""
     rng = np.random.default_rng(20151)
     out = []
     for m, n in SHAPES:
@@ -220,13 +199,15 @@ def commands(families: tuple[str, ...], eigen_kinds: tuple[str, ...]) -> list[tu
     out.extend(bounds_command(family, 2, n, symmetric) for family, n, symmetric in SYMMETRIC_MATRIX_BOUNDS)
     for m, n, s in NONNEG_SOLVES:
         name = f"m{m}n{n}_nonneg_s{s}"
-        write_json(f"{name}.instance.json", nonneg_instance(m, n, s))
+        rng = np.random.default_rng([s, m, n, 11])
+        write_json(f"{name}.instance.json", instance(workloads.nonneg_symmetric(rng, m, n, False), rng))
         for method in ("enumeration", "iterative"):
             out.append((f"solve_{method}_{name}", ["solve", f"{name}.instance.json", "--method", method]))
     for m, n, s in SCALED_SOLVES:
         for label, t in SCALES.items():
             name = f"m{m}n{n}_base_s{s}_q_times_{label}"
-            write_json(f"{name}.instance.json", scaled_instance(m, n, s, t))
+            rng = np.random.default_rng([s, m, n, 99])
+            write_json(f"{name}.instance.json", instance(workloads.diag_dominant(rng, m, n, 0.5), rng, t))
             for method in ("enumeration", "iterative"):
                 out.append((f"solve_{method}_{name}", ["solve", f"{name}.instance.json", "--method", method]))
     for m, kind in MULTISTART_SHAPES:
@@ -254,11 +235,12 @@ def main() -> None:
     parser.add_argument("--src", default=os.path.join(ROOT, "src"),
                         help="directory holding the tcpkit package to run")
     args = parser.parse_args()
-    sys.path.insert(0, os.path.abspath(args.src))
+    sys.path[:0] = [os.path.abspath(args.src), os.path.join(ROOT, "perfbench")]
     bounds, cli, eigen = (importlib.import_module(f"tcpkit.{mod}") for mod in ("bounds", "cli", "eigen"))
+    workloads = importlib.import_module("workloads")
     os.makedirs(args.out, exist_ok=True)
     os.chdir(args.out)  # relative file names keep the outputs free of DIR
-    for name, argv in commands(bounds.GENERATOR_FAMILIES, eigen.EIGEN_KINDS):
+    for name, argv in commands(bounds.GENERATOR_FAMILIES, eigen.EIGEN_KINDS, workloads):
         run(cli.main, name, argv)
         print(name, flush=True)
 

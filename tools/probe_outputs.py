@@ -3,15 +3,17 @@
     python3 tools/probe_outputs.py --out DIR [--src SRC]
 
 Run it from any directory.  tcpkit is imported from ``SRC``, by default
-the ``src`` next to this file, so one copy of this script can probe two
+the ``src`` next to this file, and ``perfbench``'s workload draws from the
+``perfbench`` next to this file, so one copy of this script can probe two
 checkouts.  It writes two files, one JSON line per input; each line names
 its input (family, m, n, seed) and holds the library's results on it, or
 the error a call raised.
 
 - ``tcp.jsonl``, the 378-instance TCP probe: ``solve_enumeration`` and
   ``solve_iterative`` on 18 seeds (0-17) of 21 shapes.  ``diag_dominant``
-  tensors (off-diagonal entries uniform(-1, 1), each diagonal entry its
-  row's off-diagonal absolute sum plus 0.5 + uniform(0, 1)) run at m2
+  tensors (``perfbench/workloads.py``'s, with margin 0.5: off-diagonal
+  entries uniform(-1, 1), each diagonal entry its row's off-diagonal
+  absolute sum plus 0.5 + uniform(0, 1)) run at m2
   n2-6 and m3/m4 n3-6, and ``nonneg_symmetric`` ones (uniform(0, 1)
   entries, the diagonal raised by 0.5 + uniform(0, 1), then
   ``tcpkit.symmetrize``) at m3/m4 n3-6.  Each instance is drawn from
@@ -64,14 +66,6 @@ def diagonal_cells(m: int, n: int) -> tuple:
     return tuple([np.arange(n)] * m)
 
 
-def diag_dominant(rng: np.random.Generator, m: int, n: int) -> np.ndarray:
-    data = rng.uniform(-1.0, 1.0, size=(n,) * m)
-    diag = diagonal_cells(m, n)
-    data[diag] = 0.0
-    data[diag] = np.abs(data).reshape(n, -1).sum(axis=1) + 0.5 + rng.uniform(0.0, 1.0, size=n)
-    return data
-
-
 def pareto_input(rng: np.random.Generator, m: int, n: int, kind: str) -> np.ndarray:
     """One unsymmetrized tensor of ``PARETO_KINDS`` (module docstring)."""
     diag = diagonal_cells(m, n)
@@ -98,13 +92,13 @@ def outcome(tcpkit, fn, *args) -> dict:
     return out
 
 
-def tcp_lines(tcpkit):
+def tcp_lines(tcpkit, workloads):
     for family, shapes in TCP_SHAPES.items():
         for m, n in shapes:
             for s in TCP_SEEDS:
                 rng = np.random.default_rng([s, m, n, 99])
                 if family == "diag_dominant":
-                    A = tcpkit.Tensor(diag_dominant(rng, m, n))
+                    A = tcpkit.Tensor(workloads.diag_dominant(rng, m, n, 0.5))
                 else:
                     A = tcpkit.symmetrize(tcpkit.Tensor(pareto_input(rng, m, n, "nonneg")))
                 inst = tcpkit.TcpInstance(A, rng.uniform(-2.0, 1.0, size=n))
@@ -138,10 +132,11 @@ def main() -> None:
     parser.add_argument("--src", default=os.path.join(ROOT, "src"),
                         help="directory holding the tcpkit package to probe")
     args = parser.parse_args()
-    sys.path.insert(0, os.path.abspath(args.src))
+    sys.path[:0] = [os.path.abspath(args.src), os.path.join(ROOT, "perfbench")]
     tcpkit = importlib.import_module("tcpkit")
+    workloads = importlib.import_module("workloads")
     os.makedirs(args.out, exist_ok=True)
-    for name, lines in (("tcp.jsonl", tcp_lines(tcpkit)), ("pareto.jsonl", pareto_lines(tcpkit))):
+    for name, lines in (("tcp.jsonl", tcp_lines(tcpkit, workloads)), ("pareto.jsonl", pareto_lines(tcpkit))):
         with open(os.path.join(args.out, name), "w", encoding="utf-8") as fh:
             count = 0
             for obj in lines:
