@@ -281,7 +281,8 @@ def lane_maps(data: np.ndarray, S: np.ndarray, owner: np.ndarray):
 
 def at_unit_scale(A: Tensor, step: int = 1) -> tuple[int, Tensor]:
     """``e``, the multiple of ``step`` nearest ``log2 max|A|`` (0 for a zero
-    tensor), and ``A / 2^e``, exact at every finite scale: only the exponents shift."""
+    tensor), and ``A / 2^e``: only exponents shift, so it is exact unless an
+    entry below about 2^-1022 ``max|A|`` leaves the normal range."""
     top = float(np.max(np.abs(A.data)))
     e = step * round(np.log2(top) / step) if top > 0 else 0
     return e, Tensor(np.ldexp(A.data, -e))

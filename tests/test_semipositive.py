@@ -122,8 +122,8 @@ def test_margin_is_exact_under_power_of_two_scaling(A):
         np.testing.assert_array_equal(got.argmin, base.argmin)
 
 
-def test_violation_search_is_exact_under_power_of_two_scaling():
-    A = random_tensor(3, 3, seed=43)
+@pytest.mark.parametrize("A", [random_tensor(3, 3, seed=1), baseline_margin_tensor()])
+def test_violation_search_is_exact_under_power_of_two_scaling(A):
     value, witness = _violation_search(A, RunConfig())
     for k in EXACT_SCALES:
         got, got_witness = _violation_search(A.scale(2.0**k), RunConfig())

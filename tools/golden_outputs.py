@@ -5,8 +5,8 @@
 Run it from any directory.  tcpkit is imported from ``SRC``, by default
 the ``src`` next to this file, and the input draws of ``perfbench``'s
 workloads from the ``perfbench`` next to this file, so one copy of this
-script gives two checkouts the same inputs.  It writes the inputs it makes, then runs
-the CLI in-process on them and writes one file per command with its
+script gives two checkouts the same inputs.  It writes the inputs it
+makes, then runs the CLI in-process on them and writes one file per command with its
 standard output, plus standard error and the exit code when the command
 fails.  The commands are ``classify``, ``beta`` and ``norms`` on a fixed
 list of m2-4, n2-6 tensors; every ``eigen`` kind on m3/m4 n3/n4 and m4 n5

@@ -13,8 +13,7 @@ the error a call raised.
   ``solve_iterative`` on 18 seeds (0-17) of 21 shapes.  ``diag_dominant``
   tensors (``perfbench/workloads.py``'s, with margin 0.5: off-diagonal
   entries uniform(-1, 1), each diagonal entry its row's off-diagonal
-  absolute sum plus 0.5 + uniform(0, 1)) run at m2
-  n2-6 and m3/m4 n3-6, and ``nonneg_symmetric`` ones (uniform(0, 1)
+  absolute sum plus 0.5 + uniform(0, 1)) run at m2 n2-6 and m3/m4 n3-6, and ``nonneg_symmetric`` ones (uniform(0, 1)
   entries, the diagonal raised by 0.5 + uniform(0, 1), then
   ``tcpkit.symmetrize``) at m3/m4 n3-6.  Each instance is drawn from
   ``default_rng([s, m, n, 99])``: the tensor, then ``q ~ uniform(-2, 1)``.
