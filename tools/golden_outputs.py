@@ -1,37 +1,71 @@
-"""Seeded CLI outputs of one checkout, written to a directory for diffing.
+"""Seeded outputs of one checkout (CLI, library probes, exclusion counts), written for diffing.
 
     python3 tools/golden_outputs.py --out DIR [--src SRC]
 
 Run it from any directory.  tcpkit is imported from ``SRC``, by default
 the ``src`` next to this file, and the input draws of ``perfbench``'s
 workloads from the ``perfbench`` next to this file, so one copy of this
-script gives two checkouts the same inputs.  It writes the inputs it
-makes, then runs the CLI in-process on them and writes one file per command with its
-standard output, plus standard error and the exit code when the command
-fails.  The commands are ``classify``, ``beta`` and ``norms`` on a fixed
-list of m2-4, n2-6 tensors; every ``eigen`` kind on m3/m4 n3/n4 and m4 n5
-tensors, and ``h_plus`` and ``pareto_h`` on m3 n5 ones; ``solve`` by both
-methods at m3/m4, n3-n6; and ``verify-bounds`` (with its full report) for
-every family at m3/m4, n3/n4 (order 2 for ``matrix_m2``), with the
-``--csv`` file for ``random_symmetric_copositive``.  At m3 n3 and m4 n4,
+script gives two checkouts the same inputs.  It writes three things.
+
+First the CLI outputs: the inputs it makes, then one file per command with
+its standard output, plus standard error and the exit code when the
+command fails, from the CLI run in-process.  The commands are
+``classify``, ``beta`` and ``norms`` on a fixed list of m2-4, n2-6
+tensors; every ``eigen`` kind on m3/m4 n3/n4 and m4 n5 tensors, and
+``h_plus`` and ``pareto_h`` on m3 n5 ones; ``solve`` by both methods at
+m3/m4, n3-n6; and ``verify-bounds`` (with its full report) for every
+family at m3/m4, n3/n4 (order 2 for ``matrix_m2``), with the ``--csv``
+file for ``random_symmetric_copositive``.  At m3 n3 and m4 n4,
 ``classify``, ``beta``, ``norms``, the ``h_plus``, ``pareto_h`` and
 ``delta_h_plus`` eigen kinds and ``solve`` also run with ``--format csv``
-and ``--format text``.  Last come the ``h_plus``, ``pareto_h`` and
+and ``--format text``.  Then come the ``h_plus``, ``pareto_h`` and
 ``pareto_z`` eigen kinds at order 2, on shifted and symmetric n3/n5
 matrices and on ``diag(1, 1, 2)`` and the 3x3 identity, whose repeated
-eigenvalues take the multi-column vertex rule, and then ``verify-bounds`` on symmetric matrices:
-``matrix_m2 --symmetric`` at n3/n4 and ``random_symmetric_copositive`` at
-order 2, n3.  After them, ``solve`` runs by both methods on two nonnegative
-symmetric instances, m3 n5 and m4 n6 (``NONNEG_SOLVES``), drawn by
-``perfbench/workloads.py``'s ``nonneg_symmetric``; on both, the
-first start of ``--method iterative`` does not certify.  Then ``solve``
-runs by both methods on the four scaled copies of ``perfbench``'s
-``solve`` workload (``SCALED_SOLVES``): its two fixed ``diag_dominant``
-bases, m3 n3 and m4 n3, with ``q`` times 1e6 and times 1e-9.  Last,
-``classify`` and ``beta`` run at n7 (``MULTISTART_SHAPES``), where the
-default grid is off and the sphere search is multistart only.  Every input
-is drawn from a fixed seed, so two checkouts whose outputs agree give
-directories that ``diff -r`` finds equal.
+eigenvalues take the multi-column vertex rule, and ``verify-bounds`` on
+symmetric matrices: ``matrix_m2 --symmetric`` at n3/n4 and
+``random_symmetric_copositive`` at order 2, n3.  After them, ``solve``
+runs by both methods on two nonnegative symmetric instances, m3 n5 and m4
+n6 (``NONNEG_SOLVES``), drawn by ``perfbench/workloads.py``'s
+``nonneg_symmetric``; on both, the first start of ``--method iterative``
+does not certify.  Then ``solve`` runs by both methods on the four scaled
+copies of ``perfbench``'s ``solve`` workload (``SCALED_SOLVES``): its two
+fixed ``diag_dominant`` bases, m3 n3 and m4 n3, with ``q`` times 1e6 and
+times 1e-9.  Last, ``classify`` and ``beta`` run at n7
+(``MULTISTART_SHAPES``), where the default grid is off and the sphere
+search is multistart only.
+
+Then the library probes, one JSON line per input that names it (family,
+m, n, seed) and holds the library's results on it, or the error a call
+raised, and the warnings it gave:
+
+- ``probe_tcp.jsonl``, 378 TCP instances: ``solve_enumeration`` and
+  ``solve_iterative`` on 18 seeds (0-17) of 21 shapes.  ``diag_dominant``
+  tensors (``perfbench``'s, with margin 0.5) run at m2 n2-6 and m3/m4
+  n3-6, and ``nonneg_symmetric`` ones (``nonneg`` below, then
+  ``tcpkit.symmetrize``) at m3/m4 n3-6.  Each instance is drawn from
+  ``default_rng([s, m, n, 99])``: the tensor, then ``q ~ uniform(-2, 1)``.
+- ``probe_pareto.jsonl``, 612 tensors: ``pareto_h_eigenvalues`` and, at
+  even order, ``pareto_z_eigenvalues`` at m3 n2-6 and m4 n2-5.  For each
+  seed 0-15, one ``default_rng([s, m, n, 4242])`` draws one tensor of each
+  of ``PARETO_KINDS`` in turn.  Seeds 0-3 of
+  ``generate(GeneratorSpec("random_symmetric_copositive", m, n, seed))``
+  follow.  Every input passes through ``tcpkit.symmetrize``.
+
+Last, ``exclusion_counts.json``: the work of the support exclusion search
+``tcp._rootless``, over every operation of round 0 of the ``solve``
+workload at seeds 1-10, including the calls that build the round's fixed
+bases.  ``groups`` counts its calls (one per support size per
+enumeration), ``supports`` the supports they took, ``ruled_out`` those
+shown rootless, ``left_early`` those that left the search before the box
+cap (its third result), ``capped`` those still open at the cap, and
+``boxes`` the boxes spent.  The counting wrapper and a filter for the
+"enumeration found no solution" warning are installed around this loop
+only.  A package whose ``_rootless`` is missing, or is not
+``_rootless(data, S, Q) -> (rootless, cells, left)``, gets an ``error``
+entry instead.
+
+Every input is drawn from a fixed seed, so two checkouts whose outputs
+agree give directories that ``diff -r`` finds equal.
 """
 
 from __future__ import annotations
@@ -45,10 +79,12 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "VECL
 import argparse  # noqa: E402
 import contextlib  # noqa: E402
 import importlib  # noqa: E402
+import inspect  # noqa: E402
 import io  # noqa: E402
 import itertools  # noqa: E402
 import json  # noqa: E402
 import sys  # noqa: E402
+import warnings  # noqa: E402
 
 import numpy as np  # noqa: E402
 
@@ -89,6 +125,19 @@ SCALES = {"1e6": 1e6, "1e-9": 1e-9}
 # (m, kind) of the n7 tensors drawn from default_rng([m, 7, 20151])
 MULTISTART_SHAPES = [(2, "mixed"), (3, "shifted")]
 
+TCP_SHAPES = {
+    "diag_dominant": [(2, n) for n in range(2, 7)] + [(m, n) for m in (3, 4) for n in range(3, 7)],
+    "nonneg_symmetric": [(m, n) for m in (3, 4) for n in range(3, 7)],
+}
+TCP_SEEDS = range(18)
+PARETO_SHAPES = [(3, n) for n in range(2, 7)] + [(4, n) for n in range(2, 6)]
+PARETO_SEEDS = range(16)
+# each Pareto probe label and the ``draw_data`` kind it draws
+PARETO_KINDS = {"mixed": "mixed", "nonneg": "nonneg", "zero_diagonal": "zero_diagonal", "shifted": "raised"}
+COPOSITIVE_SEEDS = range(4)
+COUNT_SEEDS = range(1, 11)
+COUNTS = ("groups", "supports", "ruled_out", "left_early", "capped", "boxes")
+
 
 def entries(data: np.ndarray, symmetric: bool) -> list[dict]:
     """Sparse 1-based entries; a symmetric tensor lists each sorted cell once."""
@@ -102,12 +151,19 @@ def entries(data: np.ndarray, symmetric: bool) -> list[dict]:
     return out
 
 
-def draw(rng: np.random.Generator, m: int, n: int, kind: str) -> dict:
-    """A tensor object: ``mixed`` has uniform(-1, 1) entries, ``shifted`` adds
-    a dominant diagonal to them, ``symmetric`` is exactly symmetric with
-    uniform(0, 1) entries and a raised diagonal."""
-    data = rng.uniform(-1.0, 1.0, size=(n,) * m)
+def draw_data(rng: np.random.Generator, m: int, n: int, kind: str) -> np.ndarray:
+    """One tensor's entries.  ``mixed`` is uniform(-1, 1); ``shifted`` sets
+    each diagonal entry of those to its row's absolute sum plus 0.5, and
+    ``raised`` adds uniform(0, 2) to it; ``symmetric`` takes their absolute
+    values, each cell that of its sorted cell, and adds 0.5 to the diagonal.
+    ``nonneg`` is uniform(0, 1) with the diagonal raised by 0.5 +
+    uniform(0, 1), and ``zero_diagonal`` uniform(0, 1) with a zero diagonal."""
     diag = tuple([np.arange(n)] * m)
+    if kind in ("nonneg", "zero_diagonal"):
+        data = rng.uniform(0.0, 1.0, size=(n,) * m)
+        data[diag] = 0.0 if kind == "zero_diagonal" else data[diag] + 0.5 + rng.uniform(0.0, 1.0, size=n)
+        return data
+    data = rng.uniform(-1.0, 1.0, size=(n,) * m)
     if kind == "symmetric":
         data = np.abs(data)
         for cell in itertools.product(range(n), repeat=m):
@@ -115,8 +171,15 @@ def draw(rng: np.random.Generator, m: int, n: int, kind: str) -> dict:
         data[diag] += 0.5
     elif kind == "shifted":
         data[diag] = np.abs(data).reshape(n, -1).sum(axis=1) + 0.5
+    elif kind == "raised":
+        data[diag] += rng.uniform(0.0, 2.0, size=n)
+    return data
+
+
+def draw(rng: np.random.Generator, m: int, n: int, kind: str) -> dict:
+    """The tensor object of ``draw_data(rng, m, n, kind)``."""
     return {"m": m, "n": n, "symmetric": kind == "symmetric",
-            "entries": entries(data, kind == "symmetric")}
+            "entries": entries(draw_data(rng, m, n, kind), kind == "symmetric")}
 
 
 def instance(data: np.ndarray, rng: np.random.Generator, t: float = 1.0) -> dict:
@@ -229,6 +292,90 @@ def run(cli_main, name: str, argv: list[str]) -> None:
             fh.write(f"exit {code}\n{stderr.getvalue()}")
 
 
+def outcome(tcpkit, fn, *args) -> dict:
+    """The JSON form of ``fn(*args)``, or the error it raised; warnings are listed."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            out = {"result": tcpkit.tensor._jsonable(fn(*args))}
+        except (ValueError, RuntimeError) as exc:
+            out = {"error": f"{type(exc).__name__}: {exc}"}
+    if caught:
+        out["warnings"] = [str(w.message) for w in caught]
+    return out
+
+
+def tcp_lines(tcpkit, workloads):
+    for family, shapes in TCP_SHAPES.items():
+        for m, n in shapes:
+            for s in TCP_SEEDS:
+                rng = np.random.default_rng([s, m, n, 99])
+                if family == "diag_dominant":
+                    A = tcpkit.Tensor(workloads.diag_dominant(rng, m, n, 0.5))
+                else:
+                    A = tcpkit.symmetrize(tcpkit.Tensor(draw_data(rng, m, n, "nonneg")))
+                inst = tcpkit.TcpInstance(A, rng.uniform(-2.0, 1.0, size=n))
+                yield {"input": {"family": family, "m": m, "n": n, "seed": s},
+                       "enumeration": outcome(tcpkit, tcpkit.solve_enumeration, inst),
+                       "iterative": outcome(tcpkit, tcpkit.solve_iterative, inst)}
+
+
+def pareto_lines(tcpkit):
+    def line(label: dict, A) -> dict:
+        out = {"input": label, "pareto_h": outcome(tcpkit, tcpkit.pareto_h_eigenvalues, A)}
+        if A.m % 2 == 0:
+            out["pareto_z"] = outcome(tcpkit, tcpkit.pareto_z_eigenvalues, A)
+        return out
+
+    for m, n in PARETO_SHAPES:
+        for s in PARETO_SEEDS:
+            rng = np.random.default_rng([s, m, n, 4242])
+            for label, kind in PARETO_KINDS.items():
+                A = tcpkit.symmetrize(tcpkit.Tensor(draw_data(rng, m, n, kind)))
+                yield line({"family": label, "m": m, "n": n, "seed": s}, A)
+        for s in COPOSITIVE_SEEDS:
+            spec = tcpkit.GeneratorSpec("random_symmetric_copositive", m, n, seed=s)
+            yield line({"family": spec.family, "m": m, "n": n, "seed": s},
+                       tcpkit.symmetrize(tcpkit.generate(spec)))
+
+
+def exclusion_counts(tcp, workloads) -> dict:
+    """``COUNTS`` over round 0 of the ``solve`` workload at ``COUNT_SEEDS``,
+    or an ``error`` entry when ``tcp._rootless`` cannot be counted."""
+    rule = getattr(tcp, "_rootless", None)
+    if rule is None or list(inspect.signature(rule).parameters) != ["data", "S", "Q"]:
+        return {"error": "no tcp._rootless(data, S, Q)"}
+    totals = dict.fromkeys(COUNTS, 0)
+
+    def spy(data, S, Q):
+        result = rule(data, S, Q)
+        try:
+            rootless, cells, left = result
+            totals["groups"] += 1
+            totals["supports"] += len(rootless)
+            totals["ruled_out"] += int(rootless.sum())
+            totals["left_early"] += int(left.sum())
+            totals["capped"] += int(np.sum(~rootless & ~left & (cells > 0)))
+            totals["boxes"] += int(cells.sum())
+        except (TypeError, ValueError, AttributeError) as exc:
+            totals["error"] = f"tcp._rootless returned no (rootless, cells, left): {exc}"
+        return result
+
+    tcp._rootless = spy
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", message="enumeration found no solution")
+            for seed in COUNT_SEEDS:
+                for op in workloads.WORKLOADS["solve"](seed, 0):
+                    try:
+                        op.run()
+                    except Exception:  # a raising operation still did its exclusion work
+                        pass
+    finally:
+        tcp._rootless = rule
+    return {"error": totals["error"]} if "error" in totals else totals
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", required=True, help="directory to write into (created)")
@@ -236,13 +383,24 @@ def main() -> None:
                         help="directory holding the tcpkit package to run")
     args = parser.parse_args()
     sys.path[:0] = [os.path.abspath(args.src), os.path.join(ROOT, "perfbench")]
-    bounds, cli, eigen = (importlib.import_module(f"tcpkit.{mod}") for mod in ("bounds", "cli", "eigen"))
+    tcpkit = importlib.import_module("tcpkit")
+    bounds, cli, eigen, tcp = (importlib.import_module(f"tcpkit.{mod}") for mod in ("bounds", "cli", "eigen", "tcp"))
     workloads = importlib.import_module("workloads")
     os.makedirs(args.out, exist_ok=True)
     os.chdir(args.out)  # relative file names keep the outputs free of DIR
     for name, argv in commands(bounds.GENERATOR_FAMILIES, eigen.EIGEN_KINDS, workloads):
         run(cli.main, name, argv)
         print(name, flush=True)
+    for name, lines in (("probe_tcp.jsonl", tcp_lines(tcpkit, workloads)), ("probe_pareto.jsonl", pareto_lines(tcpkit))):
+        with open(name, "w", encoding="utf-8") as fh:
+            count = 0
+            for obj in lines:
+                fh.write(json.dumps(obj, sort_keys=True) + "\n")
+                count += 1
+        print(f"{name}: {count} lines", flush=True)
+    counts = exclusion_counts(tcp, workloads)
+    write_json("exclusion_counts.json", counts)
+    print("exclusion_counts.json:", " ".join(f"{k}={v}" for k, v in counts.items()), flush=True)
 
 
 if __name__ == "__main__":
