@@ -6,10 +6,13 @@ support enumeration (per support, solve the polynomial system on the
 active coordinates and check the inactive rows) and a semismooth Newton
 method on the Fischer-Burmeister residual
 ``Phi(x)_i = sqrt(x_i^2 + w_i^2) - x_i - w_i``, which vanishes exactly at
-the solutions.  Both solve at unit scale, on ``q / ||q||_inf``, and map
-their solutions back by positive homogeneity: the solutions for ``t q`` are
-``t^(1/(m-1))`` times those for q.  Every returned solution is re-certified
-by :func:`verify_solution` from scratch, relative to the instance's scale.
+the solutions.  Both solve one unit instance, with ``A`` and ``q`` shifted
+by powers of two (:func:`_unit_scale`), and map its solutions back by
+positive homogeneity: the solutions of ``(2^e A, 2^(e + k(m-1)) q)`` are
+``2^k`` times those of ``(A, q)``.  Every shift is exact, so ``(2^j A, 2^j
+q)`` gives the same solutions, bit for bit.  Every returned solution is
+re-certified by :func:`verify_solution` from scratch, relative to the
+instance's scale.
 
 Above order 2, enumeration first rules out every support whose active
 system is certified to have no root it could keep: the row margin of
@@ -41,6 +44,7 @@ from .tensor import (
     _kron_rows,
     _real,
     as_vector,
+    at_unit_scale,
     contract_m1,
     contract_m1_batch,
     jacobian_m1,
@@ -78,9 +82,9 @@ class NonConvergenceError(RuntimeError):
     """No start of :func:`solve_iterative` reached a certified solution.
 
     ``best_merit`` is the least Fischer-Burmeister residual norm
-    ``||Phi(x)||`` over the final points of every start, taken at unit
-    scale (on ``q / ||q||_inf``), and ``iterations`` is the number of starts
-    run.
+    ``||Phi(x)||`` over the final points of every start, taken on the unit
+    instance of :func:`_unit_scale`, and ``iterations`` is the number of
+    starts run.
     """
 
     def __init__(self, message: str, best_merit: float, iterations: int):
@@ -161,20 +165,25 @@ def _certified_point(inst: TcpInstance, x: np.ndarray) -> np.ndarray | None:
     return x if verify_solution(inst, x, RESIDUAL_TOL).ok else None
 
 
-def _unit_scale(inst: TcpInstance) -> tuple[TcpInstance, float]:
-    """The instance at ``q / ||q||_inf`` (q = 0 as it is) and the factor
-    ``||q||_inf^(1/(m-1))`` that maps its solutions to those of ``inst``."""
-    t = float(np.max(np.abs(inst.q))) or 1.0
-    return TcpInstance(inst.A, inst.q / t), t ** (1.0 / (inst.A.m - 1))
+def _unit_scale(inst: TcpInstance) -> tuple[TcpInstance, int]:
+    """The unit instance ``(A / 2^e, q / 2^(e + k(m-1)))`` and k, where
+    ``e, A / 2^e = at_unit_scale(A)`` and k is the integer nearest ``(log2
+    ||q||_inf - e) / (m - 1)`` (0 for q = 0): its solutions times ``2^k``
+    are those of ``inst``.  Only exponents shift, so ``(2^j A, 2^j q)`` gives
+    the same unit instance, bit for bit."""
+    e, A = at_unit_scale(inst.A)
+    top = float(np.max(np.abs(inst.q)))
+    k = round((np.log2(top) - e) / (inst.A.m - 1)) if top > 0 else 0
+    return TcpInstance(A, np.ldexp(inst.q, -(e + k * (inst.A.m - 1)))), k
 
 
-def _at_scale(inst: TcpInstance, x: np.ndarray | None, c: float, method: str) -> TcpSolution | None:
-    """The solution ``c x`` of ``inst`` for a point x certified at unit
+def _at_scale(inst: TcpInstance, x: np.ndarray | None, k: int, method: str) -> TcpSolution | None:
+    """The solution ``2^k x`` of ``inst`` for a point x certified at unit
     scale, certified again on ``inst``; its support is read at unit scale."""
     if x is None:
         return None
     support = tuple(i for i in range(inst.A.n) if x[i] > POSITIVITY_FLOOR)
-    x = x * c
+    x = np.ldexp(x, k)
     record = verify_solution(inst, x)
     return TcpSolution(x, inst.q + contract_m1(inst.A, x), support, record, method) if record.ok else None
 
@@ -383,13 +392,13 @@ def solve_enumeration(inst: TcpInstance, cfg: RunConfig = DEFAULT_CONFIG) -> lis
         raise ValueError(
             f"enumeration is capped at dimension {SUPPORT_CAP}, instance has {n}"
         )
-    unit, c = _unit_scale(inst)
+    unit, k = _unit_scale(inst)
     found = [_certified_point(unit, np.zeros(n))] + [
         _certified_point(unit, zero_extend(y, J, n))
         for group in supports_by_size(n) for J, y in _support_roots(unit, group, cfg)
     ]
     points = sorted((x for x in found if x is not None), key=lambda x: (float(np.max(np.abs(x))), tuple(x)))
-    scaled = (_at_scale(inst, points[i], c, "enumeration") for i in first_of_clusters(points, CLUSTER_TOL))
+    scaled = (_at_scale(inst, points[i], k, "enumeration") for i in first_of_clusters(points, CLUSTER_TOL))
     deduped = [sol for sol in scaled if sol is not None]
     if not deduped:
         warnings.warn(
@@ -433,7 +442,7 @@ def solve_iterative(inst: TcpInstance, cfg: RunConfig = DEFAULT_CONFIG) -> TcpSo
     support, wins; else :class:`NonConvergenceError` is raised.  It runs at
     unit scale, and the winner is certified again at the caller's.
     """
-    unit, c = _unit_scale(inst)
+    unit, k = _unit_scale(inst)
     A, q, n = unit.A, unit.q, unit.A.n
     rng = cfg.substream("tcp_iterative")
     starts = np.vstack([power_component(pos_part(-q), 1.0 / (A.m - 1)), np.zeros(n),
@@ -458,7 +467,7 @@ def solve_iterative(inst: TcpInstance, cfg: RunConfig = DEFAULT_CONFIG) -> TcpSo
         for x in X:
             point = _certified_point(unit, x)
             point = _polish_active_set(unit, x, cfg) if point is None else point
-            sol = _at_scale(inst, point, c, "iterative")
+            sol = _at_scale(inst, point, k, "iterative")
             if sol is not None:
                 return sol
     raise NonConvergenceError(f"semismooth Newton did not certify a solution (best merit {best_merit:.3e})",
