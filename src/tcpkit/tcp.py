@@ -138,11 +138,12 @@ class TcpSolution(JsonRecord):
 
 
 def verify_solution(inst: TcpInstance, x, tol: float = RESIDUAL_TOL) -> ResidualRecord:
-    """Recompute w and the three residuals from scratch; with the scale
-    ``s = ||q||_inf + ||A x^(m-1)||_inf``, pass iff ``primal >= -tol ||x||_inf``,
-    ``dual >= -tol s`` and ``compl <= tol s ||x||_inf``."""
+    """Recompute w (by :func:`_contract`) and the three residuals from
+    scratch; with the scale ``s = ||q||_inf + ||A x^(m-1)||_inf``, pass iff
+    ``primal >= -tol ||x||_inf``, ``dual >= -tol s`` and ``compl <= tol s
+    ||x||_inf``."""
     x = as_vector(x, inst.A.n)
-    Ax = contract_m1(inst.A, x)
+    Ax = _contract(inst.A, x)
     w = inst.q + Ax
     primal = float(np.min(x))
     dual = float(np.min(w))
@@ -151,6 +152,15 @@ def verify_solution(inst: TcpInstance, x, tol: float = RESIDUAL_TOL) -> Residual
     s = float(np.max(np.abs(inst.q))) + float(np.max(np.abs(Ax)))
     ok = primal >= -tol * size and dual >= -tol * s and compl <= tol * s * size
     return ResidualRecord(primal, dual, compl, ok)
+
+
+def _contract(A: Tensor, x: np.ndarray) -> np.ndarray:
+    """``A x^(m-1)``, contracted at x shifted by the power of two ``2^j``
+    nearest ``max|x|`` and shifted back by ``2^(j(m-1))``.  Both shifts are
+    exact, so it overflows only where the result does."""
+    top = float(np.max(np.abs(x)))
+    j = round(np.log2(top)) if top > 0 else 0
+    return np.ldexp(contract_m1(A, np.ldexp(x, -j)), j * (A.m - 1))
 
 
 def _certified_point(inst: TcpInstance, x: np.ndarray) -> np.ndarray | None:
@@ -185,7 +195,7 @@ def _at_scale(inst: TcpInstance, x: np.ndarray | None, k: int, method: str) -> T
     support = tuple(i for i in range(inst.A.n) if x[i] > POSITIVITY_FLOOR)
     x = np.ldexp(x, k)
     record = verify_solution(inst, x)
-    return TcpSolution(x, inst.q + contract_m1(inst.A, x), support, record, method) if record.ok else None
+    return TcpSolution(x, inst.q + _contract(inst.A, x), support, record, method) if record.ok else None
 
 
 def _gamma(terms: int) -> float:

@@ -342,6 +342,62 @@ def test_certificate_verdict_does_not_depend_on_the_scale(t):
         assert verify_solution(scaled, np.sqrt(t) * x).ok == verify_solution(inst, x).ok
 
 
+EXACT_SCALES = (-60, -30, -18, 18, 60)
+
+
+def _exact_scale_instances():
+    # the Baselines example: U(-1, 1) entries with 2.5 added to the diagonal
+    rng = np.random.default_rng(0)
+    data = rng.uniform(-1.0, 1.0, (4, 4, 4))
+    data[np.diag_indices(4, 3)] += 2.5
+    cases = {"baseline_m3n4": TcpInstance(Tensor(data), rng.uniform(-2.0, 1.0, 4))}
+    for m in (3, 4):
+        rng = np.random.default_rng([m, 4, 31])
+        cases[f"diag_dominant_m{m}n4"] = TcpInstance(Tensor(diag_dominant_data(rng, m, 4, 0.5)),
+                                                      rng.uniform(-2.0, 1.0, 4))
+    return cases
+
+
+EXACT_SCALE_INSTANCES = _exact_scale_instances()
+
+
+def _scaled(inst, k):
+    return TcpInstance(inst.A.scale(2.0**k), np.ldexp(inst.q, k))
+
+
+@pytest.mark.parametrize("case", sorted(EXACT_SCALE_INSTANCES))
+def test_solutions_are_exact_under_power_of_two_scaling(case):
+    # (2^k A, 2^k q) has the same unit instance, so the same solutions bit for bit
+    inst = EXACT_SCALE_INSTANCES[case]
+    base, it = solve_enumeration(inst), solve_iterative(inst)
+    for k in EXACT_SCALES:
+        sols = solve_enumeration(_scaled(inst, k))
+        assert [s.support for s in sols] == [s.support for s in base]
+        for sol, ref in zip(sols, base):
+            np.testing.assert_array_equal(sol.x, ref.x)
+            np.testing.assert_array_equal(sol.w, np.ldexp(ref.w, k))
+        np.testing.assert_array_equal(solve_iterative(_scaled(inst, k)).x, it.x)
+
+
+def test_the_baseline_instance_has_three_solutions_at_every_scale():
+    inst = EXACT_SCALE_INSTANCES["baseline_m3n4"]
+    for k in range(-64, 65, 8):
+        assert len(solve_enumeration(_scaled(inst, k))) == 3, k
+
+
+def test_a_subnormal_tensor_is_solved_without_overflow():
+    # the root (1e155, 0) is finite, though x_0^2 is not
+    inst = TcpInstance(diagonal_tensor([1e-310, 2e-310], 3), [-1.0, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        sols = solve_enumeration(inst)
+        it = solve_iterative(inst)
+    assert len(sols) == 1
+    for x in (sols[0].x, it.x):
+        np.testing.assert_allclose(x, [1e155, 0.0], rtol=1e-12, atol=0)
+        assert verify_solution(inst, x).ok
+
+
 def test_zero_offset_certifies_only_zero():
     inst = TcpInstance(identity_tensor(3, 2), np.zeros(2))
     assert verify_solution(inst, np.zeros(2)).ok
