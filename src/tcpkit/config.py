@@ -31,7 +31,7 @@ class RunConfig:
     or an integer >= 0; anything else raises ``ValueError``.
     """
 
-    tol: float = 1e-6               # sign tolerance for verdict-style decisions
+    tol: float = 1e-6               # sign tolerance of verdicts, read at the tensor's unit scale
     grid: int | None = None         # grid points per free axis; None = auto by dimension
     starts: int | None = None       # random starts of every multistart search; None = per routine
     seed: int = 0

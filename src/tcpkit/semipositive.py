@@ -8,7 +8,9 @@ symmetric tensors (strict) semi-positivity coincides with (strict)
 copositivity, which :func:`is_copositive` checks directly by minimizing
 the full contraction over the same feasible set.  Every search runs on
 :func:`tcpkit.tensor.at_unit_scale`'s ``A / 2^e``, and its value, of degree
-1 in A, maps back by ``2^e`` before any ``tol`` comparison.
+1 in A, maps back by ``2^e``.  ``RunConfig.tol`` is read at that unit
+scale: a value is compared with ``tol * 2^e``, so ``A`` and ``2^k A`` get
+the same verdicts.
 """
 
 from __future__ import annotations
@@ -103,29 +105,32 @@ def classify(A: Tensor, cfg: RunConfig = DEFAULT_CONFIG) -> Classification:
     then active with activity below -tol).  Near zero, a per-support search
     looks for a vector whose active rows are all below -tol; absent one,
     the tensor is reported semi-positive only.  ``undetermined`` is kept
-    for near-misses the resolution cannot separate from zero.
+    for near-misses the resolution cannot separate from zero.  Here tol is
+    ``RunConfig.tol`` at unit scale, ``RunConfig.tol * 2^e``.
     """
+    tol = float(np.ldexp(cfg.tol, at_unit_scale(A)[0]))
     b = beta(A, cfg)
-    if b.value > cfg.tol:
+    if b.value > tol:
         return Classification(STRICTLY_SEMI_POSITIVE, b)
-    if b.value < -cfg.tol:
+    if b.value < -tol:
         return Classification(NOT_SEMI_POSITIVE, b, counterexample=b.argmin)
     val, witness = _violation_search(A, cfg)
-    if val < -cfg.tol:
+    if val < -tol:
         return Classification(NOT_SEMI_POSITIVE, b, counterexample=witness)
-    if val < -cfg.tol * 0.1:
+    if val < -tol * 0.1:
         return Classification(UNDETERMINED, b)
     return Classification(SEMI_POSITIVE_ONLY, b)
 
 
 def is_copositive(A: Tensor, strict: bool = False, cfg: RunConfig = DEFAULT_CONFIG) -> bool:
-    """Minimize the full contraction over {x >= 0, ||x||_inf = 1}; symmetric only."""
+    """Minimize the full contraction over {x >= 0, ||x||_inf = 1}, at unit
+    scale, and compare the minimum with ``RunConfig.tol``; symmetric only."""
     if not A.symmetric:
         raise ValueError("copositivity checks require a symmetric tensor")
-    e, unit = at_unit_scale(A)
+    _, unit = at_unit_scale(A)
 
     def full_batch(X: np.ndarray) -> np.ndarray:
         return np.sum(X * contract_m1_batch(unit, X), axis=1)
 
-    value = float(np.ldexp(minimize_nonneg_sphere(full_batch, A.n, cfg, "copositive").value, e))
+    value = minimize_nonneg_sphere(full_batch, A.n, cfg, "copositive").value
     return value >= (cfg.tol if strict else -cfg.tol)

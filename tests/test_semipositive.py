@@ -185,6 +185,15 @@ def test_near_zero_violations_take_the_three_verdicts(d, verdict):
     assert classify(diagonal_tensor([1.0, d], 3)).verdict == verdict
 
 
+@pytest.mark.parametrize("A", [baseline_margin_tensor(), OFFDIAG, diagonal_tensor([1.0, -5e-7], 3)],
+                         ids=["strict", "not", "undetermined"])
+def test_verdicts_do_not_depend_on_a_power_of_two_scale(A):
+    # tol is read at unit scale, so A and 2^k A get the same verdict
+    verdict = classify(A).verdict
+    for k in EXACT_SCALES:
+        assert classify(A.scale(2.0**k)).verdict == verdict, k
+
+
 def test_counterexample_certificate_rows_negative():
     for A in (OFFDIAG, Tensor(np.array([[0.0, 0.0], [0.0, -1.0]]))):
         cls = classify(A)
@@ -211,6 +220,13 @@ def test_identity_strictly_copositive():
 def test_symmetrized_off_diagonal_not_copositive():
     S = symmetrize(OFFDIAG)
     assert not is_copositive(S, strict=False)
+
+
+@pytest.mark.parametrize("A,strict", [(identity_tensor(4, 2), True), (symmetrize(OFFDIAG), False)])
+def test_copositivity_does_not_depend_on_a_power_of_two_scale(A, strict):
+    verdict = is_copositive(A, strict=strict)
+    for k in EXACT_SCALES:
+        assert is_copositive(A.scale(2.0**k), strict=strict) == verdict, k
 
 
 def test_copositivity_requires_symmetry():
