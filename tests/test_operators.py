@@ -278,8 +278,15 @@ def test_every_path_reports_the_norm_at_its_witness(m):
                 report = estimate_norm(A, op, p, budget=8)
                 image = apply_operator(A, op, report.witness)
                 assert _pnorm_rows(image[None, :], p)[0] == report.empirical_norm
-                if p != 3.0:  # numpy's scalar ** (1/3) and its array loop can differ by an ulp
-                    assert _pnorm_rows(image, p) == report.empirical_norm
+                assert _pnorm_rows(image, p) == report.empirical_norm
+
+
+@pytest.mark.parametrize("p", [3.0, 4.0, 4.0 / 3.0])
+def test_a_vector_norm_equals_its_row_of_a_batch(p):
+    # numpy's scalar ** and its array loop can round a root differently
+    X = np.random.default_rng(11).uniform(-1.0, 1.0, (400, 5))
+    rows = _pnorm_rows(X, p)
+    assert all(_pnorm_rows(x, p) == row for x, row in zip(X, rows))
 
 
 def test_power_ascent_is_no_lower_than_the_pattern_ascent(monkeypatch):
