@@ -54,7 +54,7 @@ def _tolerance(text: str) -> float:
 
 
 _COMMON_FLAGS = (
-    ("--tol", dict(type=_tolerance, default=1e-6, help="sign-decision tolerance, read at the tensor's unit scale (default 1e-6)")),
+    ("--tol", dict(type=_tolerance, default=1e-6, help="sign tolerance at the tensor's unit scale (default 1e-6)")),
     ("--grid", dict(type=_nonnegative_int, default=None, help="grid points per axis (default: by dimension)")),
     ("--starts", dict(type=_nonnegative_int, default=None, help="override every multistart budget")),
     ("--seed", dict(type=int, default=0, help="64-bit master seed (default 0)")),

@@ -105,9 +105,8 @@ class NormReport(JsonRecord):
 
 
 def _pnorm_rows(X: np.ndarray, p: float) -> np.ndarray:
-    """p-norms along the last axis: one per row of a batch, or of one vector.
-    The root is always taken by numpy's array loop, whose rounding can differ
-    by an ulp from its scalar ``**``, so a vector's norm is its batch row's."""
+    """p-norms along the last axis: one per row of a batch, or of one vector,
+    whose root the array loop takes too (numpy's scalar ``**`` rounds apart)."""
     if math.isinf(p):
         return np.abs(X).max(axis=-1)
     return ((np.abs(X) ** p).sum(axis=-1, keepdims=True) ** (1.0 / p))[..., 0]

@@ -8,9 +8,8 @@ symmetric tensors (strict) semi-positivity coincides with (strict)
 copositivity, which :func:`is_copositive` checks directly by minimizing
 the full contraction over the same feasible set.  Every search runs on
 :func:`tcpkit.tensor.at_unit_scale`'s ``A / 2^e``, and its value, of degree
-1 in A, maps back by ``2^e``.  ``RunConfig.tol`` is read at that unit
-scale: a value is compared with ``tol * 2^e``, so ``A`` and ``2^k A`` get
-the same verdicts.
+1 in A, maps back by ``2^e`` and meets ``RunConfig.tol`` as ``tol * 2^e``,
+so ``A`` and ``2^k A`` get the same verdicts.
 """
 
 from __future__ import annotations

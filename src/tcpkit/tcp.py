@@ -6,13 +6,11 @@ support enumeration (per support, solve the polynomial system on the
 active coordinates and check the inactive rows) and a semismooth Newton
 method on the Fischer-Burmeister residual
 ``Phi(x)_i = sqrt(x_i^2 + w_i^2) - x_i - w_i``, which vanishes exactly at
-the solutions.  Both solve one unit instance, with ``A`` and ``q`` shifted
-by powers of two (:func:`_unit_scale`), and map its solutions back by
-positive homogeneity: the solutions of ``(2^e A, 2^(e + k(m-1)) q)`` are
-``2^k`` times those of ``(A, q)``.  Every shift is exact, so ``(2^j A, 2^j
-q)`` gives the same solutions, bit for bit.  Every returned solution is
-re-certified by :func:`verify_solution` from scratch, relative to the
-instance's scale.
+the solutions.  Both solve one unit instance, ``A`` and ``q`` shifted by
+powers of two (:func:`_unit_scale`), and map its solutions back exactly, so
+``(2^j A, 2^j q)`` gets the same solutions bit for bit.  Every returned
+solution is re-certified by :func:`verify_solution` from scratch, relative
+to the instance's scale.
 
 Above order 2, enumeration first rules out every support whose active
 system is certified to have no root it could keep: the row margin of
@@ -138,10 +136,9 @@ class TcpSolution(JsonRecord):
 
 
 def verify_solution(inst: TcpInstance, x, tol: float = RESIDUAL_TOL) -> ResidualRecord:
-    """Recompute w (by :func:`_contract`) and the three residuals from
-    scratch; with the scale ``s = ||q||_inf + ||A x^(m-1)||_inf``, pass iff
-    ``primal >= -tol ||x||_inf``, ``dual >= -tol s`` and ``compl <= tol s
-    ||x||_inf``."""
+    """Recompute w and the three residuals from scratch; with the scale
+    ``s = ||q||_inf + ||A x^(m-1)||_inf``, pass iff ``primal >= -tol ||x||_inf``,
+    ``dual >= -tol s`` and ``compl <= tol s ||x||_inf``."""
     x = as_vector(x, inst.A.n)
     Ax = _contract(inst.A, x)
     w = inst.q + Ax
@@ -155,9 +152,8 @@ def verify_solution(inst: TcpInstance, x, tol: float = RESIDUAL_TOL) -> Residual
 
 
 def _contract(A: Tensor, x: np.ndarray) -> np.ndarray:
-    """``A x^(m-1)``, contracted at x shifted by the power of two ``2^j``
-    nearest ``max|x|`` and shifted back by ``2^(j(m-1))``.  Both shifts are
-    exact, so it overflows only where the result does."""
+    """``A x^(m-1)`` as ``2^(j(m-1)) A (x / 2^j)^(m-1)``, 2^j the power of two
+    nearest ``max|x|``: both shifts are exact, so it overflows only where the result does."""
     top = float(np.max(np.abs(x)))
     j = round(np.log2(top)) if top > 0 else 0
     return np.ldexp(contract_m1(A, np.ldexp(x, -j)), j * (A.m - 1))
@@ -176,11 +172,9 @@ def _certified_point(inst: TcpInstance, x: np.ndarray) -> np.ndarray | None:
 
 
 def _unit_scale(inst: TcpInstance) -> tuple[TcpInstance, int]:
-    """The unit instance ``(A / 2^e, q / 2^(e + k(m-1)))`` and k, where
-    ``e, A / 2^e = at_unit_scale(A)`` and k is the integer nearest ``(log2
-    ||q||_inf - e) / (m - 1)`` (0 for q = 0): its solutions times ``2^k``
-    are those of ``inst``.  Only exponents shift, so ``(2^j A, 2^j q)`` gives
-    the same unit instance, bit for bit."""
+    """The unit instance ``(A / 2^e, q / 2^(e + k(m-1)))``, e from :func:`at_unit_scale`
+    and k the integer nearest ``(log2 ||q||_inf - e) / (m - 1)`` (0 for q = 0),
+    and k: its solutions times ``2^k`` are those of ``inst``."""
     e, A = at_unit_scale(inst.A)
     top = float(np.max(np.abs(inst.q)))
     k = round((np.log2(top) - e) / (inst.A.m - 1)) if top > 0 else 0
